@@ -20,9 +20,10 @@ from math import pi, sin
 
 import numpy as np
 
-from .optics import ArrivalClass, InterferometerConfig
+from .events import EARLY, ERASED, INVALID, LATE, PORT_LETTERS, PREP_NAMES, multiclick_cycles
+from .optics import InterferometerConfig
 
-PREP_ORDER = ("minus", "plus")
+PREP_ORDER = PREP_NAMES  # indexed by the records' prep_sign code
 DIAGONAL_LABELS = ("rho11_0H", "rho22_0V", "rho33_m1H", "rho44_m1V")
 
 
@@ -102,14 +103,14 @@ def phase_bins(
     """
     params.validate()
     offsets = params.port_offsets() if port_offsets is None else port_offsets
-    erased = records[records["arrival_class"] == ArrivalClass.ERASED.value]
+    erased = records[records["arrival_class"] == ERASED]
     nb = params.n_phase_bins
     width = 2.0 * pi / nb
     centers = (np.arange(nb) + 0.5) * width
     out: dict[tuple[str, str], list[PhaseBin]] = {}
-    for prep in PREP_ORDER:
+    for prep_code, prep in enumerate(PREP_ORDER):
         for port, offset in offsets.items():
-            sel = erased[(erased["prep_sign"] == prep) & (erased["port"] == port)]
+            sel = erased[(erased["prep_sign"] == prep_code) & (erased["port"] == PORT_LETTERS.index(port))]
             phases = np.mod(np.asarray(sel["phase_rad"]) + offset, 2.0 * pi)
             idx = np.minimum((phases / width).astype(int), nb - 1)
             n_b = np.bincount(idx, minlength=nb)
@@ -195,8 +196,8 @@ class DiagonalResult:
 def diagonal_tomography(records: np.ndarray, params: AnalysisParams) -> DiagonalResult:
     """Populations and ZZ correlation from path-revealing events."""
     params.validate()
-    early = records[records["arrival_class"] == ArrivalClass.EARLY_REVEALING.value]
-    late = records[records["arrival_class"] == ArrivalClass.LATE_REVEALING.value]
+    early = records[records["arrival_class"] == EARLY]
+    late = records[records["arrival_class"] == LATE]
     n_e, n_l = len(early), len(late)
     if n_e == 0 or n_l == 0:
         raise AnalysisError("diagonal tomography needs both path-revealing arrival classes")
@@ -312,21 +313,21 @@ def fit_equatorial(
     """
     params.validate()
     offsets = params.port_offsets() if port_offsets is None else port_offsets
-    erased = records[records["arrival_class"] == ArrivalClass.ERASED.value]
+    offset_of_port = np.array([offsets[p] for p in PORT_LETTERS])
+    erased = records[records["arrival_class"] == ERASED]
     if len(erased) == 0:
         raise AnalysisError("no path-erased events to fit")
 
     fits: dict[str, FitCurve] = {}
     curves: dict[str, np.ndarray] = {}
     insufficient = []
-    for prep in PREP_ORDER:
-        sel = erased[erased["prep_sign"] == prep]
+    for prep_code, prep in enumerate(PREP_ORDER):
+        sel = erased[erased["prep_sign"] == prep_code]
         if len(sel) == 0:
             raise AnalysisError(f"missing path-erased events for preparation {prep!r}")
         if len(sel) < params.min_cell_count * params.n_phase_bins / 4:
             insufficient.append(f"erased_{prep}")
-        off = np.array([offsets[p] for p in sel["port"]])
-        phases = np.asarray(sel["phase_rad"]) + off
+        phases = sel["phase_rad"] + offset_of_port[sel["port"]]
         fit, curve = _fit_one_prep(phases, sel["readout_click"], params)
         fits[prep] = fit
         curves[prep] = curve
@@ -349,8 +350,8 @@ def estimate_background_fraction(records: np.ndarray, ifm: InterferometerConfig)
     count hiding under the erased window.
     """
     ifm.validate()
-    n_inv = int(np.sum(records["arrival_class"] == ArrivalClass.INVALID.value))
-    n_erased = int(np.sum(records["arrival_class"] == ArrivalClass.ERASED.value))
+    n_inv = int(np.sum(records["arrival_class"] == INVALID))
+    n_erased = int(np.sum(records["arrival_class"] == ERASED))
     if n_erased == 0:
         raise AnalysisError("no path-erased events; background fraction undefined")
     t_invalid = 2.0 * (ifm.delay_ns - 2.0 * ifm.window_ns)
@@ -470,15 +471,8 @@ def binomial_sigma(p: float, n: int) -> float:
 
 def reject_multiclick_cycles(records: np.ndarray, n_photons: int = 1):
     """Drop cycles whose click count exceeds the protocol photon number."""
-    if len(records) == 0:
-        return records, 0
-    ids = records["cycle_id"]
-    uniq, counts = np.unique(ids, return_counts=True)
-    bad = set(uniq[counts > n_photons].tolist())
-    if not bad:
-        return records, 0
-    keep = np.array([cid not in bad for cid in ids])
-    return records[keep], len(bad)
+    drop, rejected = multiclick_cycles(records["cycle_id"], n_photons)
+    return records[~drop], rejected
 
 
 def analyze_records(

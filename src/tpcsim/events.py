@@ -17,40 +17,55 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import emitter as em
-from .optics import ArrivalClass, InterferometerConfig
+from .optics import PORT_NAMES, ArrivalClass, InterferometerConfig
 from .protocol import ProtocolConfig, build_sequence, pulse_times
 from .qsim import SubsystemSpec, basis_ket, embedded_matrix, ry
 
 RECORD_COLUMNS = ("cycle_id", "port", "arrival_class", "t_ns", "phase_rad", "prep_sign", "readout_click")
+# In memory, the three label columns hold uint8 codes that index the label
+# tables below; the labels themselves appear only in CSV files and ClickRecords.
 RECORD_DTYPE = np.dtype(
     [
         ("cycle_id", np.int64),
-        ("port", "U1"),
-        ("arrival_class", "U16"),
+        ("port", np.uint8),
+        ("arrival_class", np.uint8),
         ("t_ns", np.float64),
         ("phase_rad", np.float64),
-        ("prep_sign", "U5"),
+        ("prep_sign", np.uint8),
         ("readout_click", np.uint8),
     ]
 )
 
+PORT_LETTERS = PORT_NAMES
+ARRIVAL_CLASSES = tuple(
+    c.value for c in (ArrivalClass.EARLY_REVEALING, ArrivalClass.ERASED, ArrivalClass.LATE_REVEALING, ArrivalClass.INVALID)
+)
+EARLY, ERASED, LATE, INVALID = range(len(ARRIVAL_CLASSES))
+PREP_NAMES = ("minus", "plus")
+_CSV_LABELS = {
+    name: np.array(labels, dtype=object)
+    for name, labels in (
+        ("port", PORT_LETTERS),
+        ("arrival_class", ARRIVAL_CLASSES),
+        ("prep_sign", PREP_NAMES),
+        ("readout_click", ("0", "1")),
+    )
+}
+_RECORD_LABELS = dict(_CSV_LABELS, readout_click=np.array([False, True], dtype=object))
+# closed vocabulary of each coded CSV column: label -> code
+CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _CSV_LABELS.items()}
+_ROW_FORMAT = "{},{},{},{:.3f},{:.9f},{},{}\n".format
+
 _PHASE_SALT = 0x5EED_0001
 _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
-
-PREP_NAMES = ("minus", "plus")
-PORT_LETTERS = np.array(["D", "A", "R", "L"])
-CLASS_NAMES = {
-    "early": ArrivalClass.EARLY_REVEALING.value,
-    "erased": ArrivalClass.ERASED.value,
-    "late": ArrivalClass.LATE_REVEALING.value,
-    "invalid": ArrivalClass.INVALID.value,
-}
+_IO_CHUNK = 8192  # rows per CSV write or parse step; bounds the Python objects alive at once
 
 
 class EventModelError(ValueError):
@@ -100,18 +115,6 @@ class ClickRecord(NamedTuple):
     phase_rad: float
     prep_sign: str
     readout_click: bool
-
-
-def record_view(row) -> ClickRecord:
-    return ClickRecord(
-        int(row["cycle_id"]),
-        str(row["port"]),
-        str(row["arrival_class"]),
-        float(row["t_ns"]),
-        float(row["phase_rad"]),
-        str(row["prep_sign"]),
-        bool(row["readout_click"]),
-    )
 
 
 # -- trajectory compilation ------------------------------------------------------
@@ -394,103 +397,67 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
             pb_er = np.clip(np.nan_to_num(num / den, nan=0.0, posinf=0.0), 0.0, 1.0)
         pb[erased] = pb_er
 
+    def quarter(u):
+        return np.minimum((u * 4).astype(np.int64), 3)
+
     early = outcome == 1
     late = outcome == 3
     none = outcome == 0
     pb[early] = model.bright_early[li[early]]
     pb[late] = model.bright_late[li[late]]
     pb[none] = model.bright_none[li[none]]
-    port_idx[early] = np.minimum((u_port1[early] * 4).astype(np.int64), 3)
-    port_idx[late] = np.minimum((u_port1[late] * 4).astype(np.int64), 3)
+    port_idx[early | late] = quarter(u_port1[early | late])
 
-    rows: list[tuple] = []
+    # both bins occupied: each photon is routed independently, and the cycle's
+    # readout basis follows the earliest surviving click (rejected downstream anyway)
     dbl = np.flatnonzero(outcome == 4)
-    s = model.split_ratio
-    dbl_ro: dict[int, bool] = {}
-    for j in dbl:
-        # both bins occupied: each photon routed independently, cycle readout
-        # follows the earliest surviving click (rejected downstream anyway)
-        clicks = []
-        if model.active_switch:
-            first_erased, second_erased = True, True
-        else:
-            first_erased = u_arm1[j] < s
-            second_erased = u_arm2[j] < 1.0 - s
-        if u_thin1[j] < eta:
-            if first_erased:
-                clicks.append(("erased", t_a2, min(int(u_port1[j] * 4), 3)))
-            else:
-                clicks.append(("early", t_a1, min(int(u_port1[j] * 4), 3)))
-        if u_thin2[j] < eta:
-            if second_erased:
-                clicks.append(("erased", t_a2, min(int(u_port2[j] * 4), 3)))
-            else:
-                clicks.append(("late", t_a2 + delay, min(int(u_port2[j] * 4), 3)))
-        clicks.sort(key=lambda c: c[1])
-        theta_is_x = not clicks or clicks[0][0] == "erased"
-        pb_j = model.bright_dbl_x[li[j]] if theta_is_x else model.bright_dbl_z[li[j]]
-        click_ro = bool(u_ro[j] < params_ro * pb_j + dark)
-        dbl_ro[int(j)] = click_ro
-        t0 = ids[j] * period
-        for cls, t_off, pidx in clicks:
-            rows.append(
-                (
-                    ids[j],
-                    PORT_LETTERS[pidx],
-                    CLASS_NAMES[cls],
-                    t0 + t_off,
-                    phase_read[j],
-                    PREP_NAMES[prep_idx[j]],
-                    1 if click_ro else 0,
-                )
-            )
-
+    if model.active_switch:
+        first_erased = second_erased = np.ones(dbl.size, dtype=bool)
+    else:
+        first_erased = u_arm1[dbl] < model.split_ratio
+        second_erased = u_arm2[dbl] < 1.0 - model.split_ratio
+    first_seen = u_thin1[dbl] < eta
+    second_seen = u_thin2[dbl] < eta
+    t_first = np.where(first_erased, t_a2, t_a1)
+    t_second = np.where(second_erased, t_a2, t_a2 + delay)
+    first_leads = first_seen & ~(second_seen & (t_second < t_first))
+    basis_x = np.where(first_leads, first_erased, ~second_seen | second_erased)
+    pb[dbl] = np.where(basis_x, model.bright_dbl_x[li[dbl]], model.bright_dbl_z[li[dbl]])
     ro_click = u_ro < params_ro * pb + dark
 
-    detected = (early | late | erased) & (u_thin1 < eta)
-    det_idx = np.flatnonzero(detected)
+    det = np.flatnonzero((early | late | erased) & (u_thin1 < eta))
     t_offset = np.where(outcome == 1, t_a1, np.where(outcome == 2, t_a2, t_a2 + delay))
-    for j in det_idx:
-        rows.append(
-            (
-                ids[j],
-                PORT_LETTERS[port_idx[j]],
-                CLASS_NAMES["early" if outcome[j] == 1 else "erased" if outcome[j] == 2 else "late"],
-                ids[j] * period + t_offset[j],
-                phase_read[j],
-                PREP_NAMES[prep_idx[j]],
-                1 if ro_click[j] else 0,
-            )
-        )
 
-    if total_bg:
-        span_lo = t_a1 - w
-        span = 2.0 * delay + 2.0 * w
-        owners = np.repeat(np.arange(m), n_bg)
-        t_in = span_lo + u_bg_time * span
-        rel = t_in - t_a2
-        cls = np.full(total_bg, CLASS_NAMES["invalid"], dtype=object)
-        cls[np.abs(rel) <= w] = CLASS_NAMES["erased"]
-        cls[np.abs(rel + delay) <= w] = CLASS_NAMES["early"]
-        cls[np.abs(rel - delay) <= w] = CLASS_NAMES["late"]
-        bports = np.minimum((u_bg_port * 4).astype(np.int64), 3)
-        for k in range(total_bg):
-            j = int(owners[k])
-            clicked = dbl_ro[j] if j in dbl_ro else bool(ro_click[j])
-            rows.append(
-                (
-                    ids[j],
-                    PORT_LETTERS[bports[k]],
-                    cls[k],
-                    ids[j] * period + t_in[k],
-                    phase_read[j],
-                    PREP_NAMES[prep_idx[j]],
-                    1 if clicked else 0,
-                )
-            )
+    owners = np.repeat(np.arange(m), n_bg)
+    t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
+    rel = t_in - t_a2
+    bg_cls = np.full(total_bg, INVALID)
+    bg_cls[np.abs(rel) <= w] = ERASED
+    bg_cls[np.abs(rel + delay) <= w] = EARLY
+    bg_cls[np.abs(rel - delay) <= w] = LATE
 
-    rows.sort(key=lambda r: (r[0], r[3]))
-    out = np.array(rows, dtype=RECORD_DTYPE) if rows else np.empty(0, dtype=RECORD_DTYPE)
+    # (cycle index, class, time in cycle, port) in insertion order: first and
+    # second photons of double cycles, single detections, background clicks
+    one, two = dbl[first_seen], dbl[second_seen]
+    sources = (
+        (one, np.where(first_erased, ERASED, EARLY)[first_seen], t_first[first_seen], quarter(u_port1[one])),
+        (two, np.where(second_erased, ERASED, LATE)[second_seen], t_second[second_seen], quarter(u_port2[two])),
+        (det, outcome[det] - 1, t_offset[det], port_idx[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
+        (owners, bg_cls, t_in, quarter(u_bg_port)),
+    )
+    owner, cls, t_cycle, port = (np.concatenate(col) for col in zip(*sources))
+    t_ns = ids[owner] * period + t_cycle
+    # stable: the two erased clicks of a double cycle tie on t_ns
+    order = np.lexsort((t_ns, owner))
+    owner = owner[order]
+    out = np.empty(order.size, dtype=RECORD_DTYPE)
+    out["cycle_id"] = ids[owner]
+    out["port"] = port[order]
+    out["arrival_class"] = cls[order]
+    out["t_ns"] = t_ns[order]
+    out["phase_rad"] = phase_read[owner]
+    out["prep_sign"] = prep_idx[owner]
+    out["readout_click"] = ro_click[owner]
     return out
 
 
@@ -685,7 +652,7 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
                 put(0, 0, block(0, 0))
             elif u < p00 + pe_:
                 if rng.random() < eta:
-                    clicks.append(("early", t_emit_first, int(rng.random() * 4)))
+                    clicks.append((EARLY, t_emit_first, int(rng.random() * 4)))
                 put(0, 0, chi10)
             elif u < p00 + pe_ + per_:
                 vsign = 1.0 if (v >= 1.0 or rng.random() < (1 + v) / 2) else -1.0
@@ -699,19 +666,19 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
                 pidx = int(np.searchsorted(np.cumsum(pj / pj.sum()), rng.random(), side="right"))
                 pidx = min(pidx, 3)
                 if rng.random() < eta:
-                    clicks.append(("erased", t_ref, pidx))
+                    clicks.append((ERASED, t_ref, pidx))
                 put(0, 0, collapsed[pidx])
             elif u < p00 + pe_ + per_ + pl_:
                 if rng.random() < eta:
-                    clicks.append(("late", t_ref + ifm.delay_ns, int(rng.random() * 4)))
+                    clicks.append((LATE, t_ref + ifm.delay_ns, int(rng.random() * 4)))
                 put(0, 0, chi01)
             else:
                 c1_er = ifm.active_switch or rng.random() < s
                 c2_er = ifm.active_switch or rng.random() < 1 - s
                 if rng.random() < eta:
-                    clicks.append(("erased", t_ref, int(rng.random() * 4)) if c1_er else ("early", t_emit_first, int(rng.random() * 4)))
+                    clicks.append((ERASED, t_ref, int(rng.random() * 4)) if c1_er else (EARLY, t_emit_first, int(rng.random() * 4)))
                 if rng.random() < eta:
-                    clicks.append(("erased", t_ref, int(rng.random() * 4)) if c2_er else ("late", t_ref + ifm.delay_ns, int(rng.random() * 4)))
+                    clicks.append((ERASED, t_ref, int(rng.random() * 4)) if c2_er else (LATE, t_ref + ifm.delay_ns, int(rng.random() * 4)))
                 put(0, 0, chi11)
             norm = np.linalg.norm(new_tensor)
             if norm < 1e-15:
@@ -720,7 +687,7 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
             tensor_vec = new_tensor / norm
 
         clicks.sort(key=lambda c: c[1])
-        theta_is_x = not clicks or clicks[0][0] == "erased"
+        theta_is_x = not clicks or clicks[0][0] == ERASED
         spin_amp = tensor_vec.reshape(em.SPIN_DIM, -1)
         u_ro = u_x if theta_is_x else np.eye(em.SPIN_DIM)
         rotated = np.einsum("st,tk->sk", u_ro, spin_amp)
@@ -729,17 +696,7 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
         click_ro = rng.random() < params.p_readout_click * p_bright + dark
 
         for cls, t_off, pidx in clicks:
-            rows.append(
-                (
-                    cid,
-                    PORT_LETTERS[pidx],
-                    CLASS_NAMES[cls],
-                    cid * period + t_off,
-                    phase_read,
-                    prep,
-                    1 if click_ro else 0,
-                )
-            )
+            rows.append((cid, pidx, cls, cid * period + t_off, phase_read, PREP_NAMES.index(prep), 1 if click_ro else 0))
 
     rows.sort(key=lambda r: (r[0], r[3]))
     return np.array(rows, dtype=RECORD_DTYPE) if rows else np.empty(0, dtype=RECORD_DTYPE)
@@ -754,19 +711,22 @@ def pcfg_prep(protocol_cfg: ProtocolConfig, detection: DetectionParams, cycle_id
 # -- record I/O ---------------------------------------------------------------------
 
 
+def _columns(records: np.ndarray, labels: dict) -> list[list]:
+    """The record columns as Python lists, code columns mapped through ``labels``."""
+    return [(labels[name][records[name]] if name in labels else records[name]).tolist() for name in RECORD_COLUMNS]
+
+
 def write_records(path, records: np.ndarray) -> None:
-    header = ",".join(RECORD_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for r in records:
-            fh.write(
-                f"{int(r['cycle_id'])},{r['port']},{r['arrival_class']},"
-                f"{r['t_ns']:.3f},{r['phase_rad']:.9f},{r['prep_sign']},{int(r['readout_click'])}\n"
-            )
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
+        for lo in range(0, len(records), _IO_CHUNK):
+            fh.write("".join(map(_ROW_FORMAT, *_columns(records[lo : lo + _IO_CHUNK], _CSV_LABELS))))
 
 
 def read_records(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a record file; a malformed field raises RecordFormatError naming its line."""
+    # a byte that is not UTF-8 decodes to a lone surrogate and fails its field's check
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         cols = tuple(header.split(","))
         if cols != RECORD_COLUMNS:
@@ -775,29 +735,78 @@ def read_records(path) -> np.ndarray:
                 f"bad header: expected columns {','.join(RECORD_COLUMNS)}"
                 + (f" (missing {','.join(sorted(missing))})" if missing else "")
             )
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(RECORD_COLUMNS):
-                raise RecordFormatError(f"line {lineno}: expected {len(RECORD_COLUMNS)} fields, got {len(parts)}")
-            try:
-                rows.append(
-                    (
-                        int(parts[0]),
-                        parts[1],
-                        parts[2],
-                        float(parts[3]),
-                        float(parts[4]),
-                        parts[5],
-                        int(parts[6]),
-                    )
-                )
-            except ValueError as exc:
-                raise RecordFormatError(f"line {lineno}: {exc}") from exc
-    return np.array(rows, dtype=RECORD_DTYPE) if rows else np.empty(0, dtype=RECORD_DTYPE)
+        parts = []
+        first = 2
+        for lines in iter(lambda: list(islice(fh, _IO_CHUNK)), []):
+            parts.append(_parse_lines(lines, first))
+            first += len(lines)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
+
+
+def _parse_lines(lines: list[str], first: int) -> np.ndarray:
+    rows = [line.strip() for line in lines]
+    linenos = range(first, first + len(rows))
+    if not all(rows):
+        linenos = [n for n, row in zip(linenos, rows) if row]
+        rows = [row for row in rows if row]
+    width = len(RECORD_COLUMNS)
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        k = next(k for k, n in enumerate(commas) if n != width - 1)
+        raise RecordFormatError(f"line {linenos[k]}: expected {width} fields, got {commas[k] + 1}")
+    fields = ",".join(rows).split(",")
+    out = np.empty(len(rows), dtype=RECORD_DTYPE)
+    for k, name in enumerate(RECORD_COLUMNS):
+        out[name] = _parse_column(name, fields[k::width], linenos)
+    return out
+
+
+def _parse_column(name: str, column: list[str], linenos) -> np.ndarray:
+    """One column of text fields as its record dtype, checked against its vocabulary or range."""
+    dtype = RECORD_DTYPE[name]
+    if name in CODES:
+        vocab = CODES[name]
+        values = np.fromiter(map(vocab.get, column, repeat(len(vocab))), dtype, len(column))
+        bad = values == len(vocab)
+        expected = "one of " + ", ".join(vocab)
+    else:
+        parse = int if name == "cycle_id" else float
+        expected = "an integer" if name == "cycle_id" else "a finite number"
+        try:
+            values = np.fromiter(map(parse, column), dtype, len(column))
+            bad = ~np.isfinite(values)
+        except (ValueError, OverflowError):
+            bad = np.array([not _finite(parse, dtype, text) for text in column])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RecordFormatError(f"line {linenos[k]}: {name} {column[k]!r} is not {expected}")
+    return values
+
+
+def _finite(parse, dtype: np.dtype, text: str) -> bool:
+    try:
+        return bool(np.isfinite(dtype.type(parse(text))))
+    except (ValueError, OverflowError):
+        return False
+
+
+def multiclick_cycles(cycle_ids: np.ndarray, n_photons: int):
+    """Mask of the records whose cycle has more clicks than the protocol emits
+    photons, and the number of such cycles.
+
+    Such cycles lie outside the protocol subspace and are rejected. The
+    records may come in any order.
+    """
+    _, inverse, counts = np.unique(cycle_ids, return_inverse=True, return_counts=True)
+    over = counts > n_photons
+    return over[inverse], int(np.count_nonzero(over))
+
+
+def _sorted_multiclick(records: np.ndarray, n_photons: int):
+    ids = records["cycle_id"]
+    if ids.size and np.any(np.diff(ids) < 0):
+        raise EventModelError("records must be sorted by cycle_id")
+    return multiclick_cycles(ids, n_photons)
 
 
 def pair_coincidences(records: np.ndarray, n_photons: int = 1):
@@ -807,34 +816,16 @@ def pair_coincidences(records: np.ndarray, n_photons: int = 1):
     the protocol subspace and are rejected (counted, not returned). Returns
     (pairs, n_rejected) with pairs as (ClickRecord, readout_click) tuples.
     """
-    ids = records["cycle_id"]
-    if ids.size and np.any(np.diff(ids) < 0):
-        raise EventModelError("records must be sorted by cycle_id")
-    pairs = []
-    rejected = 0
-    start = 0
-    n = len(records)
-    while start < n:
-        end = start
-        while end < n and ids[end] == ids[start]:
-            end += 1
-        if end - start > n_photons:
-            rejected += 1
-        else:
-            for k in range(start, end):
-                rec = record_view(records[k])
-                pairs.append((rec, rec.readout_click))
-        start = end
-    return pairs, rejected
+    drop, rejected = _sorted_multiclick(records, n_photons)
+    clicks = map(ClickRecord, *_columns(records[~drop], _RECORD_LABELS))
+    return [(rec, rec.readout_click) for rec in clicks], rejected
 
 
 def summarize(records: np.ndarray, n_photons: int = 1) -> dict:
-    pairs, rejected = pair_coincidences(records, n_photons)
-    heralds = int(np.sum(records["arrival_class"] == ArrivalClass.ERASED.value))
-    coincidences = sum(1 for _, click in pairs if click)
+    drop, rejected = _sorted_multiclick(records, n_photons)
     return {
         "records": int(len(records)),
-        "heralded": heralds,
-        "coincidences": coincidences,
+        "heralded": int(np.count_nonzero(records["arrival_class"] == ERASED)),
+        "coincidences": int(np.count_nonzero(records["readout_click"][~drop])),
         "rejected_cycles": rejected,
     }

@@ -1,0 +1,45 @@
+"""Helpers shared by the test modules."""
+import numpy as np
+
+from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
+
+LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
+
+
+def make_records(rows):
+    """Records from rows that spell the coded columns with their CSV labels,
+    e.g. (0, "D", "Erased", 100.0, 0.1, "minus", 1)."""
+    coded = [
+        tuple(CODES[name][value] if name in LABELLED_COLUMNS else value for name, value in zip(RECORD_COLUMNS, row))
+        for row in rows
+    ]
+    return np.array(coded, dtype=RECORD_DTYPE)
+
+
+# Frozen imperfection fixture: parameters solved so the exact heralded
+# two-qubit state carries C_zz = 0.837, C_xx = 0.407 and a fidelity bound of
+# 0.647. Initialization and nuclear polarization sit at their published
+# values; spin mixing, cross excitation, and erasure visibility carry the
+# remaining imperfection budget.
+FIXTURE = dict(
+    p_cross=0.038295666561,
+    zpl_fraction=1.0,
+    p_shelve=0.05,
+    p_spin_flip=0.158111125535,
+    init_fidelity=0.979,
+    nuclear_pol=0.838,
+    pi_pulse_error=0.01,
+    p_readout_click=0.167,
+)
+
+
+def write_fixture_ini(path):
+    """The run configuration of the criterion-4 fixture, seed 404."""
+    path.write_text(
+        "[emitter]\n"
+        + "\n".join(f"{k} = {v}" for k, v in FIXTURE.items())
+        + "\n\n[interferometer]\nphase_mode = scan\nphase_readout_sigma = 0.0\n"
+        + "erasure_visibility = 0.695814665779\n"
+        + "\n[detection]\nzpl_efficiency = 1.0\nseed = 404\n"
+        + "\n[analysis]\np_readout_click = 0.167\n"
+    )

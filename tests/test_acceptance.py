@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Tolerances are fixed here, not tuned: exact algebraic checks use
 1e-10/1e-9, statistical checks use three propagated standard deviations, and
 the regression fixture pins the published correlation values through frozen
-imperfection parameters (see FIXTURE below).
+imperfection parameters (FIXTURE in conftest.py).
 """
 import time
 
@@ -14,7 +14,7 @@ import pytest
 from tpcsim.analysis import AnalysisParams, analyze_records, fidelity_bound
 from tpcsim.cli import main
 from tpcsim.emitter import EmitterParams
-from tpcsim.events import DetectionParams, pair_coincidences, read_records, simulate_cycles, summarize
+from tpcsim.events import ERASED, DetectionParams, pair_coincidences, read_records, simulate_cycles, summarize
 from tpcsim.optics import InterferometerConfig, classify_arrival, route, ArrivalClass
 from tpcsim.protocol import (
     ProtocolConfig,
@@ -27,23 +27,9 @@ from tpcsim.protocol import (
 )
 from tpcsim.qsim import Operator, expectation
 
+from conftest import FIXTURE, write_fixture_ini
 from test_protocol import brute_force_chain
 
-# Frozen imperfection fixture: parameters solved so the exact heralded
-# two-qubit state carries C_zz = 0.837, C_xx = 0.407 and a fidelity bound of
-# 0.647. Initialization and nuclear polarization sit at their published
-# values; spin mixing, cross excitation, and erasure visibility carry the
-# remaining imperfection budget.
-FIXTURE = dict(
-    p_cross=0.038295666561,
-    zpl_fraction=1.0,
-    p_shelve=0.05,
-    p_spin_flip=0.158111125535,
-    init_fidelity=0.979,
-    nuclear_pol=0.838,
-    pi_pulse_error=0.01,
-    p_readout_click=0.167,
-)
 FIXTURE_TARGETS = dict(c_zz=0.837, c_xx=0.407, f_bound=0.647)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -152,7 +138,7 @@ def test_criterion_2_routing_table_and_heralded_fraction():
         ProtocolConfig(),
         DetectionParams(zpl_efficiency=1.0, seed=201),
     )
-    frac = float(np.mean(recs["arrival_class"] == ArrivalClass.ERASED.value))
+    frac = float(np.mean(recs["arrival_class"] == ERASED))
     ok &= len(recs) == n
     ok &= abs(frac - 0.5) <= 0.005
     _verdict(2, bool(ok), f"routing table exact, erased fraction {frac:.4f} over {n} photons")
@@ -217,14 +203,7 @@ def test_criterion_4_pipeline_recovery_of_published_values(tmp_path):
 
     # simulate > 1e6 heralded events through the CLI and analyze the file
     fixture_ini = tmp_path / "fixture.ini"
-    fixture_ini.write_text(
-        "[emitter]\n"
-        + "\n".join(f"{k} = {v}" for k, v in FIXTURE.items())
-        + "\n\n[interferometer]\nphase_mode = scan\nphase_readout_sigma = 0.0\n"
-        + "erasure_visibility = 0.695814665779\n"
-        + "\n[detection]\nzpl_efficiency = 1.0\nseed = 404\n"
-        + "\n[analysis]\np_readout_click = 0.167\n"
-    )
+    write_fixture_ini(fixture_ini)
     records_path = tmp_path / "fixture_records.csv"
     n_cycles = 2_200_000
     code = main(
@@ -233,7 +212,7 @@ def test_criterion_4_pipeline_recovery_of_published_values(tmp_path):
     ok &= code == 0
 
     records = read_records(records_path)
-    heralded_events = int(np.sum(records["arrival_class"] == ArrivalClass.ERASED.value))
+    heralded_events = int(np.sum(records["arrival_class"] == ERASED))
     ok &= heralded_events >= 1_000_000
 
     report = analyze_records(records, AnalysisParams(p_readout_click=0.167), ifm)
@@ -357,7 +336,7 @@ def test_criterion_8_multiphoton_stabilizers_and_heralding():
             pcfg,
             DetectionParams(zpl_efficiency=1.0, seed=900 + n, alternate_preps=False),
         )
-        all_erased = set(switch["arrival_class"]) == {ArrivalClass.ERASED.value}
+        all_erased = set(switch["arrival_class"].tolist()) == {ERASED}
         ok &= all_erased and len(switch) == 5_000 * n
     _verdict(8, bool(ok), "; ".join(details))
 

@@ -17,9 +17,11 @@ from tpcsim.analysis import (
     subtract_background,
 )
 from tpcsim.emitter import EmitterParams
-from tpcsim.events import RECORD_DTYPE, DetectionParams, simulate_cycles
+from tpcsim.events import ERASED, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
+
+from conftest import make_records
 
 
 def ideal_emitter(**overrides):
@@ -43,14 +45,10 @@ def ideal_records(n_cycles, seed=5, **ifm_overrides):
     return simulate_cycles(n_cycles, ideal_emitter(), ifm, ProtocolConfig(), det), ifm
 
 
-def make_records(rows):
-    return np.array(rows, dtype=RECORD_DTYPE)
-
-
 def inject_uniform_background(records, b, ifm, rng):
     """Add spin-uncorrelated, time-uniform clicks so the path-erased class
     carries a background fraction ``b``. Injected clicks use fresh cycle ids."""
-    n_sig_erased = int(np.sum(records["arrival_class"] == "Erased"))
+    n_sig_erased = int(np.sum(records["arrival_class"] == ERASED))
     n_bg_erased = b / (1.0 - b) * n_sig_erased
     w, d = ifm.window_ns, ifm.delay_ns
     span = 2.0 * d + 2.0 * w
@@ -74,7 +72,7 @@ def inject_uniform_background(records, b, ifm, rng):
                 1 if rng.random() < 0.5 else 0,
             )
         )
-    merged = np.concatenate([records, np.array(rows, dtype=RECORD_DTYPE)])
+    merged = np.concatenate([records, make_records(rows)])
     return merged[np.argsort(merged["cycle_id"], kind="stable")]
 
 
@@ -213,7 +211,7 @@ class TestPhaseBins:
         recs, _ = ideal_records(10_000, seed=32)
         bins = phase_bins(recs, AnalysisParams(p_readout_click=1.0))
         total = sum(b.n_events for cell in bins.values() for b in cell)
-        assert total == int(np.sum(recs["arrival_class"] == "Erased"))
+        assert total == int(np.sum(recs["arrival_class"] == ERASED)) > 0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(AnalysisError):

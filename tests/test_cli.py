@@ -140,6 +140,17 @@ class TestCliSimulateAnalyze:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_unknown_port_exits_two_with_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "cycle_id,port,arrival_class,t_ns,phase_rad,prep_sign,readout_click\n"
+            "0,D,Erased,1.0,0.5,minus,1\n"
+            "1,Q,Erased,2.0,0.5,plus,0\n"
+        )
+        code = main(["analyze", str(path)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestCliRatesValidate:
     def test_rates_table_contains_published_rows(self, capsys):

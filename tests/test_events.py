@@ -1,12 +1,20 @@
 """Event generator tests: determinism, routing statistics, Born consistency,
 background uniformity, record I/O, and coincidence pairing."""
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
+from tpcsim.cli import main
 from tpcsim.emitter import EmitterParams
 from tpcsim.events import (
+    ARRIVAL_CLASSES,
+    CODES,
+    EARLY,
+    ERASED,
+    INVALID,
+    LATE,
     RECORD_COLUMNS,
-    RECORD_DTYPE,
     DetectionParams,
     EventModelError,
     RecordFormatError,
@@ -20,6 +28,10 @@ from tpcsim.events import (
 from tpcsim.optics import InterferometerConfig, hardware_port_states
 from tpcsim.protocol import ProtocolConfig, build_sequence, run_noisy
 from tpcsim.qsim import expectation, projector_onto, ry
+
+from conftest import make_records, write_fixture_ini
+
+MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
 
 
 def ideal_emitter(**overrides):
@@ -84,7 +96,7 @@ class TestRoutingStatistics:
             ProtocolConfig(),
             DetectionParams(zpl_efficiency=1.0, seed=8),
         )
-        frac = np.mean(recs["arrival_class"] == "Erased")
+        frac = np.mean(recs["arrival_class"] == ERASED)
         assert abs(frac - 0.5) <= 3 * np.sqrt(0.25 / n)
 
     def test_negligible_efficiency_gives_no_records(self):
@@ -107,8 +119,8 @@ class TestRoutingStatistics:
         )
         even = recs[recs["cycle_id"] % 2 == 0]
         odd = recs[recs["cycle_id"] % 2 == 1]
-        assert set(even["prep_sign"]) == {"minus"}
-        assert set(odd["prep_sign"]) == {"plus"}
+        assert set(even["prep_sign"].tolist()) == {MINUS}
+        assert set(odd["prep_sign"].tolist()) == {PLUS}
 
     def test_fixed_prep_when_alternation_off(self):
         recs = simulate_cycles(
@@ -118,7 +130,7 @@ class TestRoutingStatistics:
             ProtocolConfig(prep_sign="plus"),
             DetectionParams(zpl_efficiency=1.0, seed=5, alternate_preps=False),
         )
-        assert set(recs["prep_sign"]) == {"plus"}
+        assert set(recs["prep_sign"].tolist()) == {PLUS}
 
     def test_active_switch_heralds_every_photon(self):
         recs = simulate_cycles(
@@ -129,7 +141,7 @@ class TestRoutingStatistics:
             DetectionParams(zpl_efficiency=1.0, seed=6),
         )
         assert len(recs) == 5_000
-        assert set(recs["arrival_class"]) == {"Erased"}
+        assert set(recs["arrival_class"].tolist()) == {ERASED}
 
     def test_arrival_times_follow_routing_table(self):
         ifm = InterferometerConfig()
@@ -140,9 +152,10 @@ class TestRoutingStatistics:
             3_000, ideal_emitter(), ifm, pcfg, DetectionParams(zpl_efficiency=1.0, seed=7)
         )
         offsets = recs["t_ns"] - recs["cycle_id"].astype(float) * pcfg.cycle_period_ns
-        early = offsets[recs["arrival_class"] == "EarlyRevealing"]
-        erased = offsets[recs["arrival_class"] == "Erased"]
-        late = offsets[recs["arrival_class"] == "LateRevealing"]
+        early = offsets[recs["arrival_class"] == EARLY]
+        erased = offsets[recs["arrival_class"] == ERASED]
+        late = offsets[recs["arrival_class"] == LATE]
+        assert min(len(early), len(erased), len(late)) > 0
         assert np.allclose(early, times[0])
         assert np.allclose(erased, times[1])
         assert np.allclose(late, times[1] + ifm.delay_ns)
@@ -172,7 +185,7 @@ class TestBornConsistency:
         herald_prob = heralded.trace()
         rho = heralded.normalized()
 
-        erased = clean[clean["arrival_class"] == "Erased"]
+        erased = clean[clean["arrival_class"] == ERASED]
         n_erased = len(erased)
         # heralding rate
         sigma = np.sqrt(herald_prob * (1 - herald_prob) / n)
@@ -184,7 +197,7 @@ class TestBornConsistency:
         for port in ("D", "A", "R", "L"):
             proj = projector_onto(states[port], ("photon1",))
             p_port = expectation(rho, proj)
-            sel = erased[erased["port"] == port]
+            sel = erased[erased["port"] == CODES["port"][port]]
             f = len(sel) / n_erased
             s3 = 3 * np.sqrt(p_port / 2 * (1 - p_port / 2) / n_erased)
             assert abs(f - p_port / 2) <= s3  # analyzer halves split D/A vs R/L
@@ -210,9 +223,9 @@ class TestBornConsistency:
             40_000, params, ifm, pcfg, DetectionParams(zpl_efficiency=1.0, seed=22, alternate_preps=False)
         )
         for recs_a, recs_b in ((fast, slow),):
-            fa = np.mean(recs_a["arrival_class"] == "Erased")
-            fb = np.mean(recs_b["arrival_class"] == "Erased")
-            assert abs(fa - fb) < 0.02
+            fa = np.mean(recs_a["arrival_class"] == ERASED)
+            fb = np.mean(recs_b["arrival_class"] == ERASED)
+            assert fa > 0 and abs(fa - fb) < 0.02
             ca = recs_a["readout_click"].mean()
             cb = recs_b["readout_click"].mean()
             assert abs(ca - cb) < 0.02
@@ -249,7 +262,7 @@ class TestBackground:
         assert len(recs) > 1_500
         # ports uniform: chi-square over 4 cells
         ports, counts = np.unique(recs["port"], return_counts=True)
-        assert set(ports) == {"D", "A", "R", "L"}
+        assert set(ports.tolist()) == set(CODES["port"].values())
         n = counts.sum()
         chi2 = (((counts - n / 4.0) ** 2) / (n / 4.0)).sum()
         assert chi2 < 16.27  # 0.999 quantile, 3 dof
@@ -264,7 +277,7 @@ class TestBackground:
             "Invalid": 2 * (d - 2 * w) / span,
         }
         classes, ccounts = np.unique(recs["arrival_class"], return_counts=True)
-        obs = dict(zip(classes, ccounts))
+        obs = {ARRIVAL_CLASSES[c]: k for c, k in zip(classes, ccounts)}
         chi2 = sum(
             (obs.get(k, 0) - n * p) ** 2 / (n * p) for k, p in expected.items()
         )
@@ -278,15 +291,13 @@ class TestBackground:
             ProtocolConfig(),
             DetectionParams(zpl_efficiency=1.0, background_rate_hz=0.0, seed=15),
         )
-        assert not np.any(recs["arrival_class"] == "Invalid")
+        assert not np.any(recs["arrival_class"] == INVALID)
+        assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE}
 
 
 class TestCoincidencePairing:
-    def make_records(self, rows):
-        return np.array(rows, dtype=RECORD_DTYPE)
-
     def test_single_click_cycle_pairs_with_readout(self):
-        recs = self.make_records(
+        recs = make_records(
             [
                 (0, "D", "Erased", 100.0, 0.1, "minus", 1),
                 (2, "A", "Erased", 300.0, 0.2, "plus", 0),
@@ -298,7 +309,7 @@ class TestCoincidencePairing:
         assert pairs[0][1] is True and pairs[1][1] is False
 
     def test_double_click_cycle_rejected_and_counted(self):
-        recs = self.make_records(
+        recs = make_records(
             [
                 (0, "D", "Erased", 100.0, 0.1, "minus", 1),
                 (1, "D", "EarlyRevealing", 150.0, 0.1, "minus", 1),
@@ -311,7 +322,7 @@ class TestCoincidencePairing:
         assert [p[0].cycle_id for p in pairs] == [0, 2]
 
     def test_unsorted_records_rejected(self):
-        recs = self.make_records(
+        recs = make_records(
             [
                 (5, "D", "Erased", 100.0, 0.1, "minus", 1),
                 (1, "D", "Erased", 150.0, 0.1, "minus", 1),
@@ -321,7 +332,7 @@ class TestCoincidencePairing:
             pair_coincidences(recs)
 
     def test_summary_counts(self):
-        recs = self.make_records(
+        recs = make_records(
             [
                 (0, "D", "Erased", 100.0, 0.1, "minus", 1),
                 (1, "A", "EarlyRevealing", 120.0, 0.1, "plus", 0),
@@ -372,6 +383,54 @@ class TestRecordIO:
         )
         with pytest.raises(RecordFormatError, match="line 3"):
             read_records(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1,D,Erased,2.0,0.5,minusss,1",  # not cut to a known prep sign
+            "1,D,ErasedErasedErasedEr,2.0,0.5,minus,1",  # not cut to 16 characters
+            "1,D,Erased,2.0,0.5,minus,7",
+            "1,Q,Erased,2.0,0.5,minus,1",
+            "1,D,Erased,2.0,nan,minus,1",
+            "1,D,Erased,inf,0.5,minus,1",
+            "1.5,D,Erased,2.0,0.5,minus,1",
+            "99999999999999999999,D,Erased,2.0,0.5,minus,1",
+            "1,D,Er\udcffased,2.0,0.5,minus,1",  # byte 0xff, not UTF-8
+        ],
+    )
+    def test_field_outside_its_vocabulary_or_range_names_line(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        text = ",".join(RECORD_COLUMNS) + "\n0,D,Erased,1.0,0.5,minus,1\n\n" + line + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(RecordFormatError, match="line 4"):
+            read_records(path)
+
+    def test_criterion_4_fixture_bytes_pinned(self, tmp_path):
+        # the n = 1 record bytes are the hardware ingestion contract
+        ini = tmp_path / "fixture.ini"
+        write_fixture_ini(ini)
+        out = tmp_path / "fixture.csv"
+        assert main(["simulate", "--config", str(ini), "--out", str(out), "--cycles", "5000"]) == 0
+        assert sha256(out.read_bytes()).hexdigest() == (
+            "951619daf302abf5ec02cf0d844bf08bc480781c98d4b5cd616d4d6d114af683"
+        )
+
+    def test_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path):
+        # doubles, singles and background clicks of every class, Invalid included
+        args = (
+            noisy_emitter(),
+            InterferometerConfig(phase_mode="walk"),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=1.0, background_rate_hz=200_000.0, seed=61, block_size=1024),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(4_000, *args, workers=workers)
+            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"
+            )
 
 
 class TestValidation:
