@@ -20,8 +20,8 @@ from math import pi, sin
 
 import numpy as np
 
-from .events import EARLY, ERASED, INVALID, LATE, PORT_LETTERS, PREP_NAMES, multiclick_cycles
-from .optics import InterferometerConfig
+from .events import EARLY, ERASED, INVALID, LATE, PREP_NAMES, multiclick_cycles
+from .optics import InterferometerConfig, port_offsets
 
 PREP_ORDER = PREP_NAMES  # indexed by the records' prep_sign code
 DIAGONAL_LABELS = ("rho11_0H", "rho22_0V", "rho33_m1H", "rho44_m1V")
@@ -39,7 +39,6 @@ class AnalysisParams:
     readout_dark_click: float = 0.0
     n_phase_bins: int = 16
     min_cell_count: int = 25
-    quadrature_offset: float = pi / 4.0
 
     def validate(self) -> None:
         if not 0.0 < self.p_readout_click <= 1.0:
@@ -51,22 +50,19 @@ class AnalysisParams:
         if self.min_cell_count < 1:
             raise AnalysisError("min_cell_count must be >= 1")
 
-    def port_offsets(self) -> dict[str, float]:
-        q = self.quadrature_offset
-        return {"D": 0.0, "A": pi, "R": q, "L": q + pi}
-
-    def invert_click_fraction(self, f: float) -> float:
-        """Bright-state probability from a raw click fraction."""
+    def invert_click_fraction(self, f):
+        """Bright-state probability from a raw click fraction (scalar or array)."""
         span = self.p_readout_click - self.readout_dark_click
-        return float(np.clip((f - self.readout_dark_click) / span, 0.0, 1.0))
+        return np.clip((f - self.readout_dark_click) / span, 0.0, 1.0)
 
-    def click_fraction_sigma(self, k: int, n: int) -> float:
-        """Binomial error of the inverted bright-state probability."""
-        if n == 0:
-            return float("inf")
+    def click_fraction_sigma(self, k, n):
+        """Binomial error of the inverted bright-state probability from ``k``
+        clicks in ``n`` events (scalars or arrays; infinite where n = 0)."""
+        n = np.asarray(n, dtype=float)
         f = (k + 0.5) / (n + 1.0)  # smoothing keeps the variance estimate off zero
         span = self.p_readout_click - self.readout_dark_click
-        return float(np.sqrt(f * (1.0 - f) / n) / span)
+        with np.errstate(divide="ignore"):
+            return np.sqrt(f * (1.0 - f) / n) / span
 
 
 @dataclass
@@ -76,49 +72,6 @@ class FitCurve:
     phase0: float
     baseline: float
     n_events: int
-
-
-@dataclass(frozen=True)
-class PhaseBin:
-    """One effective-phase bin: center plus click bookkeeping for a cell."""
-
-    center: float
-    n_events: int
-    n_clicks: int
-
-    def __post_init__(self):
-        if self.n_events < 0 or self.n_clicks < 0 or self.n_clicks > self.n_events:
-            raise AnalysisError("phase bin counts must be non-negative and consistent")
-
-
-def phase_bins(
-    records: np.ndarray,
-    params: AnalysisParams,
-    port_offsets: dict[str, float] | None = None,
-) -> dict[tuple[str, str], list[PhaseBin]]:
-    """Histogram of path-erased events over effective phase.
-
-    Keys are (prep_sign, port); each value is the full list of bins (centers
-    partition [0, 2 pi)), with event and readout-click counts per bin.
-    """
-    params.validate()
-    offsets = params.port_offsets() if port_offsets is None else port_offsets
-    erased = records[records["arrival_class"] == ERASED]
-    nb = params.n_phase_bins
-    width = 2.0 * pi / nb
-    centers = (np.arange(nb) + 0.5) * width
-    out: dict[tuple[str, str], list[PhaseBin]] = {}
-    for prep_code, prep in enumerate(PREP_ORDER):
-        for port, offset in offsets.items():
-            sel = erased[(erased["prep_sign"] == prep_code) & (erased["port"] == PORT_LETTERS.index(port))]
-            phases = np.mod(np.asarray(sel["phase_rad"]) + offset, 2.0 * pi)
-            idx = np.minimum((phases / width).astype(int), nb - 1)
-            n_b = np.bincount(idx, minlength=nb)
-            k_b = np.bincount(idx, weights=sel["readout_click"].astype(float), minlength=nb)
-            out[(prep, port)] = [
-                PhaseBin(float(c), int(n), int(k)) for c, n, k in zip(centers, n_b, k_b)
-            ]
-    return out
 
 
 @dataclass
@@ -214,7 +167,7 @@ def diagonal_tomography(records: np.ndarray, params: AnalysisParams) -> Diagonal
     s_l = params.click_fraction_sigma(k_l, n_l)
 
     w_h = n_e / (n_e + n_l)
-    s_wh = float(np.sqrt(w_h * (1.0 - w_h) / (n_e + n_l)))
+    s_wh = binomial_sigma(w_h, n_e + n_l)
 
     rho11 = w_h * p0_e
     rho33 = w_h * (1.0 - p0_e)
@@ -265,20 +218,16 @@ def _fit_one_prep(phases: np.ndarray, clicks: np.ndarray, params: AnalysisParams
     if filled.sum() * width <= pi:
         raise AnalysisError("phase coverage below half a period; cannot fit the fringe")
 
-    centers = (np.arange(nb) + 0.5) * width
-    span = params.p_readout_click - params.readout_dark_click
-    f_b = np.zeros(nb)
-    f_b[filled] = k_b[filled] / n_b[filled]
-    y = np.clip((f_b - params.readout_dark_click) / span, 0.0, 1.0)
-    f_smooth = (k_b + 0.5) / (n_b + 1.0)
-    var = f_smooth * (1.0 - f_smooth) / np.maximum(n_b, 1.0) / span**2
+    x = ((np.arange(nb) + 0.5) * width)[filled]
+    n_f, k_f = n_b[filled], k_b[filled]
+    y = params.invert_click_fraction(k_f / n_f)
+    sigma = params.click_fraction_sigma(k_f, n_f)
 
-    x = centers[filled]
     design = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=1)
-    w = 1.0 / var[filled]
+    w = 1.0 / sigma**2
     wx = design * w[:, None]
     normal = design.T @ wx
-    rhs = wx.T @ y[filled]
+    rhs = wx.T @ y
     try:
         coef = np.linalg.solve(normal, rhs)
         cov = np.linalg.inv(normal)
@@ -294,26 +243,21 @@ def _fit_one_prep(phases: np.ndarray, clicks: np.ndarray, params: AnalysisParams
     grad = np.array([0.0, 2.0 * a / denom, 2.0 * b / denom]) / atten
     amp_err = float(np.sqrt(grad @ cov @ grad))
 
-    curve = np.stack([centers[filled], y[filled], np.sqrt(var[filled]), n_b[filled]], axis=1)
+    curve = np.stack([x, y, sigma, n_f], axis=1)
     return FitCurve(amplitude, amp_err, phase0, float(c0), int(n_b.sum())), curve
 
 
-def fit_equatorial(
-    records: np.ndarray,
-    params: AnalysisParams,
-    port_offsets: dict[str, float] | None = None,
-) -> EquatorialResult:
+def fit_equatorial(records: np.ndarray, params: AnalysisParams, ifm: InterferometerConfig) -> EquatorialResult:
     """Per-preparation fringe fits and the combined XX correlation.
 
     Events from all equatorial ports are merged on a single fringe through the
-    effective phase (recorded phase + port offset). The two preparation signs
-    produce anti-phased fringes; the XX correlation is the averaged contrast
-    with its sign fixed by the fitted relative phase, which makes the value
-    invariant under any common shift of the phase origin.
+    effective phase (recorded phase + the port offset that ``ifm`` sets). The
+    two preparation signs produce anti-phased fringes; the XX correlation is
+    the averaged contrast with its sign fixed by the fitted relative phase,
+    which makes the value invariant under any common shift of the phase origin.
     """
     params.validate()
-    offsets = params.port_offsets() if port_offsets is None else port_offsets
-    offset_of_port = np.array([offsets[p] for p in PORT_LETTERS])
+    offset_of_port = port_offsets(ifm.quadrature_offset)
     erased = records[records["arrival_class"] == ERASED]
     if len(erased) == 0:
         raise AnalysisError("no path-erased events to fit")
@@ -414,11 +358,6 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
     )
 
 
-def corrected_correlations(report: CorrelationReport) -> tuple[float, float]:
-    b = report.background_fraction
-    return report.c_zz / (1.0 - b), report.c_xx / (1.0 - b)
-
-
 # -- fidelity bound ----------------------------------------------------------------
 
 
@@ -488,7 +427,7 @@ def analyze_records(
     if len(clean) == 0:
         raise AnalysisError("no usable records")
     diag = diagonal_tomography(clean, params)
-    eq = fit_equatorial(clean, params)
+    eq = fit_equatorial(clean, params, ifm)
     f_raw, f_raw_err = _bound_with_error(diag.diagonals, diag.errors, eq.c_xx, eq.c_xx_err)
 
     report = CorrelationReport(

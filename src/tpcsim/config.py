@@ -25,7 +25,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RatesConfig:
-    """Scenario inputs for the rate calculator (0 disables an enhancement)."""
+    """Scenario inputs for the rate calculator.
+
+    ``single_shot_readout_s`` > 0 replaces the sequence duration (0 disables).
+    ``zpl_purcell`` and ``active_switch`` are not modeled by the calculator and
+    accept only their neutral values, 0 and false.
+    """
 
     system_efficiency: float = 0.4
     sequence_duration_s: float = 1e-5
@@ -33,7 +38,6 @@ class RatesConfig:
     zpl_purcell: float = 0.0
     active_switch: bool = False
     single_shot_readout_s: float = 0.0
-    derive_from_hardware: bool = False
 
     def validate(self) -> None:
         if not 0.0 < self.system_efficiency <= 1.0:
@@ -42,13 +46,15 @@ class RatesConfig:
             raise ConfigError("sequence_duration_s must be > 0")
         if not self.photon_numbers or any(n < 1 for n in self.photon_numbers):
             raise ConfigError("photon_numbers must be positive integers")
-        if self.zpl_purcell < 0 or self.single_shot_readout_s < 0:
-            raise ConfigError("enhancement values must be >= 0 (0 disables)")
+        if self.single_shot_readout_s < 0:
+            raise ConfigError("single_shot_readout_s must be >= 0 (0 disables)")
+        if self.zpl_purcell != 0.0:
+            raise ConfigError("zpl_purcell is not modeled by the rate calculator; only 0 is accepted")
+        if self.active_switch:
+            raise ConfigError("active_switch is not modeled by the rate calculator; only false is accepted")
 
     def enhancements(self) -> Enhancements:
         return Enhancements(
-            zpl_purcell=self.zpl_purcell if self.zpl_purcell > 0 else None,
-            active_switch=self.active_switch,
             single_shot_readout_s=self.single_shot_readout_s if self.single_shot_readout_s > 0 else None,
         )
 

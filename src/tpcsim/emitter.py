@@ -16,11 +16,11 @@ Time-bin modes are two-level occupation subsystems (0: vacuum, 1: one photon).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import Operator, QuantumState, SubsystemSpec, apply_kraus, basis_ket, tensor
+from .qsim import Operator, QuantumState, SubsystemSpec, apply_kraus, basis_ket, ry, tensor
 
 LVL_G0 = 0
 LVL_GM1 = 1
@@ -83,10 +83,6 @@ class EmitterParams:
         if self.detuning_ghz < 0 or self.linewidth_mhz <= 0:
             raise EmitterModelError("detuning must be >= 0 and linewidth > 0")
 
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
 
 def lorentzian_cross_excitation(detuning_ghz: float, linewidth_mhz: float) -> float:
     """Off-resonant excitation probability from the Lorentzian line factor."""
@@ -130,6 +126,11 @@ def _flip(to: int, frm: int) -> np.ndarray:
     return np.outer(_ket(to), _ket(frm).conj())
 
 
+def qubit_rotation(theta: float) -> np.ndarray:
+    """Rotation about y by ``theta`` in the {|0>, |-1>} qubit subspace of the spin."""
+    return ry(theta, SPIN, SPIN_DIM, (LVL_G0, LVL_GM1)).matrix
+
+
 def mw_rotation_kraus(theta: float, params: EmitterParams, target: str = SPIN) -> list[Operator]:
     """Microwave rotation in the {|0>, |-1>} subspace with hyperfine dephasing.
 
@@ -139,44 +140,13 @@ def mw_rotation_kraus(theta: float, params: EmitterParams, target: str = SPIN) -
     trace-preserving and leaves post-rotation populations untouched, so spin
     readout immediately after a rotation is unaffected.
     """
-    from .qsim import ry
-
-    u = ry(theta, target=target, dim=SPIN_DIM, levels=(LVL_G0, LVL_GM1)).matrix
+    u = qubit_rotation(theta)
     w = params.nuclear_pol
     ops = [Operator(np.sqrt(w) * u, (target,))]
     if w < 1.0:
         rest = np.eye(SPIN_DIM, dtype=complex) - _proj(LVL_G0) - _proj(LVL_GM1)
         for pi in (_proj(LVL_G0), _proj(LVL_GM1), rest):
             ops.append(Operator(np.sqrt(1.0 - w) * (pi @ u), (target,)))
-    return ops
-
-
-def shelving_channel(params: EmitterParams) -> list[Operator]:
-    """Non-radiative decay from |+-1_e> into the metastable shelf."""
-    p = params.p_shelve
-    keep = np.eye(SPIN_DIM, dtype=complex)
-    keep[LVL_EM1, LVL_EM1] = np.sqrt(1.0 - p)
-    keep[LVL_EP1, LVL_EP1] = np.sqrt(1.0 - p)
-    ops = [Operator(keep, (SPIN,))]
-    if p > 0:
-        ops.append(Operator(np.sqrt(p) * _flip(LVL_MS, LVL_EM1), (SPIN,)))
-        ops.append(Operator(np.sqrt(p) * _flip(LVL_MS, LVL_EP1), (SPIN,)))
-    return ops
-
-
-def spin_flip_channel(params: EmitterParams) -> list[Operator]:
-    """Excited-state spin mixing: each excited level scatters to the other two."""
-    p = params.p_spin_flip
-    excited = (LVL_E0, LVL_EM1, LVL_EP1)
-    keep = np.eye(SPIN_DIM, dtype=complex)
-    for e in excited:
-        keep[e, e] = np.sqrt(1.0 - p)
-    ops = [Operator(keep, (SPIN,))]
-    if p > 0:
-        for src in excited:
-            for dst in excited:
-                if dst != src:
-                    ops.append(Operator(np.sqrt(p / 2.0) * _flip(dst, src), (SPIN,)))
     return ops
 
 
@@ -275,20 +245,7 @@ def optical_pi_pulse(state: QuantumState, params: EmitterParams, bin_label: str)
     return apply_kraus(joint, optical_pulse_kraus(params, bin_label))
 
 
-def readout_click_probability(state: QuantumState, params: EmitterParams, dark_click: float = 0.0) -> float:
-    """Probability of a phonon-sideband readout click for the current spin state."""
-    rho = partial_spin_populations(state)
-    p = params.p_readout_click * rho[LVL_G0] + dark_click
-    return float(min(1.0, max(0.0, p)))
-
-
-def partial_spin_populations(state: QuantumState) -> np.ndarray:
-    """Diagonal populations of the spin subsystem (any total dimension)."""
-    from .qsim import partial_trace
-
-    spin_only = partial_trace(state, [SPIN]) if len(state.subsystems) > 1 else state.to_density()
-    pops = np.real(np.diag(spin_only.data))
-    total = pops.sum()
-    if total <= 0:
-        raise EmitterModelError("state has no weight on the spin subsystem")
-    return pops / total
+def readout_click_probability(p_bright, params: EmitterParams, dark_click: float = 0.0):
+    """Probability of a phonon-sideband readout click given the probability
+    ``p_bright`` (scalar or array) of the bright level |0>."""
+    return np.clip(params.p_readout_click * p_bright + dark_click, 0.0, 1.0)

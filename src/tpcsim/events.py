@@ -23,9 +23,20 @@ from typing import NamedTuple
 import numpy as np
 
 from . import emitter as em
-from .optics import PORT_NAMES, ArrivalClass, InterferometerConfig
-from .protocol import ProtocolConfig, build_sequence, pulse_times
-from .qsim import SubsystemSpec, basis_ket, embedded_matrix, ry
+from .optics import (
+    EARLY,
+    ERASED,
+    INVALID,
+    LATE,
+    PORT_NAMES,
+    ArrivalClass,
+    InterferometerConfig,
+    arm_weights,
+    classify_arrival,
+    port_offsets,
+)
+from .protocol import ProtocolConfig, build_sequence, prep_theta, pulse_times
+from .qsim import SubsystemSpec, basis_ket, embedded_matrix
 
 RECORD_COLUMNS = ("cycle_id", "port", "arrival_class", "t_ns", "phase_rad", "prep_sign", "readout_click")
 # In memory, the three label columns hold uint8 codes that index the label
@@ -43,10 +54,7 @@ RECORD_DTYPE = np.dtype(
 )
 
 PORT_LETTERS = PORT_NAMES
-ARRIVAL_CLASSES = tuple(
-    c.value for c in (ArrivalClass.EARLY_REVEALING, ArrivalClass.ERASED, ArrivalClass.LATE_REVEALING, ArrivalClass.INVALID)
-)
-EARLY, ERASED, LATE, INVALID = range(len(ARRIVAL_CLASSES))
+ARRIVAL_CLASSES = tuple(c.value for c in ArrivalClass)  # indexed by EARLY, ERASED, LATE, INVALID
 PREP_NAMES = ("minus", "plus")
 _CSV_LABELS = {
     name: np.array(labels, dtype=object)
@@ -62,7 +70,6 @@ _RECORD_LABELS = dict(_CSV_LABELS, readout_click=np.array([False, True], dtype=o
 CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _CSV_LABELS.items()}
 _ROW_FORMAT = "{},{},{},{:.3f},{:.9f},{},{}\n".format
 
-_PHASE_SALT = 0x5EED_0001
 _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
 _IO_CHUNK = 8192  # rows per CSV write or parse step; bounds the Python objects alive at once
@@ -120,6 +127,19 @@ class ClickRecord(NamedTuple):
 # -- trajectory compilation ------------------------------------------------------
 
 
+def _embed_all(kraus, layout) -> list[np.ndarray]:
+    """Full-space matrices of a Kraus set on a sampler's (spin, bins) layout."""
+    return [embedded_matrix(k, layout) for k in kraus]
+
+
+def _prep_codes(ids: np.ndarray, protocol_cfg: ProtocolConfig, detection: DetectionParams) -> np.ndarray:
+    """Preparation code of each cycle id: minus on even and plus on odd ids
+    when the preparations alternate, else the configured sign."""
+    if detection.alternate_preps:
+        return ids % 2
+    return np.full(ids.shape, PREP_NAMES.index(protocol_cfg.prep_sign), dtype=np.int64)
+
+
 class _CompiledModel:
     """Per-leaf tables of the single-photon cycle, shared by all cycles.
 
@@ -130,7 +150,13 @@ class _CompiledModel:
     sign flipped.
     """
 
-    def __init__(self, params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm: InterferometerConfig):
+    def __init__(
+        self,
+        params: em.EmitterParams,
+        protocol_cfg: ProtocolConfig,
+        ifm: InterferometerConfig,
+        detection: DetectionParams,
+    ):
         params.validate()
         protocol_cfg.validate()
         ifm.validate()
@@ -138,18 +164,21 @@ class _CompiledModel:
             raise EventModelError("compiled fast path only covers single-photon cycles")
         self.ifm = ifm
         self.protocol_cfg = protocol_cfg
+        self.params = params
+        times = pulse_times(build_sequence(protocol_cfg, ifm))
+        self.pulse_times = (times[0], times[1])
+        self.eta_det = detection.detector_thinning(params.zpl_fraction)
+        span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
+        self.bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
 
         spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
         b1 = SubsystemSpec("bin1", 2)
         b2 = SubsystemSpec("bin2", 2)
         layout = basis_ket((spin, b1, b2), (0, 0, 0))
 
-        def embed_all(kraus):
-            return [embedded_matrix(k, layout) for k in kraus]
-
-        pulse1 = embed_all(em.optical_pulse_kraus(params, "bin1"))
-        pulse2 = embed_all(em.optical_pulse_kraus(params, "bin2"))
-        flip = embed_all(em.mw_rotation_kraus(np.pi, params))
+        pulse1 = _embed_all(em.optical_pulse_kraus(params, "bin1"), layout)
+        pulse2 = _embed_all(em.optical_pulse_kraus(params, "bin2"), layout)
+        flip = _embed_all(em.mw_rotation_kraus(np.pi, params), layout)
 
         init = em.initialize_spin(params)
         init_pops = np.real(np.diag(init.data))
@@ -157,8 +186,7 @@ class _CompiledModel:
         leaves: dict[int, list[np.ndarray]] = {}
         probs: dict[int, list[float]] = {}
         for prep_idx, prep in enumerate(PREP_NAMES):
-            theta = np.pi / 2.0 if prep == "minus" else -np.pi / 2.0
-            prep_kraus = embed_all(em.mw_rotation_kraus(theta, params))
+            prep_kraus = _embed_all(em.mw_rotation_kraus(prep_theta(prep), params), layout)
             chains = [prep_kraus, pulse1, flip, pulse2]
             leaves[prep_idx] = []
             probs[prep_idx] = []
@@ -187,7 +215,6 @@ class _CompiledModel:
         v = ifm.erasure_visibility
         all_probs, chi = [], {"00": [], "10": [], "01": [], "11": []}
         self.prep_offset = []
-        self.prep_total = []
         for prep_idx in (0, 1):
             self.prep_offset.append(len(all_probs))
             for vec, w in zip(leaves[prep_idx], probs[prep_idx]):
@@ -201,12 +228,10 @@ class _CompiledModel:
                     chi["10"].append(t[:, 1, 0])
                     chi["01"].append(sgn * t[:, 0, 1])
                     chi["11"].append(t[:, 1, 1])
-            self.prep_total.append(sum(probs[prep_idx]))
         self.prep_offset.append(len(all_probs))
 
-        self.n_leaves = len(all_probs)
         w_arr = np.array(all_probs)
-        self.chi = {k: np.array(vs) for k, vs in chi.items()}
+        chi = {k: np.array(vs) for k, vs in chi.items()}
 
         # cumulative leaf distribution per prep
         self.leaf_cum = []
@@ -215,36 +240,28 @@ class _CompiledModel:
             seg = w_arr[lo:hi]
             self.leaf_cum.append(np.cumsum(seg / seg.sum()))
 
-        p00 = np.einsum("ls,ls->l", self.chi["00"].conj(), self.chi["00"]).real
-        p10 = np.einsum("ls,ls->l", self.chi["10"].conj(), self.chi["10"]).real
-        p01 = np.einsum("ls,ls->l", self.chi["01"].conj(), self.chi["01"]).real
-        p11 = np.einsum("ls,ls->l", self.chi["11"].conj(), self.chi["11"]).real
-        self.p10, self.p01, self.p11 = p10, p01, p11
+        p00 = np.einsum("ls,ls->l", chi["00"].conj(), chi["00"]).real
+        p10 = np.einsum("ls,ls->l", chi["10"].conj(), chi["10"]).real
+        p01 = np.einsum("ls,ls->l", chi["01"].conj(), chi["01"]).real
+        p11 = np.einsum("ls,ls->l", chi["11"].conj(), chi["11"]).real
 
-        s = ifm.split_ratio
-        if ifm.active_switch:
-            amp_h2, amp_v2 = 1.0, 1.0
-            p_early = np.zeros_like(p10)
-            p_late = np.zeros_like(p01)
-        else:
-            amp_h2, amp_v2 = s, 1.0 - s
-            p_early = (1.0 - s) * p10
-            p_late = s * p01
-        p_erased = amp_h2 * p10 + amp_v2 * p01
+        (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
+        self.erase_weights = (erase1, erase2)
+        p_erased = erase1 * p10 + erase2 * p01
         self.timing_cum = np.cumsum(
-            np.stack([p00, p_early, p_erased, p_late, p11], axis=1), axis=1
+            np.stack([p00, reveal1 * p10, p_erased, reveal2 * p01, p11], axis=1), axis=1
         )
 
         # erased-window port / readout coefficients
-        zeta = np.sqrt(amp_h2 * amp_v2) * np.einsum("ls,ls->l", self.chi["01"].conj(), self.chi["10"])
+        zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", chi["01"].conj(), chi["10"])
         self.u_hv = p_erased
         self.zeta_abs = np.abs(zeta)
         self.zeta_arg = np.angle(zeta)
 
-        u_x = ry(protocol_cfg.tomo_theta, em.SPIN, em.SPIN_DIM, (em.LVL_G0, em.LVL_GM1)).matrix
+        u_x = em.qubit_rotation(protocol_cfg.tomo_theta)
         row0_x = u_x[em.LVL_G0, :]
-        alpha = np.sqrt(amp_h2) * (self.chi["10"] @ row0_x)
-        beta = np.sqrt(amp_v2) * (self.chi["01"] @ row0_x)
+        alpha = np.sqrt(erase1) * (chi["10"] @ row0_x)
+        beta = np.sqrt(erase2) * (chi["01"] @ row0_x)
         kappa = np.conj(alpha) * beta
         self.a2b2 = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         self.kappa_abs = np.abs(kappa)
@@ -257,19 +274,13 @@ class _CompiledModel:
             return np.nan_to_num(out, nan=0.0, posinf=0.0)
 
         eye = np.eye(em.SPIN_DIM, dtype=complex)
-        self.bright_early = bright(self.chi["10"], p10, eye)
-        self.bright_late = bright(self.chi["01"], p01, eye)
-        self.bright_none = bright(self.chi["00"], p00, u_x)
-        self.bright_dbl_x = bright(self.chi["11"], p11, u_x)
-        self.bright_dbl_z = bright(self.chi["11"], p11, eye)
+        self.bright_early = bright(chi["10"], p10, eye)
+        self.bright_late = bright(chi["01"], p01, eye)
+        self.bright_none = bright(chi["00"], p00, u_x)
+        self.bright_dbl_x = bright(chi["11"], p11, u_x)
+        self.bright_dbl_z = bright(chi["11"], p11, eye)
 
-        self.port_offsets = np.array([0.0, np.pi, ifm.quadrature_offset, ifm.quadrature_offset + np.pi])
-        self.split_ratio = s
-        self.active_switch = ifm.active_switch
-        self.herald_prob = {
-            0: float(np.sum(w_arr[self.prep_offset[0] : self.prep_offset[1]] * p_erased[self.prep_offset[0] : self.prep_offset[1]])),
-            1: float(np.sum(w_arr[self.prep_offset[1] : self.prep_offset[2]] * p_erased[self.prep_offset[1] : self.prep_offset[2]])),
-        }
+        self.port_offsets = port_offsets(ifm.quadrature_offset)
 
 
 # -- phase trajectory ------------------------------------------------------------
@@ -324,11 +335,9 @@ def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, blo
 def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
     ifm = model.ifm
     pcfg = model.protocol_cfg
-    params_ro = model._p_readout
-    dark = detection.readout_dark_click
-    eta = model._eta_det
+    eta = model.eta_det
     period = pcfg.cycle_period_ns
-    t_a1, t_a2 = model._pulse_times
+    t_a1, t_a2 = model.pulse_times
     delay = ifm.delay_ns
     w = ifm.window_ns
 
@@ -348,17 +357,14 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     u_port2 = rng.random(m)
     u_ro = rng.random(m)
     noise_ro = rng.standard_normal(m) * ifm.phase_readout_sigma
-    n_bg = rng.poisson(model._bg_per_cycle, m) if model._bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
+    n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
     total_bg = int(n_bg.sum())
     u_bg_time = rng.random(total_bg)
     u_bg_port = rng.random(total_bg)
 
     phase_read = phase_true + noise_ro
 
-    if detection.alternate_preps:
-        prep_idx = (ids % 2).astype(np.int64)
-    else:
-        prep_idx = np.full(m, PREP_NAMES.index(pcfg.prep_sign), dtype=np.int64)
+    prep_idx = _prep_codes(ids, pcfg, detection)
 
     li = np.empty(m, dtype=np.int64)
     for p in (0, 1):
@@ -411,11 +417,8 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     # both bins occupied: each photon is routed independently, and the cycle's
     # readout basis follows the earliest surviving click (rejected downstream anyway)
     dbl = np.flatnonzero(outcome == 4)
-    if model.active_switch:
-        first_erased = second_erased = np.ones(dbl.size, dtype=bool)
-    else:
-        first_erased = u_arm1[dbl] < model.split_ratio
-        second_erased = u_arm2[dbl] < 1.0 - model.split_ratio
+    first_erased = u_arm1[dbl] < model.erase_weights[0]
+    second_erased = u_arm2[dbl] < model.erase_weights[1]
     first_seen = u_thin1[dbl] < eta
     second_seen = u_thin2[dbl] < eta
     t_first = np.where(first_erased, t_a2, t_a1)
@@ -423,18 +426,13 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     first_leads = first_seen & ~(second_seen & (t_second < t_first))
     basis_x = np.where(first_leads, first_erased, ~second_seen | second_erased)
     pb[dbl] = np.where(basis_x, model.bright_dbl_x[li[dbl]], model.bright_dbl_z[li[dbl]])
-    ro_click = u_ro < params_ro * pb + dark
+    ro_click = u_ro < em.readout_click_probability(pb, model.params, detection.readout_dark_click)
 
     det = np.flatnonzero((early | late | erased) & (u_thin1 < eta))
     t_offset = np.where(outcome == 1, t_a1, np.where(outcome == 2, t_a2, t_a2 + delay))
 
     owners = np.repeat(np.arange(m), n_bg)
     t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
-    rel = t_in - t_a2
-    bg_cls = np.full(total_bg, INVALID)
-    bg_cls[np.abs(rel) <= w] = ERASED
-    bg_cls[np.abs(rel + delay) <= w] = EARLY
-    bg_cls[np.abs(rel - delay) <= w] = LATE
 
     # (cycle index, class, time in cycle, port) in insertion order: first and
     # second photons of double cycles, single detections, background clicks
@@ -443,7 +441,7 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
         (one, np.where(first_erased, ERASED, EARLY)[first_seen], t_first[first_seen], quarter(u_port1[one])),
         (two, np.where(second_erased, ERASED, LATE)[second_seen], t_second[second_seen], quarter(u_port2[two])),
         (det, outcome[det] - 1, t_offset[det], port_idx[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
-        (owners, bg_cls, t_in, quarter(u_bg_port)),
+        (owners, classify_arrival(t_in, t_a2, ifm), t_in, quarter(u_bg_port)),
     )
     owner, cls, t_cycle, port = (np.concatenate(col) for col in zip(*sources))
     t_ns = ids[owner] * period + t_cycle
@@ -486,8 +484,7 @@ def simulate_cycles(
         raise EventModelError("n_cycles must be >= 1")
     detection.validate()
     if protocol_cfg.n_photons == 1:
-        model = _CompiledModel(params, protocol_cfg, ifm)
-        _attach_runtime(model, params, detection, protocol_cfg, ifm)
+        model = _CompiledModel(params, protocol_cfg, ifm, detection)
         n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
         if ifm.phase_mode == "walk":
             offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
@@ -508,16 +505,6 @@ def simulate_cycles(
     return _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection)
 
 
-def _attach_runtime(model: _CompiledModel, params, detection, protocol_cfg, ifm):
-    steps = build_sequence(protocol_cfg, ifm)
-    times = pulse_times(steps)
-    model._pulse_times = (times[0], times[1])
-    model._p_readout = params.p_readout_click
-    model._eta_det = detection.detector_thinning(params.zpl_fraction)
-    span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
-    model._bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
-
-
 # -- multi-photon path --------------------------------------------------------------
 
 
@@ -533,25 +520,19 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
     times = pulse_times(steps)
     period = protocol_cfg.cycle_period_ns
     eta = detection.detector_thinning(params.zpl_fraction)
-    s = ifm.split_ratio
+    (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
     v = ifm.erasure_visibility
-    dark = detection.readout_dark_click
 
     spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
     bins = [SubsystemSpec(f"bin{j}", 2) for j in range(1, 2 * n + 1)]
     layout = basis_ket(tuple([spin] + bins), tuple([0] * (1 + 2 * n)))
     dims = (em.SPIN_DIM,) + (2,) * (2 * n)
 
-    def embed_all(kraus):
-        return [embedded_matrix(k, layout) for k in kraus]
-
-    channels: list[list[np.ndarray]] = []
-    thetas = {"minus": np.pi / 2.0, "plus": -np.pi / 2.0}
-    prep_chans = {
-        name: embed_all(em.mw_rotation_kraus(theta, params)) for name, theta in thetas.items()
-    }
     # the first rotation is the preparation and is applied per-cycle through
-    # prep_chans (its sign may alternate); later rotations come from the steps
+    # prep_chans, indexed by prep code (its sign may alternate); later
+    # rotations come from the steps
+    prep_chans = [_embed_all(em.mw_rotation_kraus(prep_theta(name), params), layout) for name in PREP_NAMES]
+    preps = _prep_codes(np.arange(n_cycles), protocol_cfg, detection)
     mw_by_theta: dict[float, list[np.ndarray]] = {}
     seq_ops: list[tuple[str, object]] = []
     prep_seen = False
@@ -561,19 +542,18 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
                 prep_seen = True
                 continue
             if step.theta not in mw_by_theta:
-                mw_by_theta[step.theta] = embed_all(em.mw_rotation_kraus(step.theta, params))
+                mw_by_theta[step.theta] = _embed_all(em.mw_rotation_kraus(step.theta, params), layout)
             seq_ops.append(("mw", step.theta))
         elif step.kind == "optical_pulse":
             seq_ops.append(("pulse", step.bin_label))
     pulse_chans = {
-        label: embed_all(em.optical_pulse_kraus(params, label))
+        label: _embed_all(em.optical_pulse_kraus(params, label), layout)
         for label in [f"bin{j}" for j in range(1, 2 * n + 1)]
     }
 
     init_pops = np.real(np.diag(em.initialize_spin(params).data))
-    u_x = ry(protocol_cfg.tomo_theta, em.SPIN, em.SPIN_DIM, (em.LVL_G0, em.LVL_GM1)).matrix
-
-    ports_off = np.array([0.0, np.pi, ifm.quadrature_offset, ifm.quadrature_offset + np.pi])
+    u_x = em.qubit_rotation(protocol_cfg.tomo_theta)
+    ports_off = port_offsets(ifm.quadrature_offset)
 
     rng = _keyed_rng(detection.seed, 3, 0)
     phase = ifm.phase
@@ -602,7 +582,7 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
             phase = float(np.mod(ifm.phase + ifm.scan_step_rad * cid, 2 * np.pi))
         phase_read = phase + (rng.standard_normal() * ifm.phase_readout_sigma if ifm.phase_readout_sigma > 0 else 0.0)
 
-        prep = pcfg_prep(protocol_cfg, detection, cid)
+        prep = int(preps[cid])
         lvl = int(np.searchsorted(np.cumsum(init_pops / init_pops.sum()), rng.random(), side="right"))
         lvl = min(lvl, em.SPIN_DIM - 1)
         vec = np.zeros(int(np.prod(dims)), dtype=complex)
@@ -630,14 +610,9 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
             p01 = float(np.vdot(chi01, chi01).real)
             p11 = float(np.vdot(chi11, chi11).real)
             p00 = max(0.0, 1.0 - p10 - p01 - p11)
-            if ifm.active_switch:
-                pe_, pl_ = 0.0, 0.0
-                per_ = p10 + p01
-                ah, av = 1.0, 1.0
-            else:
-                pe_, pl_ = (1 - s) * p10, s * p01
-                per_ = s * p10 + (1 - s) * p01
-                ah, av = np.sqrt(s), np.sqrt(1 - s)
+            pe_, pl_ = reveal1 * p10, reveal2 * p01
+            per_ = erase1 * p10 + erase2 * p01
+            ah, av = np.sqrt(erase1), np.sqrt(erase2)
             u = rng.random()
             t_emit_first = times[2 * k - 2]
             t_ref = times[2 * k - 1]
@@ -673,8 +648,9 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
                     clicks.append((LATE, t_ref + ifm.delay_ns, int(rng.random() * 4)))
                 put(0, 0, chi01)
             else:
-                c1_er = ifm.active_switch or rng.random() < s
-                c2_er = ifm.active_switch or rng.random() < 1 - s
+                # the active switch draws no arm choice
+                c1_er = ifm.active_switch or rng.random() < erase1
+                c2_er = ifm.active_switch or rng.random() < erase2
                 if rng.random() < eta:
                     clicks.append((ERASED, t_ref, int(rng.random() * 4)) if c1_er else (EARLY, t_emit_first, int(rng.random() * 4)))
                 if rng.random() < eta:
@@ -693,19 +669,13 @@ def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
         rotated = np.einsum("st,tk->sk", u_ro, spin_amp)
         tot = float(np.vdot(rotated, rotated).real)
         p_bright = float(np.vdot(rotated[em.LVL_G0], rotated[em.LVL_G0]).real) / tot if tot > 0 else 0.0
-        click_ro = rng.random() < params.p_readout_click * p_bright + dark
+        click_ro = rng.random() < em.readout_click_probability(p_bright, params, detection.readout_dark_click)
 
         for cls, t_off, pidx in clicks:
-            rows.append((cid, pidx, cls, cid * period + t_off, phase_read, PREP_NAMES.index(prep), 1 if click_ro else 0))
+            rows.append((cid, pidx, cls, cid * period + t_off, phase_read, prep, 1 if click_ro else 0))
 
     rows.sort(key=lambda r: (r[0], r[3]))
     return np.array(rows, dtype=RECORD_DTYPE) if rows else np.empty(0, dtype=RECORD_DTYPE)
-
-
-def pcfg_prep(protocol_cfg: ProtocolConfig, detection: DetectionParams, cycle_id: int) -> str:
-    if detection.alternate_preps:
-        return PREP_NAMES[cycle_id % 2]
-    return protocol_cfg.prep_sign
 
 
 # -- record I/O ---------------------------------------------------------------------

@@ -36,16 +36,10 @@ class ArrivalClass(str, Enum):
     INVALID = "Invalid"
 
 
-PORT_NAMES = ("D", "A", "R", "L")
+# arrival-class code of a record: the position of its class in ArrivalClass
+EARLY, ERASED, LATE, INVALID = range(len(ArrivalClass))
 
-
-@dataclass(frozen=True)
-class DetectionPort:
-    """One analyzer output. Z denotes the timing-based polar measurement and
-    has no projector; it never appears as a physical detector."""
-
-    name: str
-    phase_offset: float
+PORT_NAMES = ("D", "A", "R", "L")  # the port code of a record indexes this
 
 
 @dataclass
@@ -80,18 +74,26 @@ class InterferometerConfig:
         if {self.long_arm_pol, self.short_arm_pol} != {"H", "V"}:
             raise OpticsModelError("arm polarizations must be H and V")
 
-    def ports(self) -> dict[str, DetectionPort]:
-        q = self.quadrature_offset
-        return {
-            "D": DetectionPort("D", 0.0),
-            "A": DetectionPort("A", pi),
-            "R": DetectionPort("R", q),
-            "L": DetectionPort("L", q + pi),
-            "Z": DetectionPort("Z", 0.0),
-        }
 
-    def port_offsets(self) -> dict[str, float]:
-        return {name: port.phase_offset for name, port in self.ports().items() if name != "Z"}
+def port_offsets(quadrature_offset: float) -> np.ndarray:
+    """Analyzer phase offset of each port, indexed by port code: D/A at 0/pi,
+    R/L at q/q+pi. Z denotes the timing-based polar measurement and is no port."""
+    return np.array([0.0, pi, quadrature_offset, quadrature_offset + pi])
+
+
+def arm_weights(config: InterferometerConfig) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(path-erasing, path-revealing) arm probabilities of the first-bin photon,
+    then of the second-bin photon.
+
+    The first-bin photon reaches the erasing window through the long arm, the
+    second-bin photon through the short arm. The passive splitter sends a photon
+    down the long arm with probability ``split_ratio``; the active switch routes
+    both photons into the erasing window.
+    """
+    if config.active_switch:
+        return (1.0, 0.0), (1.0, 0.0)
+    s = config.split_ratio
+    return (s, 1.0 - s), (1.0 - s, s)
 
 
 def route(emission_cycle: str, arm: str, t_emit: float, config: InterferometerConfig):
@@ -108,17 +110,17 @@ def route(emission_cycle: str, arm: str, t_emit: float, config: InterferometerCo
     return t_emit + delay, pol
 
 
-def classify_arrival(t: float, t_ref: float, config: InterferometerConfig) -> ArrivalClass:
-    """Classify an arrival time against the erased-window center ``t_ref``."""
+def classify_arrival(t, t_ref: float, config: InterferometerConfig) -> np.ndarray:
+    """Arrival-class codes of the arrival times ``t`` against the erased-window
+    center ``t_ref``; the window edges belong to the window."""
+    rel = np.asarray(t) - t_ref
     w = config.window_ns
     d = config.delay_ns
-    if abs(t - t_ref) <= w:
-        return ArrivalClass.ERASED
-    if abs(t - (t_ref - d)) <= w:
-        return ArrivalClass.EARLY_REVEALING
-    if abs(t - (t_ref + d)) <= w:
-        return ArrivalClass.LATE_REVEALING
-    return ArrivalClass.INVALID
+    cls = np.full(rel.shape, INVALID, dtype=np.uint8)
+    cls[np.abs(rel) <= w] = ERASED
+    cls[np.abs(rel + d) <= w] = EARLY
+    cls[np.abs(rel - d) <= w] = LATE
+    return cls
 
 
 def port_projector(port: str, config: InterferometerConfig, pol_label: str = "pol") -> tuple[Operator, Operator]:
@@ -128,10 +130,9 @@ def port_projector(port: str, config: InterferometerConfig, pol_label: str = "po
     second onto its orthogonal complement. The Z `port` is timing-based and
     has no projector.
     """
-    ports = config.ports()
-    if port not in ports or port == "Z":
+    if port not in PORT_NAMES:
         raise OpticsModelError(f"port {port!r} has no equatorial projector")
-    alpha = config.phase + ports[port].phase_offset
+    alpha = config.phase + port_offsets(config.quadrature_offset)[PORT_NAMES.index(port)]
     plus = np.array([1.0, np.exp(1j * alpha)], dtype=complex) / np.sqrt(2.0)
     minus = np.array([1.0, -np.exp(1j * alpha)], dtype=complex) / np.sqrt(2.0)
     return (
@@ -148,30 +149,11 @@ def hardware_port_states(config: InterferometerConfig) -> dict[str, np.ndarray]:
     fixed analyzers is equivalent to projecting the unphased state onto the
     phase-dependent bases reported by ``port_projector``.
     """
-    out = {}
-    for name, port in config.ports().items():
-        if name == "Z":
-            continue
-        out[name] = np.array([1.0, np.exp(1j * port.phase_offset)], dtype=complex) / np.sqrt(2.0)
-    return out
-
-
-def phase_walk(config: InterferometerConfig, rng: np.random.Generator, dt: float, phase: float | None = None):
-    """Advance the true interferometer phase by one random-walk step.
-
-    Returns (new true phase, noisy phase readout). The walk accumulates
-    variance ``phase_drift_var_per_ns * dt``; the readout adds Gaussian error
-    with sigma ``phase_readout_sigma``. Deterministic per rng state.
-    """
-    if dt < 0:
-        raise OpticsModelError("dt must be >= 0")
-    current = config.phase if phase is None else phase
-    step_sigma = np.sqrt(config.phase_drift_var_per_ns * dt)
-    new_phase = current + (step_sigma * rng.standard_normal() if step_sigma > 0 else 0.0)
-    readout = new_phase + (
-        config.phase_readout_sigma * rng.standard_normal() if config.phase_readout_sigma > 0 else 0.0
-    )
-    return new_phase, readout
+    offsets = port_offsets(config.quadrature_offset)
+    return {
+        name: np.array([1.0, np.exp(1j * offset)], dtype=complex) / np.sqrt(2.0)
+        for name, offset in zip(PORT_NAMES, offsets)
+    }
 
 
 def _bin_axes(state: QuantumState, bins: tuple[str, str]) -> tuple[int, int]:
@@ -207,12 +189,9 @@ def tpc_transform(
     rest_dims = [dims[i] for i in order[2:]]
     rest = int(np.prod(rest_dims)) if rest_dims else 1
 
-    if config.active_switch:
-        amp_h, amp_v = 1.0 + 0.0j, 1.0
-    else:
-        amp_h = complex(np.sqrt(config.split_ratio))
-        amp_v = float(np.sqrt(1.0 - config.split_ratio))
-    amp_h = amp_h * np.exp(1j * config.phase)
+    (erase_first, _), (erase_second, _) = arm_weights(config)
+    amp_h = np.sqrt(erase_first) * np.exp(1j * config.phase)
+    amp_v = float(np.sqrt(erase_second))
 
     total = state.trace()
     new_specs = [SubsystemSpec(pol_label, 2)] + [state.subsystems[i] for i in order[2:]]

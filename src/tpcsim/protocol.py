@@ -77,11 +77,13 @@ class ProtocolConfig:
             if getattr(self, name) < 0:
                 raise ProtocolError(f"{name} must be >= 0")
 
-    def prep_theta(self) -> float:
-        return np.pi / 2.0 if self.prep_sign == "minus" else -np.pi / 2.0
-
     def interblock_theta(self) -> float:
         return np.pi / 2.0 if self.chain_mode == "cluster" else np.pi
+
+
+def prep_theta(prep_sign: str) -> float:
+    """Angle of the preparation rotation for a preparation sign."""
+    return np.pi / 2.0 if prep_sign == "minus" else -np.pi / 2.0
 
 
 def bin_label(pulse_index: int) -> str:
@@ -106,7 +108,7 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
     t += config.green_init_ns
     steps.append(SequenceStep("pump_init", t, duration_ns=config.pump_init_ns))
     t += config.pump_init_ns
-    steps.append(SequenceStep("mw_rotation", t, theta=config.prep_theta(), duration_ns=config.mw_pulse_ns))
+    steps.append(SequenceStep("mw_rotation", t, theta=prep_theta(config.prep_sign), duration_ns=config.mw_pulse_ns))
     t += config.mw_pulse_ns
 
     delay = ifm.delay_ns
@@ -143,16 +145,6 @@ def format_sequence(steps: list[SequenceStep]) -> str:
 
 def pulse_times(steps: list[SequenceStep]) -> list[float]:
     return [s.time_ns for s in steps if s.kind == "optical_pulse"]
-
-
-def erased_window_centers(steps: list[SequenceStep], ifm: InterferometerConfig) -> list[float]:
-    """Arrival-time reference of each photon's path-erasing window.
-
-    The short arm carries zero extra propagation, so the reference equals the
-    emission time of the photon's second pulse.
-    """
-    times = pulse_times(steps)
-    return [times[2 * k + 1] for k in range(len(times) // 2)]
 
 
 # -- ideal executor ------------------------------------------------------------
@@ -223,7 +215,6 @@ def run_noisy(
     steps: list[SequenceStep],
     params: em.EmitterParams,
     ifm: InterferometerConfig,
-    rng=None,
 ):
     """Density-matrix evolution of the full imperfection model.
 
@@ -231,8 +222,7 @@ def run_noisy(
     window, unnormalized: its trace is the heralding probability. Joint double
     occupation of a bin pair lies outside the protocol subspace and counts as
     heralding failure. Tomography rotation and readout are measurement stage
-    and are not applied. The evolution is deterministic; ``rng`` is accepted
-    only for signature symmetry with trajectory samplers.
+    and are not applied.
     """
     params.validate()
     ifm.validate()
@@ -269,10 +259,6 @@ def _project_out_double_occupation(state: QuantumState, bins: tuple[str, str]):
     if after <= 0:
         raise ProtocolError("no population left inside the protocol subspace")
     return out.normalized(), after / before
-
-
-def herald_probability(steps, params, ifm) -> float:
-    return run_noisy(steps, params, ifm).trace()
 
 
 def as_qubit_pair(state: QuantumState, photon: str = "photon1") -> QuantumState:

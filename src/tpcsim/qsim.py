@@ -14,7 +14,7 @@ from math import cos, sin
 
 import numpy as np
 
-ALG_TOL = 1e-10        # tolerance for algebraic identities (norms, unitarity)
+ALG_TOL = 1e-10        # tolerance for algebraic identities (norms, hermiticity)
 PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
 
 
@@ -54,10 +54,6 @@ class Operator:
 
     def dagger(self) -> "Operator":
         return Operator(self.matrix.conj().T, self.targets)
-
-    def is_unitary(self, tol: float = ALG_TOL) -> bool:
-        m = self.matrix
-        return bool(np.allclose(m.conj().T @ m, np.eye(self.dim), atol=tol))
 
     def is_hermitian(self, tol: float = ALG_TOL) -> bool:
         return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=tol))
@@ -120,11 +116,6 @@ class QuantumState:
 
     # -- scalars -------------------------------------------------------------
 
-    def norm(self) -> float:
-        if self.is_pure:
-            return float(np.linalg.norm(self.data))
-        return float(np.sqrt(abs(np.trace(self.data).real)))
-
     def trace(self) -> float:
         """Total probability weight: |psi|^2 for pure states, Tr(rho) for mixed."""
         if self.is_pure:
@@ -144,14 +135,6 @@ class QuantumState:
             return self.copy()
         rho = np.outer(self.data, self.data.conj())
         return QuantumState(self.subsystems, rho, "mixed")
-
-    def overlap(self, other: "QuantumState") -> complex:
-        """<self|other> for two pure states on the same subsystem layout."""
-        if not (self.is_pure and other.is_pure):
-            raise QsimError("overlap is defined for pure states; use fidelity_to")
-        if self.labels != other.labels:
-            raise QsimError("overlap requires identical subsystem layouts")
-        return complex(np.vdot(self.data, other.data))
 
     def fidelity_to(self, target: "QuantumState") -> float:
         """<target|rho|target> against a pure target state."""
@@ -197,10 +180,6 @@ def basis_ket(subsystems, indices) -> QuantumState:
     vec = np.zeros(int(np.prod(dims)), dtype=complex)
     vec[int(np.ravel_multi_index(indices, dims))] = 1.0
     return QuantumState(subsystems, vec, "pure")
-
-
-def pure_state(subsystems, amplitudes) -> QuantumState:
-    return QuantumState(tuple(subsystems), np.asarray(amplitudes, dtype=complex), "pure")
 
 
 def ry(theta: float, target: str = "spin", dim: int = 2, levels: tuple[int, int] = (0, 1)) -> Operator:
@@ -344,46 +323,3 @@ def expectation(state: QuantumState, obs: Operator) -> float:
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise QsimError(f"expectation value has imaginary part {val.imag}")
     return float(val.real)
-
-
-def born_sample(state: QuantumState, projectors: list[Operator], rng: np.random.Generator):
-    """Projective measurement: returns (outcome index, renormalized post state).
-
-    The projector list must be pairwise orthogonal and complete on its targets.
-    Deterministic for a given rng state.
-    """
-    if not projectors:
-        raise QsimError("empty projector list")
-    targets = projectors[0].targets
-    if any(p.targets != targets for p in projectors):
-        raise QsimError("all projectors must share the same targets")
-    dim = projectors[0].dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(projectors):
-        for q in projectors[i + 1 :]:
-            if np.abs(p.matrix @ q.matrix).max() > 1e-9:
-                raise QsimError("projectors are not orthogonal")
-        total += p.matrix
-    if not np.allclose(total, np.eye(dim), atol=1e-9):
-        raise QsimError("projector set is incomplete on its targets")
-
-    weight = state.trace()
-    probs = np.array([max(0.0, expectation(state, p)) for p in projectors]) / weight
-    probs = probs / probs.sum()
-    u = rng.random()
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, len(projectors) - 1)
-
-    m = embedded_matrix(projectors[outcome], state)
-    if state.is_pure:
-        post = QuantumState(state.subsystems, m @ state.data, "pure")
-    else:
-        post = QuantumState(state.subsystems, m @ state.data @ m.conj().T, "mixed")
-    return outcome, post.normalized()
-
-
-def projector_onto(vec: np.ndarray, targets: tuple[str, ...]) -> Operator:
-    """Rank-1 projector |v><v| / <v|v> as an Operator on ``targets``."""
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return Operator(np.outer(v, v.conj()), targets)

@@ -2,17 +2,12 @@
 
 A chain of n photons succeeds when every photon survives its full
 source-to-detection path, so the rate is eta^n over the sequence duration.
-Enhancement scenarios rescale the per-photon efficiency: resonator (Purcell)
-enhancement acts on the zero-phonon branching ratio through the saturating
-form F d / (1 + (F - 1) d) so efficiencies never leave (0, 1], and an active
-input switch removes the factor-two heralding loss of the passive router.
+The one enhancement modeled is single-shot spin readout, which replaces the
+sequence duration by the readout time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .emitter import EmitterParams
-from .events import DetectionParams
 
 
 class RateModelError(ValueError):
@@ -21,18 +16,11 @@ class RateModelError(ValueError):
 
 @dataclass
 class Enhancements:
-    zpl_purcell: float | None = None
-    active_switch: bool = False
     single_shot_readout_s: float | None = None
-    extra_factors: tuple[float, ...] = ()
 
     def validate(self) -> None:
-        if self.zpl_purcell is not None and self.zpl_purcell <= 0:
-            raise RateModelError("zpl_purcell factor must be > 0")
         if self.single_shot_readout_s is not None and self.single_shot_readout_s <= 0:
             raise RateModelError("single_shot_readout_s must be > 0")
-        if any(f <= 0 for f in self.extra_factors):
-            raise RateModelError("enhancement factors must be > 0")
 
 
 @dataclass
@@ -59,38 +47,6 @@ def chain_rate(scenario: RateScenario) -> float:
     if scenario.enhancements.single_shot_readout_s is not None:
         duration = scenario.enhancements.single_shot_readout_s
     return scenario.system_efficiency**scenario.n_photons / duration
-
-
-def purcell_branching(base_fraction: float, factor: float) -> float:
-    """Zero-phonon branching ratio under emission enhancement by ``factor``."""
-    if not 0.0 < base_fraction <= 1.0:
-        raise RateModelError("base branching fraction must lie in (0, 1]")
-    return factor * base_fraction / (1.0 + (factor - 1.0) * base_fraction)
-
-
-def effective_efficiency(
-    emitter: EmitterParams,
-    detection: DetectionParams,
-    enhancements: Enhancements,
-) -> float:
-    """Per-photon success probability of the current system plus upgrades.
-
-    The base is the end-to-end click efficiency times the passive heralding
-    probability of one half. Purcell enhancement rescales only the branching
-    part of the click efficiency; the active switch removes the heralding
-    factor of one half (doubling the per-photon success).
-    """
-    enhancements.validate()
-    base_path = detection.zpl_efficiency / emitter.zpl_fraction
-    branching = emitter.zpl_fraction
-    if enhancements.zpl_purcell is not None:
-        branching = purcell_branching(branching, enhancements.zpl_purcell)
-    eta = base_path * branching * 0.5
-    if enhancements.active_switch:
-        eta *= 2.0
-    for f in enhancements.extra_factors:
-        eta *= f
-    return min(1.0, eta)
 
 
 def rate_table(scenario_base: RateScenario, photon_numbers) -> list[tuple[int, float]]:

@@ -2,6 +2,7 @@
 import numpy as np
 
 from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
+from tpcsim.qsim import Operator, QuantumState
 
 LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
 
@@ -14,6 +15,17 @@ def make_records(rows):
         for row in rows
     ]
     return np.array(coded, dtype=RECORD_DTYPE)
+
+
+def pure_state(subsystems, amplitudes) -> QuantumState:
+    return QuantumState(tuple(subsystems), np.asarray(amplitudes, dtype=complex), "pure")
+
+
+def projector_onto(vec, targets) -> Operator:
+    """Rank-1 projector |v><v| / <v|v> as an Operator on ``targets``."""
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return Operator(np.outer(v, v.conj()), targets)
 
 
 # Frozen imperfection fixture: parameters solved so the exact heralded

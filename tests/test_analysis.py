@@ -6,13 +6,11 @@ import pytest
 from tpcsim.analysis import (
     AnalysisError,
     AnalysisParams,
-    PhaseBin,
     analyze_records,
     diagonal_tomography,
     estimate_background_fraction,
     fidelity_bound,
     fit_equatorial,
-    phase_bins,
     significance,
     subtract_background,
 )
@@ -140,41 +138,41 @@ class TestDiagonalTomography:
 
 class TestEquatorialFit:
     def test_ideal_contrast_and_antiphase(self):
-        recs, _ = ideal_records(60_000)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0))
+        recs, ifm = ideal_records(60_000)
+        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx - 1.0) <= 3 * result.c_xx_err + 0.01
         rel = result.fits["minus"].phase0 - result.fits["plus"].phase0
         assert abs(abs(((rel + np.pi) % (2 * np.pi)) - np.pi) - np.pi) % np.pi < 0.05
 
     def test_dephased_photon_gives_zero_contrast(self):
-        recs, _ = ideal_records(40_000, erasure_visibility=0.0)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0))
+        recs, ifm = ideal_records(40_000, erasure_visibility=0.0)
+        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx) <= 3 * result.c_xx_err + 0.01
 
     def test_intermediate_coherence_recovered(self):
-        recs, _ = ideal_records(80_000, erasure_visibility=0.407, seed=9)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0))
+        recs, ifm = ideal_records(80_000, erasure_visibility=0.407, seed=9)
+        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx - 0.407) <= 3 * result.c_xx_err + 0.01
 
     def test_exact_invariance_under_one_bin_shift(self):
         # shifting every phase by one bin width relabels the bins: the contrast
         # and the combined correlation are bit-identical
-        recs, _ = ideal_records(20_000, seed=13)
+        recs, ifm = ideal_records(20_000, seed=13)
         params = AnalysisParams(p_readout_click=1.0)
         shifted = recs.copy()
         width = 2 * np.pi / params.n_phase_bins
         shifted["phase_rad"] = np.mod(shifted["phase_rad"] + width, 2 * np.pi)
-        a = fit_equatorial(recs, params)
-        b = fit_equatorial(shifted, params)
+        a = fit_equatorial(recs, params, ifm)
+        b = fit_equatorial(shifted, params, ifm)
         assert abs(a.c_xx - b.c_xx) < 1e-9
 
     def test_approximate_invariance_under_any_shift(self):
-        recs, _ = ideal_records(40_000, seed=14)
+        recs, ifm = ideal_records(40_000, seed=14)
         params = AnalysisParams(p_readout_click=1.0)
         shifted = recs.copy()
         shifted["phase_rad"] = np.mod(shifted["phase_rad"] + 0.613, 2 * np.pi)
-        a = fit_equatorial(recs, params)
-        b = fit_equatorial(shifted, params)
+        a = fit_equatorial(recs, params, ifm)
+        b = fit_equatorial(shifted, params, ifm)
         assert abs(a.c_xx - b.c_xx) < 3 * np.hypot(a.c_xx_err, b.c_xx_err) + 0.005
 
     def test_phase_coverage_below_half_period_rejected(self):
@@ -186,36 +184,33 @@ class TestEquatorialFit:
                     (len(rows), "D", "Erased", 0.0, rng.uniform(0, 1.2), prep, int(rng.random() < 0.5))
                 )
         with pytest.raises(AnalysisError, match="coverage"):
-            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0))
+            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
 
     def test_missing_prep_rejected(self):
         rows = [(i, "D", "Erased", 0.0, 0.1 * i, "minus", 0) for i in range(100)]
         with pytest.raises(AnalysisError, match="plus"):
-            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0))
+            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
 
 
 class TestPhaseBins:
     def test_bins_partition_full_turn(self):
-        recs, _ = ideal_records(10_000, seed=31)
+        recs, ifm = ideal_records(10_000, seed=31)
         params = AnalysisParams(p_readout_click=1.0)
-        bins = phase_bins(recs, params)
-        for cell in bins.values():
-            centers = [b.center for b in cell]
+        curves = fit_equatorial(recs, params, ifm).curves
+        assert set(curves) == {"minus", "plus"}
+        width = 2 * np.pi / params.n_phase_bins
+        for curve in curves.values():
+            centers = curve[:, 0]
             assert len(centers) == params.n_phase_bins
-            width = 2 * np.pi / params.n_phase_bins
             assert np.allclose(np.diff(centers), width)
             assert 0.0 < centers[0] < width
             assert centers[-1] < 2 * np.pi
 
     def test_counts_cover_all_erased_events(self):
-        recs, _ = ideal_records(10_000, seed=32)
-        bins = phase_bins(recs, AnalysisParams(p_readout_click=1.0))
-        total = sum(b.n_events for cell in bins.values() for b in cell)
+        recs, ifm = ideal_records(10_000, seed=32)
+        curves = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm).curves
+        total = sum(curve[:, 3].sum() for curve in curves.values())
         assert total == int(np.sum(recs["arrival_class"] == ERASED)) > 0
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(AnalysisError):
-            PhaseBin(0.1, 3, 4)
 
 
 class TestBackground:

@@ -1,8 +1,15 @@
 """Config parsing and CLI behavior: round trips, diagnostics, exit codes."""
+from pathlib import Path
+
 import pytest
 
 from tpcsim.cli import main
 from tpcsim.config import ConfigError, RunConfig, dump_config, load_config, parse_config_text, validate_config
+
+from conftest import write_fixture_ini
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.ini")) + sorted((REPO / "perfbench" / "configs").glob("*.ini"))
 
 IDEAL_CONFIG = """
 [emitter]
@@ -74,6 +81,19 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/run.ini")
 
+    def test_analysis_quadrature_offset_is_unknown(self, tmp_path, capsys):
+        # the quadrature offset is set once, in [interferometer]
+        path = tmp_path / "run.ini"
+        path.write_text("[analysis]\np_readout_click = 0.167\nquadrature_offset = 0.5\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "quadrature_offset" in err and "[analysis]" in err and "line 3" in err
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
+    def test_shipped_config_validates(self, path, capsys):
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
 
 class TestCliSimulateAnalyze:
     def write_config(self, tmp_path):
@@ -140,6 +160,20 @@ class TestCliSimulateAnalyze:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_analysis_uses_interferometer_quadrature_offset(self, tmp_path, capsys):
+        # simulate and analyze read the port offsets from the same [interferometer]
+        ini = tmp_path / "fixture.ini"
+        write_fixture_ini(ini)
+        text = ini.read_text().replace("[interferometer]\n", "[interferometer]\nquadrature_offset = 3.9269908169872414\n")
+        ini.write_text(text)
+        out = str(tmp_path / "records.csv")
+        assert main(["simulate", "--config", str(ini), "--out", out, "--cycles", "200000"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", out, "--config", str(ini)]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("c_xx = ")][0]
+        value, err = (float(x) for x in line.split("=")[1].split("+-"))
+        assert abs(value - 0.407) <= 3 * err
+
     def test_unknown_port_exits_two_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -159,6 +193,15 @@ class TestCliRatesValidate:
         lines = {int(l.split()[0]): float(l.split()[1]) for l in out.splitlines()[1:] if l.strip()}
         assert lines[3] == pytest.approx(6400.0)
         assert abs(lines[10] - 10.49) < 0.01
+
+    @pytest.mark.parametrize("key,value", [("zpl_purcell", "20"), ("active_switch", "true")])
+    def test_rates_refuses_unmodeled_enhancement(self, tmp_path, capsys, key, value):
+        path = tmp_path / "rates.ini"
+        path.write_text(f"[rates]\n{key} = {value}\n")
+        assert main(["rates", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "n_photons" not in captured.out
 
     def test_validate_default_passes(self, capsys):
         assert main(["validate"]) == 0

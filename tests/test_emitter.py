@@ -9,7 +9,6 @@ from tpcsim.emitter import (
     LVL_GM1,
     LVL_GP1,
     LVL_MS,
-    LVL_EM1,
     SPIN_DIM,
     EmitterModelError,
     EmitterParams,
@@ -19,8 +18,6 @@ from tpcsim.emitter import (
     optical_pi_pulse,
     optical_pulse_kraus,
     readout_click_probability,
-    shelving_channel,
-    spin_flip_channel,
     spin_spec,
 )
 from tpcsim.qsim import (
@@ -28,6 +25,7 @@ from tpcsim.qsim import (
     SubsystemSpec,
     apply_kraus,
     basis_ket,
+    partial_trace,
     tensor,
 )
 
@@ -121,35 +119,40 @@ class TestMwRotation:
 
 
 class TestBranchChannels:
+    """Shelving and excited-state spin mixing, as branches of the optical pulse."""
+
     def test_shelving_identity_at_zero(self):
-        kraus = shelving_channel(ideal_params())
-        assert len(kraus) == 1
-        assert np.allclose(kraus[0].matrix, np.eye(SPIN_DIM))
+        # cross excitation without shelving never reaches the shelf
+        out = optical_pi_pulse(spin_ket(LVL_GM1), ideal_params(p_cross=1.0), "bin1")
+        assert abs(out.data[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC]) < 1e-12
+        assert abs(out.data[LVL_GM1 * 2 + BIN_VAC, LVL_GM1 * 2 + BIN_VAC].real - 1.0) < 1e-12
 
     def test_shelving_half_from_excited(self):
-        params = ideal_params(p_shelve=0.5)
-        out = apply_kraus(spin_ket(LVL_EM1), shelving_channel(params))
-        assert abs(out.data[LVL_MS, LVL_MS].real - 0.5) < 1e-12
+        params = ideal_params(p_cross=1.0, p_shelve=0.5)
+        out = optical_pi_pulse(spin_ket(LVL_GM1), params, "bin1")
+        assert abs(out.data[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC].real - 0.5) < 1e-12
 
     def test_shelving_composition(self):
-        # two applications at p: MS population 1 - (1 - p)^2
-        params = ideal_params(p_shelve=0.5)
-        out = apply_kraus(spin_ket(LVL_EM1), shelving_channel(params))
-        out = apply_kraus(out, shelving_channel(params))
-        assert abs(out.data[LVL_MS, LVL_MS].real - 0.75) < 1e-12
+        # two pulses at p: MS population 1 - (1 - p)^2
+        params = ideal_params(p_cross=1.0, p_shelve=0.5)
+        out = optical_pi_pulse(spin_ket(LVL_GM1), params, "bin1")
+        out = optical_pi_pulse(out, params, "bin2")
+        ms = partial_trace(out, ["spin"]).data[LVL_MS, LVL_MS].real
+        assert abs(ms - 0.75) < 1e-12
 
     def test_channels_trace_preserving(self):
         params = ideal_params(p_shelve=0.3, p_spin_flip=0.4)
-        assert kraus_is_trace_preserving(shelving_channel(params))
-        assert kraus_is_trace_preserving(spin_flip_channel(params))
+        assert kraus_is_trace_preserving(optical_pulse_kraus(params, "bin1"))
+        assert kraus_is_trace_preserving(optical_pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3), "bin1"))
 
     def test_spin_flip_moves_population_across_excited_manifold(self):
+        # the resonant excitation decays back to |0> or, mixed, to |-1> and |+1>
         params = ideal_params(p_spin_flip=0.4)
-        out = apply_kraus(spin_ket(LVL_EM1), spin_flip_channel(params))
+        out = optical_pi_pulse(spin_ket(LVL_G0), params, "bin1")
         diag = np.real(np.diag(out.data))
-        assert abs(diag[LVL_EM1] - 0.6) < 1e-12
-        assert abs(diag[3] - 0.2) < 1e-12  # |0_e>
-        assert abs(diag[5] - 0.2) < 1e-12  # |+1_e>
+        assert abs(diag[LVL_G0 * 2 + BIN_OCC] - 0.6) < 1e-12
+        assert abs(diag[LVL_GM1 * 2 + BIN_OCC] - 0.2) < 1e-12
+        assert abs(diag[LVL_GP1 * 2 + BIN_OCC] - 0.2) < 1e-12
 
 
 class TestOpticalPulse:
@@ -240,22 +243,21 @@ class TestOpticalPulse:
 
 class TestReadout:
     def test_bright_state_default(self):
-        assert abs(readout_click_probability(spin_ket(LVL_G0), EmitterParams()) - 0.167) < 1e-12
+        assert abs(readout_click_probability(1.0, EmitterParams()) - 0.167) < 1e-12
 
     def test_dark_state_zero(self):
-        assert readout_click_probability(spin_ket(LVL_GM1), EmitterParams()) == 0.0
+        assert readout_click_probability(0.0, EmitterParams()) == 0.0
 
     def test_maximally_mixed_qubit(self):
-        rho = np.zeros((SPIN_DIM, SPIN_DIM), dtype=complex)
-        rho[LVL_G0, LVL_G0] = 0.5
-        rho[LVL_GM1, LVL_GM1] = 0.5
-        state = QuantumState((spin_spec(),), rho, "mixed")
-        assert abs(readout_click_probability(state, EmitterParams()) - 0.0835) < 1e-12
+        assert abs(readout_click_probability(0.5, EmitterParams()) - 0.0835) < 1e-12
 
     def test_dark_click_term(self):
-        p = readout_click_probability(spin_ket(LVL_GM1), EmitterParams(), dark_click=0.01)
+        p = readout_click_probability(0.0, EmitterParams(), dark_click=0.01)
         assert abs(p - 0.01) < 1e-12
+        assert readout_click_probability(1.0, EmitterParams(p_readout_click=1.0), dark_click=0.01) == 1.0
 
     def test_works_on_composite_states(self):
         joint = tensor(spin_ket(LVL_G0), basis_ket((SubsystemSpec("pol", 2),), (0,)))
-        assert abs(readout_click_probability(joint, EmitterParams()) - 0.167) < 1e-12
+        p_bright = partial_trace(joint, ["spin"]).data[LVL_G0, LVL_G0].real
+        p = readout_click_probability(np.array([p_bright, 0.0]), EmitterParams())
+        assert np.allclose(p, [0.167, 0.0], atol=1e-12)

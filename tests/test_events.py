@@ -27,9 +27,9 @@ from tpcsim.events import (
 )
 from tpcsim.optics import InterferometerConfig, hardware_port_states
 from tpcsim.protocol import ProtocolConfig, build_sequence, run_noisy
-from tpcsim.qsim import expectation, projector_onto, ry
+from tpcsim.qsim import expectation, ry
 
-from conftest import make_records, write_fixture_ini
+from conftest import make_records, projector_onto, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
 
@@ -431,6 +431,29 @@ class TestRecordIO:
             assert sha256(path.read_bytes()).hexdigest() == (
                 "3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"
             )
+
+    @pytest.mark.parametrize(
+        "n_photons,cycles,digest",
+        [
+            (2, 40, "a4b5bac571c0486ea84eeb92927448dfd7a4f9bac8412cec1e22eeec7d30e959"),
+            (3, 24, "aae635292123294349f6446b2c3295be0c5316da40a7efd173f464ac0b77afaf"),
+        ],
+    )
+    def test_chain_bytes_pinned(self, tmp_path, n_photons, cycles, digest):
+        # walk phase with readout noise, alternating preps, partial erasure
+        # visibility and detection; the runs include double-occupation cycles
+        recs = simulate_cycles(
+            cycles,
+            noisy_emitter(),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(n_photons=n_photons),
+            DetectionParams(zpl_efficiency=0.8, seed=73),
+        )
+        assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE}
+        assert set(recs["prep_sign"].tolist()) == {MINUS, PLUS}
+        path = tmp_path / "chain.csv"
+        write_records(path, recs)
+        assert sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestValidation:

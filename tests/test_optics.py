@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
+from tpcsim.emitter import EmitterParams
+from tpcsim.events import DetectionParams, simulate_cycles
 from tpcsim.optics import (
+    EARLY,
+    ERASED,
+    INVALID,
+    LATE,
     ArrivalClass,
     InterferometerConfig,
     OpticsModelError,
@@ -10,12 +16,14 @@ from tpcsim.optics import (
     POL_V,
     classify_arrival,
     hardware_port_states,
-    phase_walk,
     port_projector,
     route,
     tpc_transform,
 )
-from tpcsim.qsim import SubsystemSpec, pure_state
+from tpcsim.protocol import ProtocolConfig, ProtocolError
+from tpcsim.qsim import SubsystemSpec
+
+from conftest import pure_state
 
 SPIN2 = SubsystemSpec("spin", 2)
 BIN1 = SubsystemSpec("bin1", 2)
@@ -73,24 +81,23 @@ class TestClassification:
     def test_window_centers(self):
         cfg = InterferometerConfig()
         t_ref = 500.0
-        assert classify_arrival(t_ref, t_ref, cfg) is ArrivalClass.ERASED
-        assert classify_arrival(t_ref - cfg.delay_ns, t_ref, cfg) is ArrivalClass.EARLY_REVEALING
-        assert classify_arrival(t_ref + cfg.delay_ns, t_ref, cfg) is ArrivalClass.LATE_REVEALING
+        t = np.array([t_ref, t_ref - cfg.delay_ns, t_ref + cfg.delay_ns])
+        assert classify_arrival(t, t_ref, cfg).tolist() == [ERASED, EARLY, LATE]
 
     def test_between_windows_is_invalid(self):
         cfg = InterferometerConfig(window_ns=20.0)
         t_ref = 500.0
-        assert classify_arrival(t_ref + cfg.delay_ns / 2.0, t_ref, cfg) is ArrivalClass.INVALID
+        assert classify_arrival(np.array([t_ref + cfg.delay_ns / 2.0]), t_ref, cfg).tolist() == [INVALID]
 
     def test_window_edges_inclusive(self):
         cfg = InterferometerConfig(window_ns=20.0)
-        assert classify_arrival(20.0, 0.0, cfg) is ArrivalClass.ERASED
-        assert classify_arrival(20.5, 0.0, cfg) is ArrivalClass.INVALID
+        assert classify_arrival(np.array([20.0, 20.5]), 0.0, cfg).tolist() == [ERASED, INVALID]
 
     def test_total_function_over_scan(self):
         cfg = InterferometerConfig()
-        for t in np.linspace(-600, 600, 241):
-            assert classify_arrival(float(t), 0.0, cfg) in list(ArrivalClass)
+        codes = classify_arrival(np.linspace(-600, 600, 241), 0.0, cfg)
+        assert codes.shape == (241,)
+        assert set(codes.tolist()) == set(range(len(ArrivalClass)))
 
 
 class TestTpcTransform:
@@ -206,43 +213,41 @@ class TestPorts:
             assert np.allclose(states_a[name], states_b[name])
 
 
+def simulated_phases(ifm, seed, n_cycles, **protocol):
+    """Recorded phase of every cycle; the ideal emitter yields one record per cycle."""
+    emitter = EmitterParams(
+        p_cross=0.0, zpl_fraction=1.0, p_shelve=0.0, p_spin_flip=0.0,
+        init_fidelity=1.0, nuclear_pol=1.0, pi_pulse_error=0.0,
+    )
+    det = DetectionParams(zpl_efficiency=1.0, seed=seed)
+    recs = simulate_cycles(n_cycles, emitter, ifm, ProtocolConfig(**protocol), det)
+    assert len(recs) == n_cycles
+    return recs["phase_rad"]
+
+
 class TestPhaseWalk:
     def test_noise_free_walk_is_constant(self):
         cfg = InterferometerConfig(phase=0.3, phase_readout_sigma=0.0, phase_drift_var_per_ns=0.0)
-        rng = np.random.default_rng(0)
-        phase = cfg.phase
-        for _ in range(100):
-            phase, readout = phase_walk(cfg, rng, dt=1000.0, phase=phase)
-            assert phase == 0.3
-            assert readout == 0.3
+        assert cfg.phase_mode == "walk"
+        phases = simulated_phases(cfg, seed=0, n_cycles=100)
+        assert np.all(phases == 0.3)
 
     def test_readout_sigma_recovered(self):
-        cfg = InterferometerConfig(phase_readout_sigma=0.18, phase_drift_var_per_ns=0.0)
-        rng = np.random.default_rng(21)
-        errors = []
-        phase = 0.0
-        for _ in range(10_000):
-            phase, readout = phase_walk(cfg, rng, dt=100.0, phase=phase)
-            errors.append(readout - phase)
+        cfg = InterferometerConfig(phase=0.0, phase_mode="static", phase_readout_sigma=0.18)
+        errors = simulated_phases(cfg, seed=21, n_cycles=10_000)
         std = np.std(errors)
         assert abs(std - 0.18) < 0.05 * 0.18
 
     def test_same_seed_same_trajectory(self):
         cfg = InterferometerConfig()
-        trajectories = []
-        for _ in range(2):
-            rng = np.random.default_rng(99)
-            phase = 0.0
-            path = []
-            for _ in range(50):
-                phase, readout = phase_walk(cfg, rng, dt=333_000.0, phase=phase)
-                path.append((phase, readout))
-            trajectories.append(path)
-        assert trajectories[0] == trajectories[1]
+        trajectories = [simulated_phases(cfg, seed=99, n_cycles=50, cycle_period_ns=333_000.0) for _ in range(2)]
+        assert np.array_equal(trajectories[0], trajectories[1])
+        assert np.ptp(trajectories[0]) > 0
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(OpticsModelError):
-            phase_walk(InterferometerConfig(), np.random.default_rng(0), dt=-1.0)
+        # the walk steps once per cycle period
+        with pytest.raises(ProtocolError):
+            simulated_phases(InterferometerConfig(), seed=0, n_cycles=10, cycle_period_ns=-1.0)
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from tpcsim.emitter import EmitterParams, LVL_G0, LVL_GM1
+from tpcsim.events import ERASED, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig, POL_H, POL_V
 from tpcsim.protocol import (
     ProtocolConfig,
@@ -11,9 +12,7 @@ from tpcsim.protocol import (
     bell_target,
     build_sequence,
     chain_generators,
-    erased_window_centers,
     format_sequence,
-    herald_probability,
     pulse_times,
     run_ideal,
     run_noisy,
@@ -114,10 +113,17 @@ class TestBuildSequence:
             build_sequence(cfg, InterferometerConfig())
 
     def test_window_centers_match_second_pulse(self):
-        steps = make_sequence(2)
-        centers = erased_window_centers(steps, InterferometerConfig())
-        times = pulse_times(steps)
-        assert centers == [times[1], times[3]]
+        # a path-erased photon arrives at the emission time of its second pulse
+        cfg = ProtocolConfig(n_photons=2, cycle_period_ns=2_000_000.0)
+        ifm = InterferometerConfig()
+        times = pulse_times(build_sequence(cfg, ifm))
+        det = DetectionParams(zpl_efficiency=1.0, seed=3, alternate_preps=False)
+        recs = simulate_cycles(200, ideal_emitter(), ifm, cfg, det)
+        erased = recs[recs["arrival_class"] == ERASED]
+        offsets = erased["t_ns"] - erased["cycle_id"] * cfg.cycle_period_ns
+        first, second = np.isclose(offsets, times[1]), np.isclose(offsets, times[3])
+        assert first.any() and second.any()
+        assert np.all(first | second)
 
     def test_format_sequence_prints_table(self):
         text = format_sequence(make_sequence(1))
@@ -252,7 +258,7 @@ class TestRunNoisy:
             # shelving only acts through a populated branch; pair it with mixing
             if knob == "p_shelve":
                 params = ideal_emitter(p_shelve=v, p_spin_flip=0.3)
-            probs.append(herald_probability(steps, params, ifm))
+            probs.append(run_noisy(steps, params, ifm).trace())
         assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
 
     def test_trace_is_herald_probability_for_two_photons(self):

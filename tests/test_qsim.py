@@ -1,4 +1,4 @@
-"""Core state-engine tests: constructors, channels, measurement, invariants."""
+"""Core state-engine tests: constructors, channels, expectations, invariants."""
 import numpy as np
 import pytest
 
@@ -11,15 +11,14 @@ from tpcsim.qsim import (
     apply,
     apply_kraus,
     basis_ket,
-    born_sample,
     embedded_matrix,
     expectation,
     partial_trace,
-    projector_onto,
-    pure_state,
     ry,
     tensor,
 )
+
+from conftest import pure_state
 
 SPIN2 = SubsystemSpec("spin", 2)
 POL = SubsystemSpec("pol", 2)
@@ -262,77 +261,6 @@ class TestExpectation:
         obs = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), ("spin",))
         with pytest.raises(QsimError):
             expectation(bell_psi_plus(), obs)
-
-
-class TestBornSample:
-    def h_v_projectors(self):
-        return [
-            Operator(np.diag([1.0, 0.0]), ("pol",)),
-            Operator(np.diag([0.0, 1.0]), ("pol",)),
-        ]
-
-    def test_eigenstate_is_deterministic(self):
-        state = basis_ket((POL,), (0,))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            outcome, post = born_sample(state, self.h_v_projectors(), rng)
-            assert outcome == 0
-            assert abs(abs(post.data[0]) - 1.0) < ALG_TOL
-
-    def test_born_frequencies(self):
-        state = pure_state((POL,), np.array([1.0, 1.0]) / np.sqrt(2))
-        rng = np.random.default_rng(42)
-        n = 10_000
-        hits = sum(born_sample(state, self.h_v_projectors(), rng)[0] == 0 for _ in range(n))
-        sigma = np.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) <= 3 * sigma
-
-    def test_chi_square_against_born_probabilities(self):
-        # frequencies over a 4-outcome measurement vs exact probabilities
-        rng = np.random.default_rng(77)
-        state = random_pure((SPIN2, POL), rng)
-        projectors = [
-            projector_onto(np.eye(4)[i], ("spin", "pol")) for i in range(4)
-        ]
-        probs = np.array([expectation(state, p) for p in projectors])
-        n = 10_000
-        counts = np.zeros(4)
-        for _ in range(n):
-            outcome, _ = born_sample(state, projectors, rng)
-            counts[outcome] += 1
-        chi2 = ((counts - n * probs) ** 2 / (n * probs)).sum()
-        assert chi2 < 16.27  # chi-square 0.999 quantile, 3 dof
-
-    def test_deterministic_given_seed(self):
-        state = pure_state((POL,), np.array([1.0, 1.0]) / np.sqrt(2))
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([born_sample(state, self.h_v_projectors(), rng)[0] for _ in range(50)])
-        assert runs[0] == runs[1]
-
-    def test_conditional_spin_after_photon_projection(self):
-        # projecting the photon of psi+ onto (|H> +- |V>)/sqrt2 leaves the spin
-        # in (|0> +- |-1>)/sqrt2: the conditional X-basis extremes are 1 and 0
-        state = bell_psi_plus()
-        projectors = [
-            projector_onto(np.array([1.0, 1.0]), ("pol",)),
-            projector_onto(np.array([1.0, -1.0]), ("pol",)),
-        ]
-        plus_x = projector_onto(np.array([1.0, 1.0]), ("spin",))
-        rng = np.random.default_rng(5)
-        seen = set()
-        for _ in range(40):
-            outcome, post = born_sample(state, projectors, rng)
-            seen.add(outcome)
-            expected = 1.0 if outcome == 0 else 0.0
-            assert abs(expectation(post, plus_x) - expected) < ALG_TOL
-        assert seen == {0, 1}
-
-    def test_incomplete_set_rejected(self):
-        state = basis_ket((POL,), (0,))
-        with pytest.raises(QsimError):
-            born_sample(state, [self.h_v_projectors()[0]], np.random.default_rng(0))
 
 
 class TestValidation:

@@ -2,17 +2,7 @@
 import numpy as np
 import pytest
 
-from tpcsim.emitter import EmitterParams
-from tpcsim.events import DetectionParams
-from tpcsim.rates import (
-    Enhancements,
-    RateModelError,
-    RateScenario,
-    chain_rate,
-    effective_efficiency,
-    purcell_branching,
-    rate_table,
-)
+from tpcsim.rates import Enhancements, RateModelError, RateScenario, chain_rate, rate_table
 
 
 class TestChainRate:
@@ -56,44 +46,6 @@ class TestChainRate:
             chain_rate(RateScenario(0.4, 0.0, 3))
         with pytest.raises(RateModelError):
             chain_rate(RateScenario(0.4, 1e-5, 0))
-
-
-class TestEffectiveEfficiency:
-    def test_active_switch_doubles(self):
-        # click efficiency 0.4 with passive heralding gives eta0 = 0.2
-        emitter = EmitterParams(zpl_fraction=0.03)
-        detection = DetectionParams(zpl_efficiency=0.4)
-        eta0 = effective_efficiency(emitter, detection, Enhancements())
-        eta_switch = effective_efficiency(emitter, detection, Enhancements(active_switch=True))
-        assert eta0 == pytest.approx(0.2)
-        assert eta_switch == pytest.approx(0.4)
-
-    def test_purcell_saturating_branching(self):
-        assert purcell_branching(0.03, 20.0) == pytest.approx(0.6 / 1.57)
-        assert purcell_branching(0.03, 1.0) == pytest.approx(0.03)
-        # saturates rather than exceeding unity
-        assert purcell_branching(0.5, 1000.0) < 1.0
-
-    def test_purcell_rescales_branching_part_only(self):
-        emitter = EmitterParams(zpl_fraction=0.03)
-        detection = DetectionParams(zpl_efficiency=2e-5)
-        eta0 = effective_efficiency(emitter, detection, Enhancements())
-        eta20 = effective_efficiency(emitter, detection, Enhancements(zpl_purcell=20.0))
-        assert eta20 / eta0 == pytest.approx(purcell_branching(0.03, 20.0) / 0.03)
-
-    def test_no_enhancements_is_base(self):
-        emitter = EmitterParams(zpl_fraction=0.03)
-        detection = DetectionParams(zpl_efficiency=2e-5)
-        eta = effective_efficiency(emitter, detection, Enhancements())
-        assert eta == pytest.approx(2e-5 * 0.5)
-
-    def test_capped_at_unity(self):
-        emitter = EmitterParams(zpl_fraction=0.5)
-        detection = DetectionParams(zpl_efficiency=0.9)
-        eta = effective_efficiency(
-            emitter, detection, Enhancements(active_switch=True, extra_factors=(5.0,))
-        )
-        assert eta == 1.0
 
 
 class TestRateTable:
