@@ -60,8 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_valid_config(path):
+    """The run configuration, refused as a ConfigError if any section fails validation."""
+    config = load_config(path)
+    for section, ok, message in validate_config(config):
+        if not ok:
+            raise ConfigError(f"[{section}] {message}")
+    return config
+
+
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
+    config = _load_valid_config(args.config)
     detection = config.detection
     if args.seed is not None:
         detection = replace(detection, seed=args.seed)
@@ -85,7 +94,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = load_config(args.config)
+    config = _load_valid_config(args.config)
+    if config.protocol.n_photons > 1:
+        raise ConfigError(f"analyze covers single-photon runs only; the config sets n_photons = {config.protocol.n_photons}")
     records = ev.read_records(args.records)
     report = an.analyze_records(
         records,
@@ -105,8 +116,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    config = load_config(args.config)
-    config.rates.validate()
+    config = _load_valid_config(args.config)
     rows = rate_table(config.rates.scenario(1), config.rates.photon_numbers)
     print("n_photons  rate_hz")
     for n, rate in rows:
@@ -152,9 +162,6 @@ def main(argv=None) -> int:
     except (ev.RecordFormatError, an.AnalysisError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

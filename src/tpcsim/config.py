@@ -15,7 +15,7 @@ from .analysis import AnalysisParams
 from .emitter import EmitterParams
 from .events import DetectionParams
 from .optics import InterferometerConfig
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, build_sequence
 from .rates import Enhancements, RateScenario
 
 
@@ -178,12 +178,18 @@ def dump_config(config: RunConfig) -> str:
 
 
 def validate_config(config: RunConfig) -> list[tuple[str, bool, str]]:
-    """Per-section invariant check: (section, ok, message) rows."""
-    results = []
+    """Per-section invariant check: (section, ok, message) rows.
+
+    The protocol row also checks that the cycle period holds the pulse
+    sequence, whose length follows from a valid interferometer delay.
+    """
+    results = {}
     for name, target in config.sections().items():
         try:
             target.validate()
-            results.append((name, True, "ok"))
+            if name == "protocol" and results["interferometer"][0]:
+                build_sequence(config.protocol, config.interferometer)
+            results[name] = (True, "ok")
         except Exception as exc:  # validation errors carry the failing key
-            results.append((name, False, str(exc)))
-    return results
+            results[name] = (False, str(exc))
+    return [(name, ok, message) for name, (ok, message) in results.items()]

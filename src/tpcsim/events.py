@@ -140,15 +140,25 @@ def _prep_codes(ids: np.ndarray, protocol_cfg: ProtocolConfig, detection: Detect
     return np.full(ids.shape, PREP_NAMES.index(protocol_cfg.prep_sign), dtype=np.int64)
 
 
-class _CompiledModel:
-    """Per-leaf tables of the single-photon cycle, shared by all cycles.
+def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig):
+    """Kraus matrices on the (spin, bin1, bin2) layout: the preparation (one
+    set per prep code), one entangling block (pulse, flip, pulse) and the
+    rotation between blocks."""
+    spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
+    layout = basis_ket((spin, SubsystemSpec("bin1", 2), SubsystemSpec("bin2", 2)), (0, 0, 0))
+    prep = [_embed_all(em.mw_rotation_kraus(prep_theta(name), params), layout) for name in PREP_NAMES]
+    block = [
+        _embed_all(em.optical_pulse_kraus(params, "bin1"), layout),
+        _embed_all(em.mw_rotation_kraus(np.pi, params), layout),
+        _embed_all(em.optical_pulse_kraus(params, "bin2"), layout),
+    ]
+    return prep, block, _embed_all(em.mw_rotation_kraus(protocol_cfg.interblock_theta(), params), layout)
 
-    Trajectory branches of all channels are enumerated once; each leaf stores
-    the four spin vectors conditioned on the joint bin occupation, plus the
-    derived timing, port, and readout coefficients. The erasure-visibility
-    dephasing is folded in by doubling each leaf with the late-bin amplitude
-    sign flipped.
-    """
+
+class _BlockModel:
+    """What both samplers share: the validated configuration, pulse times,
+    detector thinning, port offsets, initial spin populations and the bright
+    readout row of the tomography rotation."""
 
     def __init__(
         self,
@@ -160,38 +170,42 @@ class _CompiledModel:
         params.validate()
         protocol_cfg.validate()
         ifm.validate()
-        if protocol_cfg.n_photons != 1:
-            raise EventModelError("compiled fast path only covers single-photon cycles")
         self.ifm = ifm
         self.protocol_cfg = protocol_cfg
         self.params = params
-        times = pulse_times(build_sequence(protocol_cfg, ifm))
-        self.pulse_times = (times[0], times[1])
+        self.pulse_times = pulse_times(build_sequence(protocol_cfg, ifm))
         self.eta_det = detection.detector_thinning(params.zpl_fraction)
+        self.port_offsets = port_offsets(ifm.quadrature_offset)
+        self.init_pops = np.real(np.diag(em.initialize_spin(params).data))
+        self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
+
+
+class _CompiledModel(_BlockModel):
+    """Per-leaf tables of the single-photon cycle, shared by all cycles.
+
+    Trajectory branches of all channels are enumerated once; each leaf stores
+    the four spin vectors conditioned on the joint bin occupation, plus the
+    derived timing, port, and readout coefficients. The erasure-visibility
+    dephasing is folded in by doubling each leaf with the late-bin amplitude
+    sign flipped.
+
+    This is the n = 1 case of the chain sampler (_ChainModel), kept because
+    looking up a leaf per cycle runs about 25x faster than propagating each
+    cycle through the Kraus operators (single-photon default config).
+    """
+
+    def __init__(self, params, protocol_cfg, ifm, detection):
+        super().__init__(params, protocol_cfg, ifm, detection)
         span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
 
-        spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
-        b1 = SubsystemSpec("bin1", 2)
-        b2 = SubsystemSpec("bin2", 2)
-        layout = basis_ket((spin, b1, b2), (0, 0, 0))
-
-        pulse1 = _embed_all(em.optical_pulse_kraus(params, "bin1"), layout)
-        pulse2 = _embed_all(em.optical_pulse_kraus(params, "bin2"), layout)
-        flip = _embed_all(em.mw_rotation_kraus(np.pi, params), layout)
-
-        init = em.initialize_spin(params)
-        init_pops = np.real(np.diag(init.data))
-
-        leaves: dict[int, list[np.ndarray]] = {}
-        probs: dict[int, list[float]] = {}
-        for prep_idx, prep in enumerate(PREP_NAMES):
-            prep_kraus = _embed_all(em.mw_rotation_kraus(prep_theta(prep), params), layout)
-            chains = [prep_kraus, pulse1, flip, pulse2]
-            leaves[prep_idx] = []
-            probs[prep_idx] = []
+        leaves: list[list[np.ndarray]] = [[] for _ in PREP_NAMES]
+        probs: list[list[float]] = [[] for _ in PREP_NAMES]
+        prep_ops, block_ops, _ = _block_operators(params, protocol_cfg)
+        for prep_idx, ops in enumerate(prep_ops):
+            chains = [ops, *block_ops]
             for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1):
-                w0 = init_pops[lvl]
+                w0 = self.init_pops[lvl]
                 if w0 < _LEAF_PRUNE:
                     continue
                 root = np.zeros(em.SPIN_DIM * 4, dtype=complex)
@@ -240,10 +254,7 @@ class _CompiledModel:
             seg = w_arr[lo:hi]
             self.leaf_cum.append(np.cumsum(seg / seg.sum()))
 
-        p00 = np.einsum("ls,ls->l", chi["00"].conj(), chi["00"]).real
-        p10 = np.einsum("ls,ls->l", chi["10"].conj(), chi["10"]).real
-        p01 = np.einsum("ls,ls->l", chi["01"].conj(), chi["01"]).real
-        p11 = np.einsum("ls,ls->l", chi["11"].conj(), chi["11"]).real
+        p00, p10, p01, p11 = (_sq_norms(chi[occ]) for occ in ("00", "10", "01", "11"))
 
         (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
         self.erase_weights = (erase1, erase2)
@@ -258,32 +269,47 @@ class _CompiledModel:
         self.zeta_abs = np.abs(zeta)
         self.zeta_arg = np.angle(zeta)
 
-        u_x = em.qubit_rotation(protocol_cfg.tomo_theta)
-        row0_x = u_x[em.LVL_G0, :]
-        alpha = np.sqrt(erase1) * (chi["10"] @ row0_x)
-        beta = np.sqrt(erase2) * (chi["01"] @ row0_x)
+        alpha = np.sqrt(erase1) * (chi["10"] @ self.bright_row)
+        beta = np.sqrt(erase2) * (chi["01"] @ self.bright_row)
         kappa = np.conj(alpha) * beta
         self.a2b2 = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         self.kappa_abs = np.abs(kappa)
         self.kappa_arg = np.angle(kappa)
 
-        def bright(vecs, pops, u):
-            amp = vecs @ u[em.LVL_G0, :]
+        def bright(vecs, pops, row):
+            amp = vecs @ row
             with np.errstate(invalid="ignore", divide="ignore"):
                 out = np.abs(amp) ** 2 / pops
             return np.nan_to_num(out, nan=0.0, posinf=0.0)
 
-        eye = np.eye(em.SPIN_DIM, dtype=complex)
-        self.bright_early = bright(chi["10"], p10, eye)
-        self.bright_late = bright(chi["01"], p01, eye)
-        self.bright_none = bright(chi["00"], p00, u_x)
-        self.bright_dbl_x = bright(chi["11"], p11, u_x)
-        self.bright_dbl_z = bright(chi["11"], p11, eye)
+        row_z = np.eye(em.SPIN_DIM, dtype=complex)[em.LVL_G0]
+        self.bright_early = bright(chi["10"], p10, row_z)
+        self.bright_late = bright(chi["01"], p01, row_z)
+        self.bright_none = bright(chi["00"], p00, self.bright_row)
+        self.bright_dbl_x = bright(chi["11"], p11, self.bright_row)
+        self.bright_dbl_z = bright(chi["11"], p11, row_z)
 
-        self.port_offsets = port_offsets(ifm.quadrature_offset)
+
+class _ChainModel(_BlockModel):
+    """Operators of the n-photon chain, shared by all cycles.
+
+    A chain repeats the entangling block once per photon, with a rotation
+    between blocks. Nothing touches a photon's time bins after its block, so
+    the sampler measures each photon as soon as its block ends and discards
+    its bins: a cycle's live state never grows beyond (spin, bin1, bin2).
+    """
+
+    def __init__(self, params, protocol_cfg, ifm, detection):
+        if detection.background_rate_hz > 0:
+            raise EventModelError("background clicks are modeled on the single-photon path only")
+        super().__init__(params, protocol_cfg, ifm, detection)
+        self.prep_ops, self.block_ops, self.interblock_ops = _block_operators(params, protocol_cfg)
 
 
 # -- phase trajectory ------------------------------------------------------------
+
+
+_CYCLE_STREAM, _PHASE_STREAM = 1, 2  # the per-cycle draws and the phase-walk steps
 
 
 def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -296,14 +322,6 @@ def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _phase_block_rng(seed: int, block: int) -> np.random.Generator:
-    return _keyed_rng(seed, 2, block)
-
-
-def _cycle_block_rng(seed: int, block: int) -> np.random.Generator:
-    return _keyed_rng(seed, 1, block)
-
-
 def _walk_block_offsets(ifm: InterferometerConfig, n_blocks: int, block_size: int, n_cycles: int, seed: int, period_ns: float):
     """Starting phase of every block under the random-walk model."""
     sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
@@ -313,7 +331,7 @@ def _walk_block_offsets(ifm: InterferometerConfig, n_blocks: int, block_size: in
         offsets[b] = acc
         m = min(block_size, n_cycles - b * block_size)
         if sigma > 0:
-            acc += sigma * _phase_block_rng(seed, b).standard_normal(m).sum()
+            acc += sigma * _keyed_rng(seed, _PHASE_STREAM, b).standard_normal(m).sum()
     return offsets
 
 
@@ -325,7 +343,7 @@ def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, blo
     sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
     if sigma == 0:
         return np.full(ids.shape, offset)
-    steps = sigma * _phase_block_rng(seed, block).standard_normal(ids.shape[0])
+    steps = sigma * _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(ids.shape[0])
     return offset + np.cumsum(steps)
 
 
@@ -343,7 +361,7 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
 
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.int64)
-    rng = _cycle_block_rng(detection.seed, lo // detection.block_size)
+    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, lo // detection.block_size)
 
     phase_true = _block_true_phase(ifm, ids, detection.seed, lo // detection.block_size, walk_offset, period)
 
@@ -363,14 +381,12 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     u_bg_port = rng.random(total_bg)
 
     phase_read = phase_true + noise_ro
-
+    t_class = np.array([t_a1, t_a2, t_a2 + delay])  # arrival time of EARLY, ERASED, LATE
     prep_idx = _prep_codes(ids, pcfg, detection)
 
     li = np.empty(m, dtype=np.int64)
     for p in (0, 1):
         msk = prep_idx == p
-        if not msk.any():
-            continue
         seg = np.searchsorted(model.leaf_cum[p], u_leaf[msk], side="right")
         seg = np.minimum(seg, len(model.leaf_cum[p]) - 1)
         li[msk] = model.prep_offset[p] + seg
@@ -383,8 +399,7 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     # erased ports: conditional probabilities over D, A, R, L
     erased = outcome == 2
     port_idx = np.zeros(m, dtype=np.int64)
-    pb = np.empty(m)
-    pb.fill(0.0)
+    pb = np.zeros(m)
 
     if erased.any():
         le = li[erased]
@@ -403,46 +418,168 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
             pb_er = np.clip(np.nan_to_num(num / den, nan=0.0, posinf=0.0), 0.0, 1.0)
         pb[erased] = pb_er
 
-    def quarter(u):
-        return np.minimum((u * 4).astype(np.int64), 3)
-
     early = outcome == 1
     late = outcome == 3
     none = outcome == 0
     pb[early] = model.bright_early[li[early]]
     pb[late] = model.bright_late[li[late]]
     pb[none] = model.bright_none[li[none]]
-    port_idx[early | late] = quarter(u_port1[early | late])
+    port_idx[early | late] = _quarter(u_port1[early | late])
 
-    # both bins occupied: each photon is routed independently, and the cycle's
-    # readout basis follows the earliest surviving click (rejected downstream anyway)
+    # both bins occupied: the readout basis follows the earliest surviving
+    # click (the cycle is rejected downstream anyway)
     dbl = np.flatnonzero(outcome == 4)
-    first_erased = u_arm1[dbl] < model.erase_weights[0]
-    second_erased = u_arm2[dbl] < model.erase_weights[1]
-    first_seen = u_thin1[dbl] < eta
-    second_seen = u_thin2[dbl] < eta
-    t_first = np.where(first_erased, t_a2, t_a1)
-    t_second = np.where(second_erased, t_a2, t_a2 + delay)
-    first_leads = first_seen & ~(second_seen & (t_second < t_first))
-    basis_x = np.where(first_leads, first_erased, ~second_seen | second_erased)
-    pb[dbl] = np.where(basis_x, model.bright_dbl_x[li[dbl]], model.bright_dbl_z[li[dbl]])
+    pair_sources, lead_erased = _pair_clicks(
+        dbl, (u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2), model.erase_weights, eta, t_class
+    )
+    pb[dbl] = np.where(lead_erased, model.bright_dbl_x[li[dbl]], model.bright_dbl_z[li[dbl]])
     ro_click = u_ro < em.readout_click_probability(pb, model.params, detection.readout_dark_click)
 
     det = np.flatnonzero((early | late | erased) & (u_thin1 < eta))
-    t_offset = np.where(outcome == 1, t_a1, np.where(outcome == 2, t_a2, t_a2 + delay))
-
     owners = np.repeat(np.arange(m), n_bg)
     t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
 
     # (cycle index, class, time in cycle, port) in insertion order: first and
     # second photons of double cycles, single detections, background clicks
-    one, two = dbl[first_seen], dbl[second_seen]
     sources = (
-        (one, np.where(first_erased, ERASED, EARLY)[first_seen], t_first[first_seen], quarter(u_port1[one])),
-        (two, np.where(second_erased, ERASED, LATE)[second_seen], t_second[second_seen], quarter(u_port2[two])),
-        (det, outcome[det] - 1, t_offset[det], port_idx[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
-        (owners, classify_arrival(t_in, t_a2, ifm), t_in, quarter(u_bg_port)),
+        *pair_sources,
+        (det, outcome[det] - 1, t_class[outcome[det] - 1], port_idx[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
+        (owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)),
     )
+    return _rows(sources, ids, period, phase_read, prep_idx, ro_click)
+
+
+def _pair_clicks(rows, draws, erase_weights, eta, t_class):
+    """Clicks of the cycles ``rows`` whose photon occupied both bins.
+
+    Each photon of the pair takes its own arm and survives detection on its
+    own; ``draws`` holds the per-cycle uniforms (arm, arm, thinning, thinning,
+    port, port). Returns the click sources of the first and the second photon
+    and whether each cycle's earliest surviving click is path-erased (true
+    when none survives). The first photon never arrives after the second.
+    """
+    u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = (u[rows] for u in draws)
+    first_cls = np.where(u_arm1 < erase_weights[0], ERASED, EARLY)
+    second_cls = np.where(u_arm2 < erase_weights[1], ERASED, LATE)
+    seen1, seen2 = u_thin1 < eta, u_thin2 < eta
+    sources = [
+        (rows[seen1], first_cls[seen1], t_class[first_cls[seen1]], _quarter(u_port1[seen1])),
+        (rows[seen2], second_cls[seen2], t_class[second_cls[seen2]], _quarter(u_port2[seen2])),
+    ]
+    return sources, np.where(seen1, first_cls == ERASED, ~seen2 | (second_cls == ERASED))
+
+
+def _quarter(u):
+    """Uniform port code from a uniform draw."""
+    return np.minimum((u * 4).astype(np.int64), 3)
+
+
+def _pick(weights, u):
+    """Index of the branch that each row's uniform draw ``u`` selects with
+    probability proportional to that row of ``weights``."""
+    cum = np.cumsum(weights, axis=1)
+    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), weights.shape[1] - 1)
+
+
+def _sq_norms(vecs):
+    """Squared norm of each vector along the last axis, without a temporary of the vectors' size."""
+    return np.einsum("...j,...j->...", vecs.real, vecs.real) + np.einsum("...j,...j->...", vecs.imag, vecs.imag)
+
+
+def _normalized(vecs):
+    """Rows of ``vecs`` scaled to unit norm in place; zero rows stay zero."""
+    sq = _sq_norms(vecs)
+    vecs /= np.sqrt(np.where(sq > 0, sq, 1.0))[:, None]
+    return vecs
+
+
+def _sample_kraus(vecs, ops, u):
+    """Apply one Born-weighted Kraus branch to each row of ``vecs`` and renormalize.
+
+    Only the (rows x ops) weights are held at once, never every branch's state.
+    """
+    weights = np.empty((len(vecs), len(ops)))
+    for k, op in enumerate(ops):
+        weights[:, k] = _sq_norms(vecs @ op.T)
+    pick = _pick(weights, u)
+    out = vecs @ ops[0].T  # every row through the first branch, then redo the rows that took another
+    for k, op in enumerate(ops[1:], start=1):
+        rows = pick == k
+        out[rows] = vecs[rows] @ op.T
+    return _normalized(out)
+
+
+def _simulate_chain_block(model: _ChainModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
+    ifm = model.ifm
+    pcfg = model.protocol_cfg
+    eta = model.eta_det
+    (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
+
+    m = hi - lo
+    ids = np.arange(lo, hi, dtype=np.int64)
+    block = lo // detection.block_size
+    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
+    phase_true = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
+    phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
+    prep_idx = _prep_codes(ids, pcfg, detection)
+
+    spin = np.eye(em.SPIN_DIM, dtype=complex)[_pick(np.broadcast_to(model.init_pops, (m, em.SPIN_DIM)), rng.random(m))]
+    sources = []
+    for k in range(pcfg.n_photons):
+        state = np.zeros((m, em.SPIN_DIM * 4), dtype=complex)
+        state[:, ::4] = spin  # both bins empty
+        # the rotation before the block: the preparation, then the interblock rotation
+        u = rng.random(m)
+        for p, ops in enumerate(model.prep_ops if k == 0 else [model.interblock_ops] * len(PREP_NAMES)):
+            rows = prep_idx == p
+            state[rows] = _sample_kraus(state[rows], ops, u[rows])
+        for ops in model.block_ops:
+            state = _sample_kraus(state, ops, rng.random(m))
+
+        # measure the photon: spin vectors conditioned on the (bin1, bin2) occupation
+        chi = state.reshape(m, em.SPIN_DIM, 2, 2)
+        c00, c10, c01, c11 = chi[:, :, 0, 0], chi[:, :, 1, 0], chi[:, :, 0, 1], chi[:, :, 1, 1]
+        p00, p10, p01, p11 = map(_sq_norms, (c00, c10, c01, c11))
+        draws = rng.random((8, m))
+        u_out, u_vis, u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = draws
+        outcome = _pick(np.stack([p00, reveal1 * p10, erase1 * p10 + erase2 * p01, reveal2 * p01, p11], axis=1), u_out)
+        # 0 none, 1 early, 2 erased, 3 late, 4 double
+        spin = np.choose(outcome[:, None], (c00, c10, c00, c01, c11))
+        port = _quarter(u_port1)
+
+        # erased: collapse onto the analyzer port, with the late amplitude's
+        # sign flipped at rate (1 - visibility) / 2
+        er = np.flatnonzero(outcome == 2)
+        sign = np.where(u_vis[er] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)
+        early_amp = np.sqrt(erase1) * np.exp(1j * phase_true[er])[:, None] * c10[er]
+        late_amp = np.sqrt(erase2) * sign[:, None] * c01[er]
+        collapsed = early_amp[:, None] + np.exp(-1j * model.port_offsets)[:, None] * late_amp[:, None]
+        port[er] = _pick(_sq_norms(collapsed), u_port1[er])
+        spin[er] = collapsed[np.arange(er.size), port[er]]
+        spin = _normalized(spin)
+
+        t_erased = model.pulse_times[2 * k + 1]
+        t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + ifm.delay_ns])
+        det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
+        pair_sources, _ = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:], (erase1, erase2), eta, t_class)
+        sources += [*pair_sources, (det, outcome[det] - 1, t_class[outcome[det] - 1], port[det])]
+        del state, chi, c00, c10, c01, c11  # free the measured block state before the next photon's
+
+    # the readout basis follows the cycle's earliest surviving click (equatorial if none)
+    owner, cls, t_cycle, _ = (np.concatenate(col) for col in zip(*sources))
+    order = np.lexsort((t_cycle, owner))
+    earliest = order[np.unique(owner[order], return_index=True)[1]]
+    basis_x = np.ones(m, dtype=bool)
+    basis_x[owner[earliest]] = cls[earliest] == ERASED
+    amp = np.where(basis_x, spin @ model.bright_row, spin[:, em.LVL_G0])
+    ro_click = rng.random(m) < em.readout_click_probability(np.abs(amp) ** 2, model.params, detection.readout_dark_click)
+    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
+
+
+def _rows(sources, ids, period, phase_read, prep_idx, ro_click) -> np.ndarray:
+    """Records of a block from its click sources, each a tuple of columns
+    (cycle index in block, class, time in cycle, port); ties on time keep the
+    order of ``sources``."""
     owner, cls, t_cycle, port = (np.concatenate(col) for col in zip(*sources))
     t_ns = ids[owner] * period + t_cycle
     # stable: the two erased clicks of a double cycle tie on t_ns
@@ -460,8 +597,9 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
 
 
 def _block_task(args):
-    model, detection, lo, hi, walk_offset = args
-    return _simulate_block(model, detection, lo, hi, walk_offset)
+    model = args[0]
+    sample = _simulate_block if isinstance(model, _CompiledModel) else _simulate_chain_block
+    return sample(*args)
 
 
 # -- public API --------------------------------------------------------------------
@@ -483,199 +621,23 @@ def simulate_cycles(
     if n_cycles < 1:
         raise EventModelError("n_cycles must be >= 1")
     detection.validate()
-    if protocol_cfg.n_photons == 1:
-        model = _CompiledModel(params, protocol_cfg, ifm, detection)
-        n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
-        if ifm.phase_mode == "walk":
-            offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
-        else:
-            offsets = np.zeros(n_blocks)
-        tasks = [
-            (model, detection, b * detection.block_size, min(n_cycles, (b + 1) * detection.block_size), offsets[b])
-            for b in range(n_blocks)
-        ]
-        if workers > 1 and n_blocks > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_block_task, tasks, chunksize=max(1, n_blocks // (4 * workers))))
-        else:
-            parts = [_block_task(t) for t in tasks]
-        if parts:
-            return np.concatenate(parts)
-        return np.empty(0, dtype=RECORD_DTYPE)
-    return _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection)
-
-
-# -- multi-photon path --------------------------------------------------------------
-
-
-def _simulate_multiphoton(n_cycles, params, ifm, protocol_cfg, detection):
-    """Per-cycle sampler for photon chains (slower, general n)."""
-    params.validate()
-    ifm.validate()
-    protocol_cfg.validate()
-    if detection.background_rate_hz > 0:
-        raise EventModelError("background clicks are modeled on the single-photon path only")
-    n = protocol_cfg.n_photons
-    steps = build_sequence(protocol_cfg, ifm)
-    times = pulse_times(steps)
-    period = protocol_cfg.cycle_period_ns
-    eta = detection.detector_thinning(params.zpl_fraction)
-    (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
-    v = ifm.erasure_visibility
-
-    spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
-    bins = [SubsystemSpec(f"bin{j}", 2) for j in range(1, 2 * n + 1)]
-    layout = basis_ket(tuple([spin] + bins), tuple([0] * (1 + 2 * n)))
-    dims = (em.SPIN_DIM,) + (2,) * (2 * n)
-
-    # the first rotation is the preparation and is applied per-cycle through
-    # prep_chans, indexed by prep code (its sign may alternate); later
-    # rotations come from the steps
-    prep_chans = [_embed_all(em.mw_rotation_kraus(prep_theta(name), params), layout) for name in PREP_NAMES]
-    preps = _prep_codes(np.arange(n_cycles), protocol_cfg, detection)
-    mw_by_theta: dict[float, list[np.ndarray]] = {}
-    seq_ops: list[tuple[str, object]] = []
-    prep_seen = False
-    for step in steps:
-        if step.kind == "mw_rotation":
-            if not prep_seen:
-                prep_seen = True
-                continue
-            if step.theta not in mw_by_theta:
-                mw_by_theta[step.theta] = _embed_all(em.mw_rotation_kraus(step.theta, params), layout)
-            seq_ops.append(("mw", step.theta))
-        elif step.kind == "optical_pulse":
-            seq_ops.append(("pulse", step.bin_label))
-    pulse_chans = {
-        label: _embed_all(em.optical_pulse_kraus(params, label), layout)
-        for label in [f"bin{j}" for j in range(1, 2 * n + 1)]
-    }
-
-    init_pops = np.real(np.diag(em.initialize_spin(params).data))
-    u_x = em.qubit_rotation(protocol_cfg.tomo_theta)
-    ports_off = port_offsets(ifm.quadrature_offset)
-
-    rng = _keyed_rng(detection.seed, 3, 0)
-    phase = ifm.phase
-    sigma_step = np.sqrt(ifm.phase_drift_var_per_ns * period)
-    rows = []
-
-    def sample_kraus(vec, chans):
-        weights = []
-        children = []
-        for k in chans:
-            child = k @ vec
-            p = float(np.vdot(child, child).real)
-            weights.append(p)
-            children.append(child)
-        weights = np.array(weights)
-        weights = weights / weights.sum()
-        idx = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-        idx = min(idx, len(chans) - 1)
-        child = children[idx]
-        return child / np.linalg.norm(child)
-
-    for cid in range(n_cycles):
-        if ifm.phase_mode == "walk" and sigma_step > 0:
-            phase = phase + sigma_step * rng.standard_normal()
-        elif ifm.phase_mode == "scan":
-            phase = float(np.mod(ifm.phase + ifm.scan_step_rad * cid, 2 * np.pi))
-        phase_read = phase + (rng.standard_normal() * ifm.phase_readout_sigma if ifm.phase_readout_sigma > 0 else 0.0)
-
-        prep = int(preps[cid])
-        lvl = int(np.searchsorted(np.cumsum(init_pops / init_pops.sum()), rng.random(), side="right"))
-        lvl = min(lvl, em.SPIN_DIM - 1)
-        vec = np.zeros(int(np.prod(dims)), dtype=complex)
-        vec[np.ravel_multi_index((lvl,) + (0,) * (2 * n), dims)] = 1.0
-        vec = sample_kraus(vec, prep_chans[prep])
-        for kind, arg in seq_ops:
-            if kind == "mw":
-                vec = sample_kraus(vec, mw_by_theta[arg])
-            else:
-                vec = sample_kraus(vec, pulse_chans[arg])
-
-        clicks = []
-        tensor_vec = vec.reshape(dims)
-        for k in range(1, n + 1):
-            ax1, ax2 = 2 * k - 1, 2 * k
-            sl = [slice(None)] * (1 + 2 * n)
-
-            def block(i, j):
-                sel = list(sl)
-                sel[ax1], sel[ax2] = i, j
-                return tensor_vec[tuple(sel)]
-
-            chi10, chi01, chi11 = block(1, 0), block(0, 1), block(1, 1)
-            p10 = float(np.vdot(chi10, chi10).real)
-            p01 = float(np.vdot(chi01, chi01).real)
-            p11 = float(np.vdot(chi11, chi11).real)
-            p00 = max(0.0, 1.0 - p10 - p01 - p11)
-            pe_, pl_ = reveal1 * p10, reveal2 * p01
-            per_ = erase1 * p10 + erase2 * p01
-            ah, av = np.sqrt(erase1), np.sqrt(erase2)
-            u = rng.random()
-            t_emit_first = times[2 * k - 2]
-            t_ref = times[2 * k - 1]
-            new_tensor = np.zeros_like(tensor_vec)
-
-            def put(i, j, values):
-                sel = list(sl)
-                sel[ax1], sel[ax2] = i, j
-                new_tensor[tuple(sel)] = values
-
-            if u < p00:
-                put(0, 0, block(0, 0))
-            elif u < p00 + pe_:
-                if rng.random() < eta:
-                    clicks.append((EARLY, t_emit_first, int(rng.random() * 4)))
-                put(0, 0, chi10)
-            elif u < p00 + pe_ + per_:
-                vsign = 1.0 if (v >= 1.0 or rng.random() < (1 + v) / 2) else -1.0
-                pj = []
-                collapsed = []
-                for o in ports_off:
-                    c = 0.5 * (ah * np.exp(1j * phase) * chi10 + av * vsign * np.exp(-1j * o) * chi01)
-                    pj.append(float(np.vdot(c, c).real))
-                    collapsed.append(c)
-                pj = np.array(pj)
-                pidx = int(np.searchsorted(np.cumsum(pj / pj.sum()), rng.random(), side="right"))
-                pidx = min(pidx, 3)
-                if rng.random() < eta:
-                    clicks.append((ERASED, t_ref, pidx))
-                put(0, 0, collapsed[pidx])
-            elif u < p00 + pe_ + per_ + pl_:
-                if rng.random() < eta:
-                    clicks.append((LATE, t_ref + ifm.delay_ns, int(rng.random() * 4)))
-                put(0, 0, chi01)
-            else:
-                # the active switch draws no arm choice
-                c1_er = ifm.active_switch or rng.random() < erase1
-                c2_er = ifm.active_switch or rng.random() < erase2
-                if rng.random() < eta:
-                    clicks.append((ERASED, t_ref, int(rng.random() * 4)) if c1_er else (EARLY, t_emit_first, int(rng.random() * 4)))
-                if rng.random() < eta:
-                    clicks.append((ERASED, t_ref, int(rng.random() * 4)) if c2_er else (LATE, t_ref + ifm.delay_ns, int(rng.random() * 4)))
-                put(0, 0, chi11)
-            norm = np.linalg.norm(new_tensor)
-            if norm < 1e-15:
-                tensor_vec = new_tensor
-                break
-            tensor_vec = new_tensor / norm
-
-        clicks.sort(key=lambda c: c[1])
-        theta_is_x = not clicks or clicks[0][0] == ERASED
-        spin_amp = tensor_vec.reshape(em.SPIN_DIM, -1)
-        u_ro = u_x if theta_is_x else np.eye(em.SPIN_DIM)
-        rotated = np.einsum("st,tk->sk", u_ro, spin_amp)
-        tot = float(np.vdot(rotated, rotated).real)
-        p_bright = float(np.vdot(rotated[em.LVL_G0], rotated[em.LVL_G0]).real) / tot if tot > 0 else 0.0
-        click_ro = rng.random() < em.readout_click_probability(p_bright, params, detection.readout_dark_click)
-
-        for cls, t_off, pidx in clicks:
-            rows.append((cid, pidx, cls, cid * period + t_off, phase_read, prep, 1 if click_ro else 0))
-
-    rows.sort(key=lambda r: (r[0], r[3]))
-    return np.array(rows, dtype=RECORD_DTYPE) if rows else np.empty(0, dtype=RECORD_DTYPE)
+    model_class = _CompiledModel if protocol_cfg.n_photons == 1 else _ChainModel
+    model = model_class(params, protocol_cfg, ifm, detection)
+    n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
+    if ifm.phase_mode == "walk":
+        offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
+    else:
+        offsets = np.zeros(n_blocks)
+    tasks = [
+        (model, detection, b * detection.block_size, min(n_cycles, (b + 1) * detection.block_size), offsets[b])
+        for b in range(n_blocks)
+    ]
+    if workers > 1 and n_blocks > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_block_task, tasks, chunksize=max(1, n_blocks // (4 * workers))))
+    else:
+        parts = [_block_task(t) for t in tasks]
+    return np.concatenate(parts)
 
 
 # -- record I/O ---------------------------------------------------------------------

@@ -52,9 +52,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.targets)
-
     def is_hermitian(self, tol: float = ALG_TOL) -> bool:
         return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=tol))
 
@@ -145,23 +142,6 @@ class QuantumState:
         if self.is_pure:
             return float(abs(np.vdot(target.data, self.data)) ** 2)
         return float(np.real(target.data.conj() @ self.data @ target.data))
-
-    # -- validity ------------------------------------------------------------
-
-    def check_valid(self, expected_trace: float | None = 1.0, tol: float = ALG_TOL) -> None:
-        """Raise unless the state satisfies its representation invariants."""
-        if self.is_pure:
-            if expected_trace is not None and abs(self.trace() - expected_trace) > tol:
-                raise QsimError(f"pure state norm^2 {self.trace()} != {expected_trace}")
-            return
-        rho = self.data
-        if not np.allclose(rho, rho.conj().T, atol=tol):
-            raise QsimError("density matrix is not Hermitian")
-        if expected_trace is not None and abs(np.trace(rho).real - expected_trace) > tol:
-            raise QsimError(f"trace {np.trace(rho).real} != {expected_trace}")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < PSD_EIG_FLOOR:
-            raise QsimError(f"density matrix not PSD: min eigenvalue {eigs.min()}")
 
 
 # -- constructors -------------------------------------------------------------

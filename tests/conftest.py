@@ -2,7 +2,7 @@
 import numpy as np
 
 from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
-from tpcsim.qsim import Operator, QuantumState
+from tpcsim.qsim import ALG_TOL, PSD_EIG_FLOOR, Operator, QsimError, QuantumState
 
 LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
 
@@ -19,6 +19,22 @@ def make_records(rows):
 
 def pure_state(subsystems, amplitudes) -> QuantumState:
     return QuantumState(tuple(subsystems), np.asarray(amplitudes, dtype=complex), "pure")
+
+
+def check_valid(state: QuantumState, expected_trace: float | None = 1.0, tol: float = ALG_TOL) -> None:
+    """Raise QsimError unless ``state`` satisfies its representation invariants."""
+    if state.is_pure:
+        if expected_trace is not None and abs(state.trace() - expected_trace) > tol:
+            raise QsimError(f"pure state norm^2 {state.trace()} != {expected_trace}")
+        return
+    rho = state.data
+    if not np.allclose(rho, rho.conj().T, atol=tol):
+        raise QsimError("density matrix is not Hermitian")
+    if expected_trace is not None and abs(np.trace(rho).real - expected_trace) > tol:
+        raise QsimError(f"trace {np.trace(rho).real} != {expected_trace}")
+    eigs = np.linalg.eigvalsh(rho)
+    if eigs.min() < PSD_EIG_FLOOR:
+        raise QsimError(f"density matrix not PSD: min eigenvalue {eigs.min()}")
 
 
 def projector_onto(vec, targets) -> Operator:

@@ -139,6 +139,33 @@ class TestCliSimulateAnalyze:
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"), "--cycles", "10"])
         assert code == 2
 
+    def test_invalid_value_exits_two_from_simulate_as_from_validate(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[emitter]\np_shelve = 2\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"), "--cycles", "10"])
+        assert code == 2
+        assert "p_shelve" in capsys.readouterr().err
+
+    def test_period_shorter_than_sequence_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[protocol]\ncycle_period_ns = -1\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "[protocol] FAIL" in out and "cycle_period_ns" in out
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"), "--cycles", "10"])
+        assert code == 2
+        assert "cycle_period_ns" in capsys.readouterr().err
+
+    def test_analyze_refuses_chain_config(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text(IDEAL_CONFIG + "\n[protocol]\nn_photons = 2\ncycle_period_ns = 2000000.0\n")
+        out = str(tmp_path / "chain.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", out, "--cycles", "300"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", out, "--config", str(cfg)]) == 2
+        assert "n_photons" in capsys.readouterr().err
+
     def test_missing_records_file_exits_one(self, tmp_path):
         code = main(["analyze", str(tmp_path / "missing.csv")])
         assert code == 1

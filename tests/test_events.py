@@ -18,7 +18,8 @@ from tpcsim.events import (
     DetectionParams,
     EventModelError,
     RecordFormatError,
-    _simulate_multiphoton,
+    _ChainModel,
+    _simulate_chain_block,
     pair_coincidences,
     read_records,
     simulate_cycles,
@@ -26,8 +27,8 @@ from tpcsim.events import (
     write_records,
 )
 from tpcsim.optics import InterferometerConfig, hardware_port_states
-from tpcsim.protocol import ProtocolConfig, build_sequence, run_noisy
-from tpcsim.qsim import expectation, ry
+from tpcsim.protocol import ProtocolConfig, build_sequence, pulse_times, run_noisy
+from tpcsim.qsim import apply, expectation, partial_trace, ry
 
 from conftest import make_records, projector_onto, write_fixture_ini
 
@@ -74,9 +75,10 @@ class TestDeterminism:
         params = ideal_emitter()
         ifm = InterferometerConfig(phase_mode="walk")
         det = DetectionParams(zpl_efficiency=1.0, seed=3, block_size=2048)
-        serial = simulate_cycles(12_000, params, ifm, ProtocolConfig(), det, workers=1)
-        parallel = simulate_cycles(12_000, params, ifm, ProtocolConfig(), det, workers=4)
-        assert np.array_equal(serial, parallel)
+        for pcfg in (ProtocolConfig(), ProtocolConfig(n_photons=2, cycle_period_ns=2_000_000.0)):
+            serial = simulate_cycles(12_000, params, ifm, pcfg, det, workers=1)
+            parallel = simulate_cycles(12_000, params, ifm, pcfg, det, workers=4)
+            assert np.array_equal(serial, parallel)
 
     def test_different_seeds_differ(self):
         params = ideal_emitter()
@@ -219,9 +221,8 @@ class TestBornConsistency:
         fast = simulate_cycles(
             40_000, params, ifm, pcfg, DetectionParams(zpl_efficiency=1.0, seed=21, alternate_preps=False)
         )
-        slow = _simulate_multiphoton(
-            40_000, params, ifm, pcfg, DetectionParams(zpl_efficiency=1.0, seed=22, alternate_preps=False)
-        )
+        det = DetectionParams(zpl_efficiency=1.0, seed=22, alternate_preps=False)
+        slow = _simulate_chain_block(_ChainModel(params, pcfg, ifm, det), det, 0, 40_000, 0.0)
         for recs_a, recs_b in ((fast, slow),):
             fa = np.mean(recs_a["arrival_class"] == ERASED)
             fb = np.mean(recs_b["arrival_class"] == ERASED)
@@ -246,6 +247,31 @@ class TestBornConsistency:
         heralded = sum(1 for v in by_cycle.values() if len(v) == 2 and set(v) == {"Erased"})
         p = heralded / n
         assert abs(p - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / n)
+
+    def test_noisy_chain_heralding_and_readout_match_exact_state(self):
+        # a cycle is heralded when each photon gives exactly one click, path-erased
+        params = noisy_emitter()
+        ifm = InterferometerConfig(phase=0.9, phase_mode="static", phase_readout_sigma=0.0, erasure_visibility=0.8)
+        pcfg = ProtocolConfig(n_photons=2, cycle_period_ns=2_000_000.0)
+        n = 40_000
+        recs = simulate_cycles(n, params, ifm, pcfg, DetectionParams(zpl_efficiency=1.0, seed=31, alternate_preps=False))
+
+        steps = build_sequence(pcfg, ifm)
+        times = pulse_times(steps)
+        offsets = recs["t_ns"] - recs["cycle_id"] * pcfg.cycle_period_ns
+        erased = recs["arrival_class"] == ERASED
+        _, first, counts = np.unique(recs["cycle_id"], return_index=True, return_counts=True)
+        in_window = [np.add.reduceat((erased & np.isclose(offsets, times[j])).astype(int), first) for j in (1, 3)]
+        heralded = first[(counts == 2) & (in_window[0] == 1) & (in_window[1] == 1)]
+
+        exact = run_noisy(steps, params, ifm)
+        p = exact.trace()
+        assert abs(len(heralded) / n - p) <= 4 * np.sqrt(p * (1 - p) / n)
+
+        rotated = apply(exact.normalized(), ry(pcfg.tomo_theta, "spin", 7, (0, 1)))
+        q = float(np.real(partial_trace(rotated, ["spin"]).data[0, 0]))
+        clicks = recs["readout_click"][heralded]
+        assert abs(clicks.mean() - q) <= 4 * np.sqrt(q * (1 - q) / len(heralded))
 
 
 class TestBackground:
@@ -435,8 +461,8 @@ class TestRecordIO:
     @pytest.mark.parametrize(
         "n_photons,cycles,digest",
         [
-            (2, 40, "a4b5bac571c0486ea84eeb92927448dfd7a4f9bac8412cec1e22eeec7d30e959"),
-            (3, 24, "aae635292123294349f6446b2c3295be0c5316da40a7efd173f464ac0b77afaf"),
+            (2, 40, "0eec6c486066753b027d534898b90f96ae6740734c67182b88e33b1e774a76a4"),
+            (3, 24, "624d092257dd874505b842e80504dea94cb10b704d411de1954c1efc55b11ad5"),
         ],
     )
     def test_chain_bytes_pinned(self, tmp_path, n_photons, cycles, digest):
