@@ -181,7 +181,8 @@ def validate_config(config: RunConfig) -> list[tuple[str, bool, str]]:
     """Per-section invariant check: (section, ok, message) rows.
 
     The protocol row also checks that the cycle period holds the pulse
-    sequence, whose length follows from a valid interferometer delay.
+    sequence, whose length follows from a valid interferometer delay; the
+    detection row also checks that a photon chain has no background clicks.
     """
     results = {}
     for name, target in config.sections().items():
@@ -189,6 +190,8 @@ def validate_config(config: RunConfig) -> list[tuple[str, bool, str]]:
             target.validate()
             if name == "protocol" and results["interferometer"][0]:
                 build_sequence(config.protocol, config.interferometer)
+            if name == "detection":
+                target.validate_photons(config.protocol.n_photons)
             results[name] = (True, "ok")
         except Exception as exc:  # validation errors carry the failing key
             results[name] = (False, str(exc))

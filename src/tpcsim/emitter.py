@@ -13,14 +13,15 @@ other module refers to these index constants, never to raw integers:
     6: MS       metastable shelf (loss within one cycle)
 
 Time-bin modes are two-level occupation subsystems (0: vacuum, 1: one photon).
+Channels are lists of plain Kraus matrices: on the seven spin levels for a
+microwave rotation, on (spin, time bin) for an optical pulse.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
-
-from .qsim import Operator, QuantumState, SubsystemSpec, apply_kraus, basis_ket, ry, tensor
 
 LVL_G0 = 0
 LVL_GM1 = 1
@@ -90,12 +91,8 @@ def lorentzian_cross_excitation(detuning_ghz: float, linewidth_mhz: float) -> fl
     return 1.0 / (1.0 + ratio * ratio)
 
 
-def spin_spec() -> SubsystemSpec:
-    return SubsystemSpec(SPIN, SPIN_DIM)
-
-
-def initialize_spin(params: EmitterParams) -> QuantumState:
-    """Optically pumped spin state as a density matrix on the 7-level space.
+def initialize_spin(params: EmitterParams) -> np.ndarray:
+    """Optically pumped spin state as a 7x7 density matrix.
 
     Population ``init_fidelity`` sits on |-1>; the residual is split evenly
     between |0> and |+1>. Imperfect nuclear polarization is not a quantum
@@ -109,7 +106,7 @@ def initialize_spin(params: EmitterParams) -> QuantumState:
     pops[LVL_GM1] = f
     pops[LVL_G0] = r
     pops[LVL_GP1] = r
-    return QuantumState((spin_spec(),), np.diag(pops.astype(complex)), "mixed")
+    return np.diag(pops.astype(complex))
 
 
 def _ket(i: int) -> np.ndarray:
@@ -127,11 +124,21 @@ def _flip(to: int, frm: int) -> np.ndarray:
 
 
 def qubit_rotation(theta: float) -> np.ndarray:
-    """Rotation about y by ``theta`` in the {|0>, |-1>} qubit subspace of the spin."""
-    return ry(theta, SPIN, SPIN_DIM, (LVL_G0, LVL_GM1)).matrix
+    """Rotation about y by ``theta`` in the {|0>, |-1>} qubit subspace of the spin.
+
+    The qubit block is [[cos t/2, -sin t/2], [sin t/2, cos t/2]] in the ordered
+    basis (|0>, |-1>), so a rotation by pi/2 maps |-1> to (|-1> - |0>)/sqrt2.
+    """
+    c, s = cos(theta / 2.0), sin(theta / 2.0)
+    m = np.eye(SPIN_DIM, dtype=complex)
+    m[LVL_G0, LVL_G0] = c
+    m[LVL_G0, LVL_GM1] = -s
+    m[LVL_GM1, LVL_G0] = s
+    m[LVL_GM1, LVL_GM1] = c
+    return m
 
 
-def mw_rotation_kraus(theta: float, params: EmitterParams, target: str = SPIN) -> list[Operator]:
+def mw_rotation_kraus(theta: float, params: EmitterParams) -> list[np.ndarray]:
     """Microwave rotation in the {|0>, |-1>} subspace with hyperfine dephasing.
 
     With weight ``nuclear_pol`` the rotation is exact. The residual nuclear
@@ -142,16 +149,16 @@ def mw_rotation_kraus(theta: float, params: EmitterParams, target: str = SPIN) -
     """
     u = qubit_rotation(theta)
     w = params.nuclear_pol
-    ops = [Operator(np.sqrt(w) * u, (target,))]
+    ops = [np.sqrt(w) * u]
     if w < 1.0:
         rest = np.eye(SPIN_DIM, dtype=complex) - _proj(LVL_G0) - _proj(LVL_GM1)
         for pi in (_proj(LVL_G0), _proj(LVL_GM1), rest):
-            ops.append(Operator(np.sqrt(1.0 - w) * (pi @ u), (target,)))
+            ops.append(np.sqrt(1.0 - w) * (pi @ u))
     return ops
 
 
-def optical_pulse_kraus(params: EmitterParams, bin_label: str) -> list[Operator]:
-    """Kraus set of one optical pi-pulse acting on (spin, fresh time bin).
+def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
+    """Kraus matrices of one optical pi-pulse on (spin, fresh time bin).
 
     The resonant |0> -> |0_e> drive emits into the collected zero-phonon mode
     with probability ``zpl_fraction``; the no-emission (pulse error) amplitude
@@ -183,7 +190,6 @@ def optical_pulse_kraus(params: EmitterParams, bin_label: str) -> list[Operator]
     def emitting(spin_m: np.ndarray) -> np.ndarray:
         return np.kron(spin_m, emit)
 
-    targets = (SPIN, bin_label)
     ops: list[np.ndarray] = []
 
     # coherent main branch: emission + unexcited amplitude + undisturbed levels
@@ -223,26 +229,7 @@ def optical_pulse_kraus(params: EmitterParams, bin_label: str) -> list[Operator]
 
     # occupied-bin subspace is inert (never reached when the bin is fresh)
     ops.append(np.kron(np.eye(SPIN_DIM, dtype=complex), occ_keep))
-
-    return [Operator(m, targets) for m in ops]
-
-
-def ideal_pulse_operator(bin_label: str, spin_dim: int = 2, resonant_level: int = LVL_G0) -> Operator:
-    """Unitary limit of the pulse: swap vacuum/photon conditioned on |0>."""
-    d = 2 * spin_dim
-    m = np.eye(d, dtype=complex).reshape(spin_dim, 2, spin_dim, 2)
-    m[resonant_level, :, resonant_level, :] = np.array([[0, 1], [1, 0]])
-    return Operator(m.reshape(d, d), (SPIN, bin_label))
-
-
-def optical_pi_pulse(state: QuantumState, params: EmitterParams, bin_label: str) -> QuantumState:
-    """Apply one optical pi-pulse, creating the time-bin subsystem ``bin_label``."""
-    if bin_label in state.labels:
-        raise EmitterModelError(f"time bin {bin_label!r} already present")
-    params.validate()
-    vac = basis_ket((SubsystemSpec(bin_label, 2),), (BIN_VAC,))
-    joint = tensor(state, vac)
-    return apply_kraus(joint, optical_pulse_kraus(params, bin_label))
+    return ops
 
 
 def readout_click_probability(p_bright, params: EmitterParams, dark_click: float = 0.0):

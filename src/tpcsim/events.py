@@ -16,7 +16,7 @@ matched up in the corresponding hardware datasets.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import NamedTuple
 
@@ -35,8 +35,7 @@ from .optics import (
     classify_arrival,
     port_offsets,
 )
-from .protocol import ProtocolConfig, build_sequence, prep_theta, pulse_times
-from .qsim import SubsystemSpec, basis_ket, embedded_matrix
+from .protocol import ProtocolConfig, build_sequence, pulse_times, step_kraus
 
 RECORD_COLUMNS = ("cycle_id", "port", "arrival_class", "t_ns", "phase_rad", "prep_sign", "readout_click")
 # In memory, the three label columns hold uint8 codes that index the label
@@ -110,6 +109,14 @@ class DetectionParams:
         if self.block_size < 1:
             raise EventModelError("block_size must be >= 1")
 
+    def validate_photons(self, n_photons: int) -> None:
+        """Refuse background clicks on a photon chain: the chain sampler does not model them."""
+        if n_photons > 1 and self.background_rate_hz > 0:
+            raise EventModelError(
+                f"background_rate_hz must be 0 when n_photons > 1, got {self.background_rate_hz}: "
+                "background clicks are modeled on the single-photon path only"
+            )
+
     def detector_thinning(self, zpl_fraction: float) -> float:
         return min(1.0, self.zpl_efficiency / zpl_fraction)
 
@@ -127,11 +134,6 @@ class ClickRecord(NamedTuple):
 # -- trajectory compilation ------------------------------------------------------
 
 
-def _embed_all(kraus, layout) -> list[np.ndarray]:
-    """Full-space matrices of a Kraus set on a sampler's (spin, bins) layout."""
-    return [embedded_matrix(k, layout) for k in kraus]
-
-
 def _prep_codes(ids: np.ndarray, protocol_cfg: ProtocolConfig, detection: DetectionParams) -> np.ndarray:
     """Preparation code of each cycle id: minus on even and plus on odd ids
     when the preparations alternate, else the configured sign."""
@@ -140,19 +142,16 @@ def _prep_codes(ids: np.ndarray, protocol_cfg: ProtocolConfig, detection: Detect
     return np.full(ids.shape, PREP_NAMES.index(protocol_cfg.prep_sign), dtype=np.int64)
 
 
-def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig):
-    """Kraus matrices on the (spin, bin1, bin2) layout: the preparation (one
-    set per prep code), one entangling block (pulse, flip, pulse) and the
-    rotation between blocks."""
-    spin = SubsystemSpec(em.SPIN, em.SPIN_DIM)
-    layout = basis_ket((spin, SubsystemSpec("bin1", 2), SubsystemSpec("bin2", 2)), (0, 0, 0))
-    prep = [_embed_all(em.mw_rotation_kraus(prep_theta(name), params), layout) for name in PREP_NAMES]
-    block = [
-        _embed_all(em.optical_pulse_kraus(params, "bin1"), layout),
-        _embed_all(em.mw_rotation_kraus(np.pi, params), layout),
-        _embed_all(em.optical_pulse_kraus(params, "bin2"), layout),
+def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm: InterferometerConfig):
+    """Kraus matrices of the step list on the (spin, bin1, bin2) layout: the
+    preparation (one set per prep code), the first entangling block (pulse,
+    flip, pulse) and the rotation between blocks (empty for one photon)."""
+    schedules = [
+        [ops for _, ops in step_kraus(build_sequence(replace(protocol_cfg, prep_sign=name), ifm), params)]
+        for name in PREP_NAMES
     ]
-    return prep, block, _embed_all(em.mw_rotation_kraus(protocol_cfg.interblock_theta(), params), layout)
+    steps = schedules[0]
+    return [s[0] for s in schedules], steps[1:4], steps[4] if len(steps) > 4 else []
 
 
 class _BlockModel:
@@ -176,7 +175,7 @@ class _BlockModel:
         self.pulse_times = pulse_times(build_sequence(protocol_cfg, ifm))
         self.eta_det = detection.detector_thinning(params.zpl_fraction)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
-        self.init_pops = np.real(np.diag(em.initialize_spin(params).data))
+        self.init_pops = np.real(np.diag(em.initialize_spin(params)))
         self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
 
 
@@ -201,7 +200,7 @@ class _CompiledModel(_BlockModel):
 
         leaves: list[list[np.ndarray]] = [[] for _ in PREP_NAMES]
         probs: list[list[float]] = [[] for _ in PREP_NAMES]
-        prep_ops, block_ops, _ = _block_operators(params, protocol_cfg)
+        prep_ops, block_ops, _ = _block_operators(params, protocol_cfg, ifm)
         for prep_idx, ops in enumerate(prep_ops):
             chains = [ops, *block_ops]
             for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1):
@@ -300,10 +299,9 @@ class _ChainModel(_BlockModel):
     """
 
     def __init__(self, params, protocol_cfg, ifm, detection):
-        if detection.background_rate_hz > 0:
-            raise EventModelError("background clicks are modeled on the single-photon path only")
+        detection.validate_photons(protocol_cfg.n_photons)
         super().__init__(params, protocol_cfg, ifm, detection)
-        self.prep_ops, self.block_ops, self.interblock_ops = _block_operators(params, protocol_cfg)
+        self.prep_ops, self.block_ops, self.interblock_ops = _block_operators(params, protocol_cfg, ifm)
 
 
 # -- phase trajectory ------------------------------------------------------------

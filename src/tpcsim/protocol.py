@@ -8,27 +8,24 @@ stage merge the two bins into one polarization qubit. Repeating the block with
 an interleaved half rotation extends the output to a photon chain entangled
 with the spin (a linear-cluster resource in the default mode, a GHZ-type state
 with a full flip instead).
+
+The step list from ``build_sequence`` is the one schedule source. ``step_kraus``
+turns it into plain Kraus matrices on the (spin, bin1, bin2) layout, which the
+samplers in ``events`` and the one exact executor here share. The executor
+evolves a density matrix over (spin, bin1, bin2) x the photons so far and
+converts the two bins into a polarization qubit after each second pulse;
+``run_noisy`` returns its heralded state, and ``run_ideal`` runs it on an
+ideal emitter and returns pure states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import emitter as em
-from .optics import InterferometerConfig, tpc_transform
-from .qsim import (
-    Operator,
-    QuantumState,
-    SubsystemSpec,
-    apply,
-    apply_kraus,
-    basis_ket,
-    expectation,
-    partial_trace,
-    ry,
-    tensor,
-)
+from .optics import POL_H, POL_V, InterferometerConfig, arm_weights
+from .qsim import Operator, QuantumState, SubsystemSpec, expectation, partial_trace
 
 SPIN = em.SPIN
 
@@ -147,68 +144,146 @@ def pulse_times(steps: list[SequenceStep]) -> list[float]:
     return [s.time_ns for s in steps if s.kind == "optical_pulse"]
 
 
-# -- ideal executor ------------------------------------------------------------
+# -- exact executor ------------------------------------------------------------
+
+_MEASUREMENT_STAGE = ("green_init", "pump_init", "tomography_rotation", "readout")
+_BIN_STATES = 4  # joint occupations of (bin1, bin2); index 0 is both empty
+_TIME_BINS = (SubsystemSpec("bin1", 2), SubsystemSpec("bin2", 2))
 
 
-def run_ideal(
-    steps: list[SequenceStep],
-    phi: float = 0.0,
-    ifm: InterferometerConfig | None = None,
-    return_checkpoints: bool = False,
-):
-    """Exact pure-state evolution with all imperfections switched off.
+def _swap_bins(m: np.ndarray) -> np.ndarray:
+    """A matrix on the (spin, bin2, bin1) layout re-expressed on (spin, bin1, bin2)."""
+    d = em.SPIN_DIM
+    return m.reshape(d, 2, 2, d, 2, 2).transpose(0, 2, 1, 3, 5, 4).reshape(d * 4, d * 4)
 
-    The spin is reduced to its protocol qubit {|0>, |-1>}. Returns the heralded
-    state (every photon path-erased); with ``return_checkpoints`` also returns
-    the named intermediate states in order.
+
+def step_kraus(steps: list[SequenceStep], params: em.EmitterParams) -> list[tuple[SequenceStep, list[np.ndarray]]]:
+    """The Kraus matrices of each mw_rotation and optical_pulse step, in order.
+
+    Every matrix acts on the (spin, bin1, bin2) layout that the executor and
+    the samplers share: a rotation acts on the spin alone, and an optical pulse
+    writes into bin 1 when its pulse index is odd and into bin 2 when it is
+    even. Initialization, tomography rotation and readout carry no operator.
     """
-    cfg = replace(ifm or InterferometerConfig(), phase=phi)
-    spin = SubsystemSpec(SPIN, 2)
-    state = basis_ket((spin,), (1,))  # |-1>
-    checkpoints: list[tuple[str, QuantumState]] = [("initialized", state.copy())]
-
-    mw_seen = 0
-    pulses_seen = 0
-    photons_done = 0
+    on_bin1 = [np.kron(k, np.eye(2)) for k in em.optical_pulse_kraus(params)]
+    pulse_ops = (on_bin1, [_swap_bins(m) for m in on_bin1])
+    out = []
+    pulses = 0
     for step in steps:
-        if step.kind in ("green_init", "pump_init", "readout", "tomography_rotation"):
-            continue
         if step.kind == "mw_rotation":
-            mw_seen += 1
-            state = apply(state, ry(step.theta, SPIN, 2))
-            name = "prepared" if mw_seen == 1 else f"after_flip_{mw_seen - 1}"
-            checkpoints.append((name, state.copy()))
+            out.append((step, [np.kron(k, np.eye(_BIN_STATES)) for k in em.mw_rotation_kraus(step.theta, params)]))
         elif step.kind == "optical_pulse":
-            pulses_seen += 1
-            vac = basis_ket((SubsystemSpec(step.bin_label, 2),), (em.BIN_VAC,))
-            state = tensor(state, vac)
-            state = apply(state, em.ideal_pulse_operator(step.bin_label, 2))
-            checkpoints.append((f"after_pulse_{pulses_seen}", state.copy()))
-            if pulses_seen % 2 == 0:
-                photons_done += 1
-                pair = (bin_label(pulses_seen - 1), bin_label(pulses_seen))
-                state, _ = tpc_transform(state, cfg, bins=pair, pol_label=photon_label(photons_done))
-                checkpoints.append((f"converted_{photons_done}", state.copy()))
-        else:
+            out.append((step, pulse_ops[pulses % 2]))
+            pulses += 1
+        elif step.kind not in _MEASUREMENT_STAGE:
             raise ProtocolError(f"unknown step kind {step.kind!r}")
+    return out
 
+
+def _convert(rho: np.ndarray, photons: int, ifm: InterferometerConfig) -> np.ndarray:
+    """Herald the two time bins in the path-erasing window as one new, last
+    photon qubit, and leave the bins empty.
+
+    H <- |10> sqrt(e1) e^{i phase} and V <- |01> sqrt(e2), with e1 and e2 the
+    erasing arm weights; the H-V coherence is scaled by the erasure
+    visibility. Vacuum and double occupation drop out, so the trace falls by
+    the heralding probability.
+    """
+    (e1, _), (e2, _) = arm_weights(ifm)
+    cross = np.sqrt(e1 * e2) * np.exp(1j * ifm.phase) * ifm.erasure_visibility
+    d, p = em.SPIN_DIM, 2**photons
+    t = rho.reshape(d, 2, 2, p, d, 2, 2, p)
+    out = np.zeros((d, _BIN_STATES, p, 2, d, _BIN_STATES, p, 2), dtype=complex)
+    out[:, 0, :, POL_H, :, 0, :, POL_H] = e1 * t[:, 1, 0, :, :, 1, 0, :]
+    out[:, 0, :, POL_V, :, 0, :, POL_V] = e2 * t[:, 0, 1, :, :, 0, 1, :]
+    out[:, 0, :, POL_H, :, 0, :, POL_V] = cross * t[:, 1, 0, :, :, 0, 1, :]
+    out[:, 0, :, POL_V, :, 0, :, POL_H] = np.conj(cross) * t[:, 0, 1, :, :, 1, 0, :]
+    n = 2 * rho.shape[0]
+    return out.reshape(n, n)
+
+
+def _left(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(K x identity on the photons) @ rho, for K on the leading (spin, bin1, bin2) factor."""
+    return (k @ rho.reshape(k.shape[0], -1)).reshape(rho.shape)
+
+
+def _evolve(steps: list[SequenceStep], params: em.EmitterParams, ifm: InterferometerConfig):
+    """Density-matrix evolution on (spin, bin1, bin2) x the photons so far.
+
+    Yields (checkpoint name, density matrix, photons so far) after the spin
+    initialization and after every step; each second pulse is followed by
+    the conversion of its bins into a photon. Nothing is renormalized, so the
+    trace is the probability that every photon so far heralded.
+    """
+    params.validate()
+    ifm.validate()
+    rho = np.kron(em.initialize_spin(params), np.diag([1.0, 0.0, 0.0, 0.0]))  # both bins empty
+    yield "initialized", rho, 0
+    photons = pulses = rotations = 0
+    for step, ops in step_kraus(steps, params):
+        rho = sum(_left(k, _left(k, rho).conj().T) for k in ops)  # K rho K^dag, as rho is Hermitian
+        if step.kind == "mw_rotation":
+            rotations += 1
+            yield ("prepared" if rotations == 1 else f"after_flip_{rotations - 1}"), rho, photons
+            continue
+        pulses += 1
+        yield f"after_pulse_{pulses}", rho, photons
+        if pulses % 2 == 0:
+            rho = _convert(rho, photons, ifm)
+            photons += 1
+            yield f"converted_{photons}", rho, photons
+    if pulses % 2:
+        raise ProtocolError("the step list ends between the two pulses of a photon")
+
+
+def _restrict(rho: np.ndarray, photons: int, spin_levels: int, keep_bins: bool) -> np.ndarray:
+    """The part of ``rho`` on the first ``spin_levels`` spin levels, with the
+    bins kept, or dropped by taking their empty state."""
+    d, p = em.SPIN_DIM, 2**photons
+    t = rho.reshape(d, _BIN_STATES, p, d, _BIN_STATES, p)[:spin_levels, :, :, :spin_levels, :, :]
+    if not keep_bins:
+        t = t[:, :1, :, :, :1, :]
+    n = spin_levels * t.shape[1] * p
+    return t.reshape(n, n)
+
+
+def _subsystems(spin_levels: int, photons: int, keep_bins: bool) -> tuple[SubsystemSpec, ...]:
+    bins = _TIME_BINS if keep_bins else ()
+    return (SubsystemSpec(SPIN, spin_levels), *bins, *(SubsystemSpec(photon_label(k), 2) for k in range(1, photons + 1)))
+
+
+def _ket(rho: np.ndarray, photons: int, keep_bins: bool) -> QuantumState:
+    """The normalized pure qubit-spin state of a rank-one ``rho``, up to a global phase."""
+    m = _restrict(rho, photons, 2, keep_bins)
+    if m.trace().real <= 0:
+        raise ProtocolError("zero heralding probability: no photon heralds in the path-erasing window")
+    j = int(np.argmax(m.diagonal().real))
+    psi = m[:, j] / np.sqrt(m[j, j].real * m.trace().real)
+    return QuantumState(_subsystems(2, photons, keep_bins), psi, "pure")
+
+
+_IDEAL_EMITTER = dict(
+    p_cross=0.0, zpl_fraction=1.0, p_shelve=0.0, p_spin_flip=0.0, init_fidelity=1.0, nuclear_pol=1.0, pi_pulse_error=0.0
+)
+
+
+def run_ideal(steps: list[SequenceStep], phi: float = 0.0, return_checkpoints: bool = False):
+    """Exact evolution with all imperfections switched off, as pure states.
+
+    Runs the executor of ``run_noisy`` on an ideal emitter and a balanced
+    interferometer at phase ``phi``, and keeps the spin's protocol qubit
+    {|0>, |-1>}. Returns the heralded (spin, photon1..N) state (every photon
+    path-erased); with ``return_checkpoints`` also the named intermediate
+    states in order, each on (spin, bin1, bin2, photons so far).
+    """
+    checkpoints = []
+    for name, rho, photons in _evolve(steps, em.EmitterParams(**_IDEAL_EMITTER), InterferometerConfig(phase=phi)):
+        if return_checkpoints:
+            checkpoints.append((name, _ket(rho, photons, keep_bins=True)))
+    final = _ket(rho, photons, keep_bins=False)
     if return_checkpoints:
-        return state, checkpoints
-    return state
-
-
-def bell_target(phi: float = 0.0, labels: tuple[str, str] = (SPIN, "photon1")) -> QuantumState:
-    """(|0>|V> + e^{i phi} |-1>|H>)/sqrt2 with qubit spin."""
-    from .optics import POL_H, POL_V
-
-    amps = np.zeros(4, dtype=complex)
-    amps[0 * 2 + POL_V] = 1.0
-    amps[1 * 2 + POL_H] = np.exp(1j * phi)
-    subs = (SubsystemSpec(labels[0], 2), SubsystemSpec(labels[1], 2))
-    return QuantumState(subs, amps / np.sqrt(2.0), "pure")
-
-
-# -- noisy executor ------------------------------------------------------------
+        return final, checkpoints
+    return final
 
 
 def run_noisy(
@@ -218,47 +293,15 @@ def run_noisy(
 ):
     """Density-matrix evolution of the full imperfection model.
 
-    Returns the state conditioned on every photon heralding in the path-erasing
-    window, unnormalized: its trace is the heralding probability. Joint double
-    occupation of a bin pair lies outside the protocol subspace and counts as
-    heralding failure. Tomography rotation and readout are measurement stage
-    and are not applied.
+    Returns the (spin, photon1..N) state conditioned on every photon heralding
+    in the path-erasing window, unnormalized: its trace is the heralding
+    probability. Joint double occupation of a bin pair lies outside the
+    protocol subspace and counts as heralding failure. Tomography rotation and
+    readout are measurement stage and are not applied.
     """
-    params.validate()
-    ifm.validate()
-    state = em.initialize_spin(params)
-    success = 1.0
-    pulses_seen = 0
-    photons_done = 0
-    for step in steps:
-        if step.kind in ("green_init", "pump_init", "readout", "tomography_rotation"):
-            continue
-        if step.kind == "mw_rotation":
-            state = apply_kraus(state, em.mw_rotation_kraus(step.theta, params))
-        elif step.kind == "optical_pulse":
-            pulses_seen += 1
-            state = em.optical_pi_pulse(state, params, step.bin_label)
-            if pulses_seen % 2 == 0:
-                photons_done += 1
-                pair = (bin_label(pulses_seen - 1), bin_label(pulses_seen))
-                state, p_keep = _project_out_double_occupation(state, pair)
-                success *= p_keep
-                state, p_herald = tpc_transform(state, ifm, bins=pair, pol_label=photon_label(photons_done))
-                success *= p_herald
-        else:
-            raise ProtocolError(f"unknown step kind {step.kind!r}")
-
-    return QuantumState(state.subsystems, state.data * success, "mixed")
-
-
-def _project_out_double_occupation(state: QuantumState, bins: tuple[str, str]):
-    proj = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
-    out = apply_kraus(state, [Operator(proj, bins)], require_tp=False)
-    before = state.trace()
-    after = out.trace()
-    if after <= 0:
-        raise ProtocolError("no population left inside the protocol subspace")
-    return out.normalized(), after / before
+    for _, rho, photons in _evolve(steps, params, ifm):
+        pass
+    return QuantumState(_subsystems(em.SPIN_DIM, photons, False), _restrict(rho, photons, em.SPIN_DIM, False), "mixed")
 
 
 def as_qubit_pair(state: QuantumState, photon: str = "photon1") -> QuantumState:

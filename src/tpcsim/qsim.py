@@ -1,21 +1,20 @@
-"""Dense linear algebra for small composite Hilbert spaces.
+"""Labelled states and observables: what the exact executors return.
 
-States live on an ordered list of labelled finite-dimensional subsystems and
-are stored either as pure amplitude vectors or as density matrices. Everything
-is value-semantic: no function mutates its arguments, so concurrent callers
-only need to own their RNG stream.
+The executors in ``protocol`` evolve plain matrices. Their results are
+labelled here as states on an ordered list of finite-dimensional subsystems,
+stored as pure amplitude vectors or density matrices, and read out through
+partial traces and expectation values. Everything is value-semantic: no
+function mutates its arguments.
 
 Total dimensions in this project stay below ~2048, so all storage is dense.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
 ALG_TOL = 1e-10        # tolerance for algebraic identities (norms, hermiticity)
-PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
 
 
 class QsimError(ValueError):
@@ -133,51 +132,6 @@ class QuantumState:
         rho = np.outer(self.data, self.data.conj())
         return QuantumState(self.subsystems, rho, "mixed")
 
-    def fidelity_to(self, target: "QuantumState") -> float:
-        """<target|rho|target> against a pure target state."""
-        if not target.is_pure:
-            raise QsimError("fidelity target must be pure")
-        if self.labels != target.labels:
-            raise QsimError("fidelity requires identical subsystem layouts")
-        if self.is_pure:
-            return float(abs(np.vdot(target.data, self.data)) ** 2)
-        return float(np.real(target.data.conj() @ self.data @ target.data))
-
-
-# -- constructors -------------------------------------------------------------
-
-
-def basis_ket(subsystems, indices) -> QuantumState:
-    """Pure product basis state |i1, i2, ...> on the given subsystems."""
-    subsystems = tuple(subsystems)
-    indices = tuple(indices)
-    if len(indices) != len(subsystems):
-        raise QsimError("one basis index per subsystem required")
-    dims = [s.dim for s in subsystems]
-    for i, (idx, d) in enumerate(zip(indices, dims)):
-        if not 0 <= idx < d:
-            raise QsimError(f"basis index {idx} out of range for dim {d}")
-    vec = np.zeros(int(np.prod(dims)), dtype=complex)
-    vec[int(np.ravel_multi_index(indices, dims))] = 1.0
-    return QuantumState(subsystems, vec, "pure")
-
-
-def ry(theta: float, target: str = "spin", dim: int = 2, levels: tuple[int, int] = (0, 1)) -> Operator:
-    """Rotation about y in the two-level subspace ``levels``; identity elsewhere.
-
-    In the ordered qubit basis the block is [[cos t/2, -sin t/2], [sin t/2,
-    cos t/2]], so ry(pi/2) maps the second level to (second - first)/sqrt(2).
-    """
-    c, s = cos(theta / 2.0), sin(theta / 2.0)
-    m = np.eye(dim, dtype=complex)
-    a, b = levels
-    m[a, a] = c
-    m[a, b] = -s
-    m[b, a] = s
-    m[b, b] = c
-    return Operator(m, (target,))
-
-
 # -- internal index plumbing ---------------------------------------------------
 
 
@@ -217,56 +171,7 @@ def embedded_matrix(op: Operator, state: QuantumState) -> np.ndarray:
     return out.reshape(d, d)
 
 
-# -- operations ----------------------------------------------------------------
-
-
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Tensor product; mixed representation wins if the kinds differ."""
-    overlap_labels = set(a.labels) & set(b.labels)
-    if overlap_labels:
-        raise QsimError(f"duplicate subsystem labels in tensor: {sorted(overlap_labels)}")
-    if a.kind != b.kind:
-        a, b = a.to_density(), b.to_density()
-    subs = a.subsystems + b.subsystems
-    if a.is_pure:
-        return QuantumState(subs, np.kron(a.data, b.data), "pure")
-    return QuantumState(subs, np.kron(a.data, b.data), "mixed")
-
-
-def apply(state: QuantumState, op: Operator) -> QuantumState:
-    """Apply an operator: U|psi> for pure states, U rho U^dag for mixed."""
-    m = embedded_matrix(op, state)
-    if state.is_pure:
-        return QuantumState(state.subsystems, m @ state.data, "pure")
-    return QuantumState(state.subsystems, m @ state.data @ m.conj().T, "mixed")
-
-
-def apply_kraus(state: QuantumState, kraus: list[Operator], *, require_tp: bool = True) -> QuantumState:
-    """Channel application rho -> sum_k K rho K^dag (pure states auto-promote).
-
-    With ``require_tp`` the Kraus set must resolve the identity on its targets
-    within ALG_TOL; otherwise sum K^dag K may be <= identity (lossy channel).
-    """
-    if not kraus:
-        raise QsimError("empty Kraus set")
-    targets = kraus[0].targets
-    if any(k.targets != targets for k in kraus):
-        raise QsimError("all Kraus operators must share the same targets")
-    total = sum(k.matrix.conj().T @ k.matrix for k in kraus)
-    eye = np.eye(kraus[0].dim)
-    if require_tp:
-        if not np.allclose(total, eye, atol=1e-9):
-            raise QsimError("Kraus set is not trace-preserving within tolerance")
-    else:
-        eigs = np.linalg.eigvalsh(eye - total)
-        if eigs.min() < PSD_EIG_FLOOR:
-            raise QsimError("Kraus set exceeds the identity: sum K^dag K > I")
-    rho = state.to_density()
-    out = np.zeros_like(rho.data)
-    for k in kraus:
-        m = embedded_matrix(k, rho)
-        out += m @ rho.data @ m.conj().T
-    return QuantumState(rho.subsystems, out, "mixed")
+# -- observables ---------------------------------------------------------------
 
 
 def partial_trace(state: QuantumState, keep) -> QuantumState:

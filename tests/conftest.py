@@ -1,9 +1,18 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the reference state algebra that
+the tests check the program against: basis states, products, operator and
+channel application on labelled states, fidelities, the interferometer's
+routing table and analyzer ports, and the target Bell state."""
+from math import cos, sin
+
 import numpy as np
 
+from tpcsim import emitter as em
 from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
-from tpcsim.qsim import ALG_TOL, PSD_EIG_FLOOR, Operator, QsimError, QuantumState
+from tpcsim.optics import POL_H, POL_V, PORT_NAMES, InterferometerConfig, OpticsModelError, port_offsets
+from tpcsim.protocol import ProtocolConfig, build_sequence, step_kraus
+from tpcsim.qsim import ALG_TOL, Operator, QsimError, QuantumState, SubsystemSpec, embedded_matrix
 
+PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
 LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
 
 
@@ -71,3 +80,187 @@ def write_fixture_ini(path):
         + "\n[detection]\nzpl_efficiency = 1.0\nseed = 404\n"
         + "\n[analysis]\np_readout_click = 0.167\n"
     )
+
+
+# -- reference state algebra on labelled states ----------------------------------
+
+
+def basis_ket(subsystems, indices) -> QuantumState:
+    """Pure product basis state |i1, i2, ...> on the given subsystems."""
+    subsystems = tuple(subsystems)
+    indices = tuple(indices)
+    if len(indices) != len(subsystems):
+        raise QsimError("one basis index per subsystem required")
+    dims = [s.dim for s in subsystems]
+    for i, (idx, d) in enumerate(zip(indices, dims)):
+        if not 0 <= idx < d:
+            raise QsimError(f"basis index {idx} out of range for dim {d}")
+    vec = np.zeros(int(np.prod(dims)), dtype=complex)
+    vec[int(np.ravel_multi_index(indices, dims))] = 1.0
+    return QuantumState(subsystems, vec, "pure")
+
+
+def ry(theta: float, target: str = "spin", dim: int = 2, levels: tuple[int, int] = (0, 1)) -> Operator:
+    """Rotation about y in the two-level subspace ``levels``; identity elsewhere.
+
+    In the ordered qubit basis the block is [[cos t/2, -sin t/2], [sin t/2,
+    cos t/2]], so ry(pi/2) maps the second level to (second - first)/sqrt(2).
+    """
+    c, s = cos(theta / 2.0), sin(theta / 2.0)
+    m = np.eye(dim, dtype=complex)
+    a, b = levels
+    m[a, a] = c
+    m[a, b] = -s
+    m[b, a] = s
+    m[b, b] = c
+    return Operator(m, (target,))
+
+
+def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
+    """Tensor product; mixed representation wins if the kinds differ."""
+    overlap_labels = set(a.labels) & set(b.labels)
+    if overlap_labels:
+        raise QsimError(f"duplicate subsystem labels in tensor: {sorted(overlap_labels)}")
+    if a.kind != b.kind:
+        a, b = a.to_density(), b.to_density()
+    subs = a.subsystems + b.subsystems
+    if a.is_pure:
+        return QuantumState(subs, np.kron(a.data, b.data), "pure")
+    return QuantumState(subs, np.kron(a.data, b.data), "mixed")
+
+
+def apply(state: QuantumState, op: Operator) -> QuantumState:
+    """Apply an operator: U|psi> for pure states, U rho U^dag for mixed."""
+    m = embedded_matrix(op, state)
+    if state.is_pure:
+        return QuantumState(state.subsystems, m @ state.data, "pure")
+    return QuantumState(state.subsystems, m @ state.data @ m.conj().T, "mixed")
+
+
+def apply_kraus(state: QuantumState, kraus: list[Operator], *, require_tp: bool = True) -> QuantumState:
+    """Channel application rho -> sum_k K rho K^dag (pure states auto-promote).
+
+    With ``require_tp`` the Kraus set must resolve the identity on its targets
+    within ALG_TOL; otherwise sum K^dag K may be <= identity (lossy channel).
+    """
+    if not kraus:
+        raise QsimError("empty Kraus set")
+    targets = kraus[0].targets
+    if any(k.targets != targets for k in kraus):
+        raise QsimError("all Kraus operators must share the same targets")
+    total = sum(k.matrix.conj().T @ k.matrix for k in kraus)
+    eye = np.eye(kraus[0].dim)
+    if require_tp:
+        if not np.allclose(total, eye, atol=1e-9):
+            raise QsimError("Kraus set is not trace-preserving within tolerance")
+    else:
+        eigs = np.linalg.eigvalsh(eye - total)
+        if eigs.min() < PSD_EIG_FLOOR:
+            raise QsimError("Kraus set exceeds the identity: sum K^dag K > I")
+    rho = state.to_density()
+    out = np.zeros_like(rho.data)
+    for k in kraus:
+        m = embedded_matrix(k, rho)
+        out += m @ rho.data @ m.conj().T
+    return QuantumState(rho.subsystems, out, "mixed")
+
+
+def fidelity_to(state: QuantumState, target: QuantumState) -> float:
+    """<target|rho|target> against a pure target state."""
+    if not target.is_pure:
+        raise QsimError("fidelity target must be pure")
+    if state.labels != target.labels:
+        raise QsimError("fidelity requires identical subsystem layouts")
+    if state.is_pure:
+        return float(abs(np.vdot(target.data, state.data)) ** 2)
+    return float(np.real(target.data.conj() @ state.data @ target.data))
+
+
+def bell_target(phi: float = 0.0, labels: tuple[str, str] = ("spin", "photon1")) -> QuantumState:
+    """(|0>|V> + e^{i phi} |-1>|H>)/sqrt2 with qubit spin."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0 * 2 + POL_V] = 1.0
+    amps[1 * 2 + POL_H] = np.exp(1j * phi)
+    subs = (SubsystemSpec(labels[0], 2), SubsystemSpec(labels[1], 2))
+    return QuantumState(subs, amps / np.sqrt(2.0), "pure")
+
+
+# -- reference interferometer: routing table and analyzer ports -------------------
+
+
+def route(emission_cycle: str, arm: str, t_emit: float, config: InterferometerConfig):
+    """Arrival time and physical polarization for one (cycle, arm) choice.
+
+    The short arm is the time reference (zero extra propagation). The long arm
+    always carries H, the short arm V.
+    """
+    if emission_cycle not in ("first", "second"):
+        raise OpticsModelError(f"unknown emission cycle {emission_cycle!r}")
+    if arm not in ("short", "long"):
+        raise OpticsModelError(f"unknown arm {arm!r}")
+    delay = config.delay_ns if arm == "long" else 0.0
+    pol = "H" if arm == "long" else "V"
+    return t_emit + delay, pol
+
+
+def port_projector(port: str, config: InterferometerConfig, pol_label: str = "pol") -> tuple[Operator, Operator]:
+    """Projector pair for an equatorial port at the current instrument phase.
+
+    The first projector is onto (|H> + e^{i(phase+offset)}|V>)/sqrt2, the
+    second onto its orthogonal complement. The Z `port` is timing-based and
+    has no projector.
+    """
+    if port not in PORT_NAMES:
+        raise OpticsModelError(f"port {port!r} has no equatorial projector")
+    alpha = config.phase + port_offsets(config.quadrature_offset)[PORT_NAMES.index(port)]
+    plus = np.array([1.0, np.exp(1j * alpha)], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1.0, -np.exp(1j * alpha)], dtype=complex) / np.sqrt(2.0)
+    return (
+        Operator(np.outer(plus, plus.conj()), (pol_label,)),
+        Operator(np.outer(minus, minus.conj()), (pol_label,)),
+    )
+
+
+def hardware_port_states(config: InterferometerConfig) -> dict[str, np.ndarray]:
+    """Fixed analyzer states of the four detectors (no instrument phase).
+
+    The interferometer phase is carried by the state (attached to the long-arm
+    H component when the executor converts the bins); projecting the phased
+    state onto these fixed analyzers is equivalent to projecting the unphased
+    state onto the phase-dependent bases reported by ``port_projector``.
+    """
+    offsets = port_offsets(config.quadrature_offset)
+    return {
+        name: np.array([1.0, np.exp(1j * offset)], dtype=complex) / np.sqrt(2.0)
+        for name, offset in zip(PORT_NAMES, offsets)
+    }
+
+
+# -- the executor's plain matrices on (spin, bin1, bin2) ------------------------------
+
+
+def channel(kraus, rho):
+    """sum_k K rho K^dag for plain Kraus matrices and a density matrix."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def pulse_kraus(params: em.EmitterParams, pulse_index: int = 1) -> list[np.ndarray]:
+    """The 28x28 Kraus matrices on (spin, bin1, bin2) of optical pulse
+    ``pulse_index`` of a single-photon sequence: 1 writes bin 1, 2 writes bin 2."""
+    steps = build_sequence(ProtocolConfig(), InterferometerConfig())
+    return [ops for step, ops in step_kraus(steps, params) if step.kind == "optical_pulse"][pulse_index - 1]
+
+
+def with_empty_bins(spin) -> np.ndarray:
+    """A 7-level spin ket or density matrix with both time bins empty, as a
+    28x28 density matrix on (spin, bin1, bin2)."""
+    spin = np.asarray(spin, dtype=complex)
+    if spin.ndim == 1:
+        spin = np.outer(spin, spin.conj())
+    return np.kron(spin, np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def first_bin(rho) -> np.ndarray:
+    """The (spin, bin1) density matrix of a (spin, bin1, bin2) one whose bin 2 is empty."""
+    d = em.SPIN_DIM
+    return rho.reshape(d, 2, 2, d, 2, 2)[:, :, 0, :, :, 0].reshape(2 * d, 2 * d)

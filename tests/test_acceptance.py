@@ -15,11 +15,10 @@ from tpcsim.analysis import AnalysisParams, analyze_records, fidelity_bound
 from tpcsim.cli import main
 from tpcsim.emitter import EmitterParams
 from tpcsim.events import EARLY, ERASED, LATE, DetectionParams, pair_coincidences, read_records, simulate_cycles, summarize
-from tpcsim.optics import InterferometerConfig, classify_arrival, route, ArrivalClass
+from tpcsim.optics import InterferometerConfig, classify_arrival, ArrivalClass
 from tpcsim.protocol import (
     ProtocolConfig,
     as_qubit_pair,
-    bell_target,
     build_sequence,
     run_ideal,
     run_noisy,
@@ -27,7 +26,7 @@ from tpcsim.protocol import (
 )
 from tpcsim.qsim import Operator, expectation
 
-from conftest import FIXTURE, write_fixture_ini
+from conftest import FIXTURE, bell_target, fidelity_to, route, write_fixture_ini
 from test_protocol import brute_force_chain
 
 FIXTURE_TARGETS = dict(c_zz=0.837, c_xx=0.407, f_bound=0.647)
@@ -87,26 +86,29 @@ def test_criterion_1_ideal_protocol_exactness():
     named = dict(checkpoints)
     tol = 1.0 - 1e-10
 
-    ok = final.fidelity_to(bell_target(0.0)) >= tol
+    ok = fidelity_to(final, bell_target(0.0)) >= tol
 
+    # checkpoints live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
     prepared = named["prepared"]
-    psi0 = np.array([-1.0, 1.0]) / np.sqrt(2)
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0 * 4] = -1 / np.sqrt(2)
+    psi0[1 * 4] = 1 / np.sqrt(2)
     ok &= abs(np.vdot(psi0, prepared.data)) ** 2 >= tol
 
     after_a1 = named["after_pulse_1"]
-    psi_a1 = np.zeros(4, dtype=complex)
-    psi_a1[1 * 2 + 0] = 1 / np.sqrt(2)   # |-1, no photon>
-    psi_a1[0 * 2 + 1] = -1 / np.sqrt(2)  # -|0, photon>
+    psi_a1 = np.zeros(8, dtype=complex)
+    psi_a1[1 * 4 + 0 * 2] = 1 / np.sqrt(2)   # |-1, no photon>
+    psi_a1[0 * 4 + 1 * 2] = -1 / np.sqrt(2)  # -|0, photon>
     ok &= abs(np.vdot(psi_a1, after_a1.data)) ** 2 >= tol
 
     after_flip = named["after_flip_1"]
-    psi_flip = np.zeros(4, dtype=complex)
-    psi_flip[0 * 2 + 0] = 1 / np.sqrt(2)
-    psi_flip[1 * 2 + 1] = 1 / np.sqrt(2)
+    psi_flip = np.zeros(8, dtype=complex)
+    psi_flip[0 * 4 + 0 * 2] = 1 / np.sqrt(2)
+    psi_flip[1 * 4 + 1 * 2] = 1 / np.sqrt(2)
     ok &= abs(np.vdot(psi_flip, after_flip.data)) ** 2 >= tol
 
     for phi in (0.4, np.pi / 3):
-        ok &= run_ideal(steps, phi=phi).fidelity_to(bell_target(phi)) >= tol
+        ok &= fidelity_to(run_ideal(steps, phi=phi), bell_target(phi)) >= tol
 
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0

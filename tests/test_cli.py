@@ -89,6 +89,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "quadrature_offset" in err and "[analysis]" in err and "line 3" in err
 
+    @pytest.mark.parametrize("key", ["long_arm_pol", "short_arm_pol"])
+    def test_arm_polarization_is_unknown(self, tmp_path, capsys, key):
+        # the long arm is always H and the short arm V; no key selects them
+        path = tmp_path / "run.ini"
+        path.write_text(f"[interferometer]\ndelay_ns = 262.0\n{key} = V\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "[interferometer]" in err and "line 3" in err
+
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
     def test_shipped_config_validates(self, path, capsys):
         assert main(["validate", "--config", str(path)]) == 0
@@ -156,6 +165,16 @@ class TestCliSimulateAnalyze:
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"), "--cycles", "10"])
         assert code == 2
         assert "cycle_period_ns" in capsys.readouterr().err
+
+    def test_chain_with_background_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[protocol]\nn_photons = 2\ncycle_period_ns = 2e6\n\n[detection]\nbackground_rate_hz = 100\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "[detection] FAIL" in out and "background_rate_hz" in out
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv"), "--cycles", "10"])
+        assert code == 2
+        assert "background_rate_hz" in capsys.readouterr().err
 
     def test_analyze_refuses_chain_config(self, tmp_path, capsys):
         cfg = tmp_path / "chain.ini"

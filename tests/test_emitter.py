@@ -15,19 +15,11 @@ from tpcsim.emitter import (
     initialize_spin,
     lorentzian_cross_excitation,
     mw_rotation_kraus,
-    optical_pi_pulse,
-    optical_pulse_kraus,
     readout_click_probability,
-    spin_spec,
 )
-from tpcsim.qsim import (
-    QuantumState,
-    SubsystemSpec,
-    apply_kraus,
-    basis_ket,
-    partial_trace,
-    tensor,
-)
+from tpcsim.qsim import SubsystemSpec, partial_trace
+
+from conftest import basis_ket, channel, first_bin, pulse_kraus, tensor, with_empty_bins
 
 
 def ideal_params(**overrides):
@@ -45,12 +37,21 @@ def ideal_params(**overrides):
 
 
 def spin_ket(level):
-    return basis_ket((spin_spec(),), (level,))
+    return np.eye(SPIN_DIM, dtype=complex)[level]
+
+
+def spin_rho(level):
+    return np.outer(spin_ket(level), spin_ket(level))
+
+
+def optical_pi_pulse(spin, params):
+    """(spin, bin1) density matrix after the first optical pulse of a sequence."""
+    return first_bin(channel(pulse_kraus(params, 1), with_empty_bins(spin)))
 
 
 def kraus_is_trace_preserving(kraus):
-    dim = kraus[0].dim
-    total = sum(k.matrix.conj().T @ k.matrix for k in kraus)
+    dim = kraus[0].shape[0]
+    total = sum(k.conj().T @ k for k in kraus)
     return np.allclose(total, np.eye(dim), atol=1e-10)
 
 
@@ -76,18 +77,18 @@ class TestParams:
 class TestInitializeSpin:
     def test_perfect_init(self):
         state = initialize_spin(ideal_params())
-        assert abs(state.data[LVL_GM1, LVL_GM1] - 1.0) < 1e-12
+        assert abs(state[LVL_GM1, LVL_GM1] - 1.0) < 1e-12
 
     def test_published_fidelity_split(self):
         state = initialize_spin(EmitterParams(init_fidelity=0.979))
-        diag = np.real(np.diag(state.data))
+        diag = np.real(np.diag(state))
         assert abs(diag[LVL_G0] - 0.0105) < 1e-12
         assert abs(diag[LVL_GM1] - 0.979) < 1e-12
         assert abs(diag[LVL_GP1] - 0.0105) < 1e-12
 
     def test_one_third_gives_mixed_ground_manifold(self):
         state = initialize_spin(EmitterParams(init_fidelity=1.0 / 3.0))
-        diag = np.real(np.diag(state.data))
+        diag = np.real(np.diag(state))
         assert np.allclose(diag[:3], 1.0 / 3.0, atol=1e-12)
         assert np.allclose(diag[3:], 0.0)
 
@@ -96,26 +97,26 @@ class TestMwRotation:
     def test_pure_rotation_at_full_polarization(self):
         kraus = mw_rotation_kraus(np.pi / 2, ideal_params())
         assert len(kraus) == 1
-        out = apply_kraus(spin_ket(LVL_GM1), kraus)
+        out = channel(kraus, spin_rho(LVL_GM1))
         expected = np.zeros(SPIN_DIM, dtype=complex)
         expected[LVL_G0] = -1 / np.sqrt(2)
         expected[LVL_GM1] = 1 / np.sqrt(2)
-        assert np.allclose(out.data, np.outer(expected, expected.conj()), atol=1e-12)
+        assert np.allclose(out, np.outer(expected, expected.conj()), atol=1e-12)
 
     def test_dephasing_weight_scales_coherence(self):
         w = 0.7
         kraus = mw_rotation_kraus(np.pi / 2, ideal_params(nuclear_pol=w))
         assert kraus_is_trace_preserving(kraus)
-        out = apply_kraus(spin_ket(LVL_GM1), kraus)
+        out = channel(kraus, spin_rho(LVL_GM1))
         # populations are those of the perfect rotation, coherence is scaled by w
-        assert abs(out.data[LVL_G0, LVL_G0].real - 0.5) < 1e-12
-        assert abs(out.data[LVL_G0, LVL_GM1] + 0.5 * w) < 1e-12
+        assert abs(out[LVL_G0, LVL_G0].real - 0.5) < 1e-12
+        assert abs(out[LVL_G0, LVL_GM1] + 0.5 * w) < 1e-12
 
     def test_populations_after_rotation_unaffected_by_dephasing(self):
         for w in (1.0, 0.5, 0.0):
             kraus = mw_rotation_kraus(np.pi / 3, ideal_params(nuclear_pol=w))
-            out = apply_kraus(spin_ket(LVL_GM1), kraus)
-            assert abs(out.data[LVL_G0, LVL_G0].real - np.sin(np.pi / 6) ** 2) < 1e-12
+            out = channel(kraus, spin_rho(LVL_GM1))
+            assert abs(out[LVL_G0, LVL_G0].real - np.sin(np.pi / 6) ** 2) < 1e-12
 
 
 class TestBranchChannels:
@@ -123,33 +124,33 @@ class TestBranchChannels:
 
     def test_shelving_identity_at_zero(self):
         # cross excitation without shelving never reaches the shelf
-        out = optical_pi_pulse(spin_ket(LVL_GM1), ideal_params(p_cross=1.0), "bin1")
-        assert abs(out.data[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC]) < 1e-12
-        assert abs(out.data[LVL_GM1 * 2 + BIN_VAC, LVL_GM1 * 2 + BIN_VAC].real - 1.0) < 1e-12
+        out = optical_pi_pulse(spin_ket(LVL_GM1), ideal_params(p_cross=1.0))
+        assert abs(out[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC]) < 1e-12
+        assert abs(out[LVL_GM1 * 2 + BIN_VAC, LVL_GM1 * 2 + BIN_VAC].real - 1.0) < 1e-12
 
     def test_shelving_half_from_excited(self):
         params = ideal_params(p_cross=1.0, p_shelve=0.5)
-        out = optical_pi_pulse(spin_ket(LVL_GM1), params, "bin1")
-        assert abs(out.data[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC].real - 0.5) < 1e-12
+        out = optical_pi_pulse(spin_ket(LVL_GM1), params)
+        assert abs(out[LVL_MS * 2 + BIN_VAC, LVL_MS * 2 + BIN_VAC].real - 0.5) < 1e-12
 
     def test_shelving_composition(self):
         # two pulses at p: MS population 1 - (1 - p)^2
         params = ideal_params(p_cross=1.0, p_shelve=0.5)
-        out = optical_pi_pulse(spin_ket(LVL_GM1), params, "bin1")
-        out = optical_pi_pulse(out, params, "bin2")
-        ms = partial_trace(out, ["spin"]).data[LVL_MS, LVL_MS].real
+        out = channel(pulse_kraus(params, 1), with_empty_bins(spin_ket(LVL_GM1)))
+        out = channel(pulse_kraus(params, 2), out)
+        ms = np.trace(out.reshape(SPIN_DIM, 4, SPIN_DIM, 4)[LVL_MS, :, LVL_MS, :]).real
         assert abs(ms - 0.75) < 1e-12
 
     def test_channels_trace_preserving(self):
         params = ideal_params(p_shelve=0.3, p_spin_flip=0.4)
-        assert kraus_is_trace_preserving(optical_pulse_kraus(params, "bin1"))
-        assert kraus_is_trace_preserving(optical_pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3), "bin1"))
+        assert kraus_is_trace_preserving(pulse_kraus(params, 1))
+        assert kraus_is_trace_preserving(pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3), 2))
 
     def test_spin_flip_moves_population_across_excited_manifold(self):
         # the resonant excitation decays back to |0> or, mixed, to |-1> and |+1>
         params = ideal_params(p_spin_flip=0.4)
-        out = optical_pi_pulse(spin_ket(LVL_G0), params, "bin1")
-        diag = np.real(np.diag(out.data))
+        out = optical_pi_pulse(spin_ket(LVL_G0), params)
+        diag = np.real(np.diag(out))
         assert abs(diag[LVL_G0 * 2 + BIN_OCC] - 0.6) < 1e-12
         assert abs(diag[LVL_GM1 * 2 + BIN_OCC] - 0.2) < 1e-12
         assert abs(diag[LVL_GP1 * 2 + BIN_OCC] - 0.2) < 1e-12
@@ -169,38 +170,32 @@ class TestOpticalPulse:
                                 pi_pulse_error=eps,
                                 p_cross=pc,
                             )
-                            assert kraus_is_trace_preserving(optical_pulse_kraus(params, "b"))
+                            assert kraus_is_trace_preserving(pulse_kraus(params, 1))
 
     def test_ideal_pulse_entangles_photon_number(self):
         # psi0 (x) |vac> -> (|-1,0> - |0,1>)/sqrt2
         psi0 = np.zeros(SPIN_DIM, dtype=complex)
         psi0[LVL_G0] = -1 / np.sqrt(2)
         psi0[LVL_GM1] = 1 / np.sqrt(2)
-        state = QuantumState((spin_spec(),), psi0, "pure")
-        out = optical_pi_pulse(state, ideal_params(), "bin1")
+        out = optical_pi_pulse(psi0, ideal_params())
         expected = np.zeros(SPIN_DIM * 2, dtype=complex)
         expected[LVL_G0 * 2 + BIN_OCC] = -1 / np.sqrt(2)
         expected[LVL_GM1 * 2 + BIN_VAC] = 1 / np.sqrt(2)
-        assert np.allclose(out.data, np.outer(expected, expected.conj()), atol=1e-12)
+        assert np.allclose(out, np.outer(expected, expected.conj()), atol=1e-12)
 
     def test_no_resonant_transition_leaves_state(self):
-        out = optical_pi_pulse(spin_ket(LVL_GM1), ideal_params(), "bin1")
-        diag = np.real(np.diag(out.data))
+        out = optical_pi_pulse(spin_ket(LVL_GM1), ideal_params())
+        diag = np.real(np.diag(out))
         assert abs(diag[LVL_GM1 * 2 + BIN_VAC] - 1.0) < 1e-12
 
     def test_deterministic_shelving_via_cross_excitation(self):
         params = ideal_params(p_cross=1.0, p_shelve=1.0)
-        out = optical_pi_pulse(spin_ket(LVL_GM1), params, "bin1")
-        diag = np.real(np.diag(out.data))
+        out = optical_pi_pulse(spin_ket(LVL_GM1), params)
+        diag = np.real(np.diag(out))
         assert abs(diag[LVL_MS * 2 + BIN_VAC] - 1.0) < 1e-12
         # no photon amplitude anywhere
         occ = sum(diag[i * 2 + BIN_OCC] for i in range(SPIN_DIM))
         assert occ < 1e-12
-
-    def test_duplicate_bin_label_rejected(self):
-        state = optical_pi_pulse(spin_ket(LVL_G0), ideal_params(), "bin1")
-        with pytest.raises(EmitterModelError):
-            optical_pi_pulse(state, ideal_params(), "bin1")
 
     def test_channel_matches_branch_enumeration_oracle(self):
         # expected state assembled from the documented branch amplitudes by hand
@@ -212,8 +207,7 @@ class TestOpticalPulse:
         psi0 = np.zeros(SPIN_DIM, dtype=complex)
         psi0[LVL_G0] = -1 / np.sqrt(2)
         psi0[LVL_GM1] = 1 / np.sqrt(2)
-        state = QuantumState((spin_spec(),), psi0, "pure")
-        out = optical_pi_pulse(state, params, "b")
+        out = optical_pi_pulse(psi0, params)
 
         def ket(level, occ):
             v = np.zeros(SPIN_DIM * 2, dtype=complex)
@@ -237,8 +231,8 @@ class TestOpticalPulse:
         branches.append(am1 * np.sqrt(pc * psh) * ket(LVL_MS, 0))
         expected = sum(np.outer(b, b.conj()) for b in branches)
 
-        assert abs(out.trace() - 1.0) < 1e-10
-        assert np.allclose(out.data, expected, atol=1e-10)
+        assert abs(np.trace(out) - 1.0) < 1e-10
+        assert np.allclose(out, expected, atol=1e-10)
 
 
 class TestReadout:
@@ -257,7 +251,8 @@ class TestReadout:
         assert readout_click_probability(1.0, EmitterParams(p_readout_click=1.0), dark_click=0.01) == 1.0
 
     def test_works_on_composite_states(self):
-        joint = tensor(spin_ket(LVL_G0), basis_ket((SubsystemSpec("pol", 2),), (0,)))
+        spin = basis_ket((SubsystemSpec("spin", SPIN_DIM),), (LVL_G0,))
+        joint = tensor(spin, basis_ket((SubsystemSpec("pol", 2),), (0,)))
         p_bright = partial_trace(joint, ["spin"]).data[LVL_G0, LVL_G0].real
         p = readout_click_probability(np.array([p_bright, 0.0]), EmitterParams())
         assert np.allclose(p, [0.167, 0.0], atol=1e-12)

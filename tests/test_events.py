@@ -26,11 +26,11 @@ from tpcsim.events import (
     summarize,
     write_records,
 )
-from tpcsim.optics import InterferometerConfig, hardware_port_states
+from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig, build_sequence, pulse_times, run_noisy
-from tpcsim.qsim import apply, expectation, partial_trace, ry
+from tpcsim.qsim import expectation, partial_trace
 
-from conftest import make_records, projector_onto, write_fixture_ini
+from conftest import apply, hardware_port_states, make_records, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
 
@@ -204,10 +204,8 @@ class TestBornConsistency:
             s3 = 3 * np.sqrt(p_port / 2 * (1 - p_port / 2) / n_erased)
             assert abs(f - p_port / 2) <= s3  # analyzer halves split D/A vs R/L
 
-            from tpcsim.qsim import apply as qapply, partial_trace
-
-            collapsed = qapply(rho, proj).normalized()
-            rotated = qapply(collapsed, u_tomo)
+            collapsed = apply(rho, proj).normalized()
+            rotated = apply(collapsed, u_tomo)
             spin = partial_trace(rotated, ["spin"])
             p_bright = float(np.real(spin.data[0, 0]))
             fb = sel["readout_click"].mean()

@@ -1,4 +1,6 @@
 """Interferometer model tests: routing, classification, conversion, phase."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,27 +17,30 @@ from tpcsim.optics import (
     POL_H,
     POL_V,
     classify_arrival,
-    hardware_port_states,
-    port_projector,
-    route,
-    tpc_transform,
 )
-from tpcsim.protocol import ProtocolConfig, ProtocolError
-from tpcsim.qsim import SubsystemSpec
+from tpcsim.protocol import ProtocolConfig, ProtocolError, as_qubit_pair, build_sequence, run_ideal, run_noisy
 
-from conftest import pure_state
+from conftest import hardware_port_states, port_projector, route
 
-SPIN2 = SubsystemSpec("spin", 2)
-BIN1 = SubsystemSpec("bin1", 2)
-BIN2 = SubsystemSpec("bin2", 2)
+IDEAL_EMITTER = dict(
+    p_cross=0.0, zpl_fraction=1.0, p_shelve=0.0, p_spin_flip=0.0,
+    init_fidelity=1.0, nuclear_pol=1.0, pi_pulse_error=0.0,
+)
 
 
-def protocol_input(phase_free_sign=1.0):
-    """(|0>|vac,1> + sign |−1>|1,vac>)/sqrt2 on (spin, bin1, bin2)."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0 * 4 + 0 * 2 + 1] = 1.0  # |0, vac, 1>
-    amps[1 * 4 + 1 * 2 + 0] = phase_free_sign  # |-1, 1, vac>
-    return pure_state((SPIN2, BIN1, BIN2), amps / np.sqrt(2.0))
+def one_photon(prep=None, flip=None):
+    """The single-photon step list, with the angle of its preparation or flip
+    rotation replaced when given."""
+    steps = build_sequence(ProtocolConfig(), InterferometerConfig())
+    rotations = [i for i, step in enumerate(steps) if step.kind == "mw_rotation"]
+    for i, theta in zip(rotations, (prep, flip)):
+        if theta is not None:
+            steps[i] = replace(steps[i], theta=theta)
+    return steps
+
+
+def herald_probability(ifm, steps=None, **emitter):
+    return run_noisy(steps or one_photon(), EmitterParams(**dict(IDEAL_EMITTER, **emitter)), ifm).trace()
 
 
 class TestRouting:
@@ -101,64 +106,57 @@ class TestClassification:
 
 
 class TestTpcTransform:
+    """The time-to-polarization conversion of the executors: the early bin
+    becomes H, the late bin V, and the phase rides on the long-arm H."""
+
     def test_ideal_bell_state_and_success(self):
-        cfg = InterferometerConfig(phase=0.0)
-        heralded, prob = tpc_transform(protocol_input(), cfg)
+        prob = herald_probability(InterferometerConfig(phase=0.0))
+        heralded = run_ideal(one_photon(), phi=0.0)
         assert abs(prob - 0.5) < 1e-12
-        assert heralded.labels == ("spin", "pol")
+        assert heralded.labels == ("spin", "photon1")
         expected = np.zeros(4, dtype=complex)
         expected[0 * 2 + POL_V] = 1 / np.sqrt(2)
         expected[1 * 2 + POL_H] = 1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, heralded.data)) - 1.0) < 1e-10
 
     def test_phase_pi_flips_sign(self):
-        cfg = InterferometerConfig(phase=np.pi)
-        heralded, _ = tpc_transform(protocol_input(), cfg)
+        heralded = run_ideal(one_photon(), phi=np.pi)
         expected = np.zeros(4, dtype=complex)
         expected[0 * 2 + POL_V] = 1 / np.sqrt(2)
         expected[1 * 2 + POL_H] = -1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, heralded.data)) - 1.0) < 1e-10
 
     def test_single_bin_occupation_gives_deterministic_polarization(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[0 * 4 + 1 * 2 + 0] = 1.0  # |0, 1, vac>
-        state = pure_state((SPIN2, BIN1, BIN2), amps)
-        heralded, prob = tpc_transform(state, InterferometerConfig())
+        # a full prep turn puts the spin on |0>: it emits into bin 1 only, then flips to |-1>
+        steps = one_photon(prep=np.pi)
+        prob = herald_probability(InterferometerConfig(), steps)
+        heralded = run_ideal(steps)
         assert abs(prob - 0.5) < 1e-12
-        assert abs(abs(heralded.data[0 * 2 + POL_H]) - 1.0) < 1e-10
+        assert abs(abs(heralded.data[1 * 2 + POL_H]) - 1.0) < 1e-10
 
     def test_double_occupation_rejected(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[0 * 4 + 1 * 2 + 1] = 1.0
-        state = pure_state((SPIN2, BIN1, BIN2), amps)
-        with pytest.raises(OpticsModelError):
-            tpc_transform(state, InterferometerConfig())
+        # no flip between the pulses: |0> emits into both bins, which never heralds
+        steps = one_photon(prep=np.pi, flip=0.0)
+        assert abs(herald_probability(InterferometerConfig(), steps)) < 1e-12
+        with pytest.raises(ProtocolError):
+            run_ideal(steps)
 
     def test_active_switch_success_is_one(self):
         cfg = InterferometerConfig(active_switch=True)
-        heralded, prob = tpc_transform(protocol_input(), cfg)
-        assert abs(prob - 1.0) < 1e-12
-        assert abs(heralded.trace() - 1.0) < 1e-10
+        heralded = run_noisy(one_photon(), EmitterParams(**IDEAL_EMITTER), cfg)
+        assert abs(heralded.trace() - 1.0) < 1e-12
+        assert abs(heralded.normalized().trace() - 1.0) < 1e-10
 
     def test_phase_linearity(self):
         # output at phi equals diag(e^{i phi}, 1) applied to the output at 0
-        cfg0 = InterferometerConfig(phase=0.0)
-        cfg1 = InterferometerConfig(phase=0.8)
-        out0, _ = tpc_transform(protocol_input(), cfg0)
-        out1, _ = tpc_transform(protocol_input(), cfg1)
+        out0 = run_ideal(one_photon(), phi=0.0)
+        out1 = run_ideal(one_photon(), phi=0.8)
         rot = np.kron(np.eye(2), np.diag([np.exp(1j * 0.8), 1.0]))
         assert abs(abs(np.vdot(rot @ out0.data, out1.data)) - 1.0) < 1e-10
 
-    def test_mixed_path_agrees_with_pure_path(self):
-        cfg = InterferometerConfig(phase=0.4)
-        pure_out, p1 = tpc_transform(protocol_input(), cfg)
-        mixed_out, p2 = tpc_transform(protocol_input().to_density(), cfg)
-        assert abs(p1 - p2) < 1e-12
-        assert np.allclose(pure_out.to_density().data, mixed_out.data, atol=1e-10)
-
     def test_erasure_visibility_scales_coherence(self):
         cfg = InterferometerConfig(erasure_visibility=0.6)
-        out, _ = tpc_transform(protocol_input().to_density(), cfg)
+        out = as_qubit_pair(run_noisy(one_photon(), EmitterParams(**IDEAL_EMITTER), cfg).normalized())
         # coherence between |0,V> and |-1,H>
         coh = out.data[0 * 2 + POL_V, 1 * 2 + POL_H]
         assert abs(abs(coh) - 0.3) < 1e-10
@@ -166,13 +164,11 @@ class TestTpcTransform:
     def test_norm_preserved_after_renormalization(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            amps = np.zeros(8, dtype=complex)
-            amps[0 * 4 + 0 * 2 + 1] = rng.standard_normal() + 1j * rng.standard_normal()
-            amps[1 * 4 + 1 * 2 + 0] = rng.standard_normal() + 1j * rng.standard_normal()
-            amps[1 * 4 + 0 * 2 + 0] = rng.standard_normal()  # vacuum component
-            state = pure_state((SPIN2, BIN1, BIN2), amps / np.linalg.norm(amps))
-            out, prob = tpc_transform(state, InterferometerConfig())
-            assert abs(out.trace() - 1.0) < 1e-10
+            cfg = InterferometerConfig(split_ratio=rng.uniform(0.05, 0.95), phase=rng.uniform(0, 2 * np.pi))
+            emitter = dict(pi_pulse_error=rng.uniform(), init_fidelity=rng.uniform(), p_spin_flip=rng.uniform())
+            out = run_noisy(one_photon(), EmitterParams(**dict(IDEAL_EMITTER, **emitter)), cfg)
+            prob = out.trace()
+            assert abs(out.normalized().trace() - 1.0) < 1e-10
             assert 0.0 < prob <= 1.0
 
 
@@ -215,10 +211,7 @@ class TestPorts:
 
 def simulated_phases(ifm, seed, n_cycles, **protocol):
     """Recorded phase of every cycle; the ideal emitter yields one record per cycle."""
-    emitter = EmitterParams(
-        p_cross=0.0, zpl_fraction=1.0, p_shelve=0.0, p_spin_flip=0.0,
-        init_fidelity=1.0, nuclear_pol=1.0, pi_pulse_error=0.0,
-    )
+    emitter = EmitterParams(**IDEAL_EMITTER)
     det = DetectionParams(zpl_efficiency=1.0, seed=seed)
     recs = simulate_cycles(n_cycles, emitter, ifm, ProtocolConfig(**protocol), det)
     assert len(recs) == n_cycles

@@ -9,7 +9,6 @@ from tpcsim.protocol import (
     ProtocolConfig,
     ProtocolError,
     as_qubit_pair,
-    bell_target,
     build_sequence,
     chain_generators,
     format_sequence,
@@ -19,6 +18,8 @@ from tpcsim.protocol import (
     stabilizer_check,
 )
 from tpcsim.qsim import QuantumState, SubsystemSpec, expectation, Operator
+
+from conftest import apply, bell_target, fidelity_to
 
 
 def ideal_emitter(**overrides):
@@ -132,43 +133,46 @@ class TestBuildSequence:
 
 class TestRunIdeal:
     def test_checkpoints_reproduce_published_states(self):
+        # checkpoints live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
         steps = make_sequence(1)
         final, checkpoints = run_ideal(steps, phi=0.0, return_checkpoints=True)
         named = dict(checkpoints)
 
         prepared = named["prepared"]
-        expected = np.array([-1.0, 1.0]) / np.sqrt(2)  # (|-1> - |0>)/sqrt2
+        expected = np.zeros(8, dtype=complex)  # (|-1> - |0>)/sqrt2, bins empty
+        expected[0 * 4] = -1 / np.sqrt(2)
+        expected[1 * 4] = 1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, prepared.data)) - 1.0) < 1e-10
 
         after_a1 = named["after_pulse_1"]
-        expected = np.zeros(4, dtype=complex)  # (|-1,vac> - |0,photon>)/sqrt2
-        expected[1 * 2 + 0] = 1 / np.sqrt(2)
-        expected[0 * 2 + 1] = -1 / np.sqrt(2)
+        expected = np.zeros(8, dtype=complex)  # (|-1,vac> - |0,photon>)/sqrt2
+        expected[1 * 4 + 0 * 2] = 1 / np.sqrt(2)
+        expected[0 * 4 + 1 * 2] = -1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, after_a1.data)) - 1.0) < 1e-10
 
         after_flip = named["after_flip_1"]
-        expected = np.zeros(4, dtype=complex)  # (|0,vac> + |-1,photon>)/sqrt2
-        expected[0 * 2 + 0] = 1 / np.sqrt(2)
-        expected[1 * 2 + 1] = 1 / np.sqrt(2)
+        expected = np.zeros(8, dtype=complex)  # (|0,vac> + |-1,photon>)/sqrt2
+        expected[0 * 4 + 0 * 2] = 1 / np.sqrt(2)
+        expected[1 * 4 + 1 * 2] = 1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, after_flip.data)) - 1.0) < 1e-10
 
-        assert final.fidelity_to(bell_target(0.0)) > 1.0 - 1e-10
+        assert fidelity_to(final, bell_target(0.0)) > 1.0 - 1e-10
 
     def test_minus_prep_gives_bell_plus(self):
         final = run_ideal(make_sequence(1, "minus"), phi=0.0)
-        assert final.fidelity_to(bell_target(0.0)) > 1.0 - 1e-10
+        assert fidelity_to(final, bell_target(0.0)) > 1.0 - 1e-10
 
     def test_plus_prep_gives_orthogonal_bell(self):
         # hand propagation of (|-1> + |0>)/sqrt2 gives (|0,V> - |-1,H>)/sqrt2
         final = run_ideal(make_sequence(1, "plus"), phi=0.0)
         minus_bell = bell_target(np.pi)  # (|0,V> - |-1,H>)/sqrt2
-        assert final.fidelity_to(minus_bell) > 1.0 - 1e-10
-        assert final.fidelity_to(bell_target(0.0)) < 1e-10
+        assert fidelity_to(final, minus_bell) > 1.0 - 1e-10
+        assert fidelity_to(final, bell_target(0.0)) < 1e-10
 
     def test_phase_appears_on_long_arm_component(self):
         for phi in (0.3, 1.2, np.pi):
             final = run_ideal(make_sequence(1), phi=phi)
-            assert final.fidelity_to(bell_target(phi)) > 1.0 - 1e-10
+            assert fidelity_to(final, bell_target(phi)) > 1.0 - 1e-10
 
     def test_phase_compensation_property(self):
         # rotating the photon phase of the phi output back reproduces phi = 0
@@ -176,10 +180,8 @@ class TestRunIdeal:
         for phi in rng.uniform(0, 2 * np.pi, 5):
             out_phi = run_ideal(make_sequence(1), phi=float(phi))
             comp = Operator(np.diag([np.exp(-1j * phi), 1.0]), ("photon1",))
-            from tpcsim.qsim import apply
-
             rotated = apply(out_phi, comp)
-            assert rotated.fidelity_to(bell_target(0.0)) > 1.0 - 1e-10
+            assert fidelity_to(rotated, bell_target(0.0)) > 1.0 - 1e-10
 
     def test_three_photon_chain_matches_brute_force(self):
         for n in (2, 3):
@@ -211,7 +213,7 @@ class TestRunNoisy:
         expected_trace = (f + (1 - f) / 2) * 0.5
         assert abs(noisy.trace() - expected_trace) < 1e-10
         pair = as_qubit_pair(noisy.normalized())
-        fid = pair.fidelity_to(bell_target(0.0))
+        fid = fidelity_to(pair, bell_target(0.0))
         assert abs(fid - f / (f + (1 - f) / 2)) < 1e-10
 
     def test_full_photon_dephasing_kills_only_coherence(self):
@@ -236,7 +238,7 @@ class TestRunNoisy:
                 pi_pulse_error=0.05 * scale,
             )
             pair = as_qubit_pair(run_noisy(steps, params, InterferometerConfig()).normalized())
-            fids.append(pair.fidelity_to(target))
+            fids.append(fidelity_to(pair, target))
         assert all(b >= a - 1e-12 for a, b in zip(fids, fids[1:]))
         assert fids[-1] > 1.0 - 1e-10
 
@@ -265,6 +267,12 @@ class TestRunNoisy:
         steps = make_sequence(2)
         noisy = run_noisy(steps, ideal_emitter(), InterferometerConfig())
         assert abs(noisy.trace() - 0.25) < 1e-10
+
+    def test_step_list_ending_between_pulses_rejected(self):
+        steps = make_sequence(1)
+        last_pulse = max(i for i, step in enumerate(steps) if step.kind == "optical_pulse")
+        with pytest.raises(ProtocolError):
+            run_noisy(steps[:last_pulse], ideal_emitter(), InterferometerConfig())
 
     def test_active_switch_heralds_deterministically(self):
         steps = make_sequence(2)

@@ -1,4 +1,5 @@
-"""Core state-engine tests: constructors, channels, expectations, invariants."""
+"""State-engine tests: the labelled states and observables of the program, and
+the reference state algebra (constructors, products, channels) in conftest."""
 import numpy as np
 import pytest
 
@@ -8,17 +9,12 @@ from tpcsim.qsim import (
     QsimError,
     QuantumState,
     SubsystemSpec,
-    apply,
-    apply_kraus,
-    basis_ket,
     embedded_matrix,
     expectation,
     partial_trace,
-    ry,
-    tensor,
 )
 
-from conftest import check_valid, pure_state
+from conftest import apply, apply_kraus, basis_ket, check_valid, pure_state, ry, tensor
 
 SPIN2 = SubsystemSpec("spin", 2)
 POL = SubsystemSpec("pol", 2)
