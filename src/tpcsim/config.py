@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .analysis import AnalysisParams
@@ -85,39 +87,42 @@ class RunConfig:
 
 
 def _parse_value(section: str, key: str, raw: str, default):
+    """The typed value of one INI field; ValueError if it does not parse."""
     raw = raw.strip()
-    try:
-        if section == "emitter" and key == "p_cross":
-            return "auto" if raw.lower() == "auto" else float(raw)
-        if key == "photon_numbers":
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, str):
-            return raw
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    raise ConfigError(f"[{section}] {key}: unsupported value type")
+    p_cross = (section, key) == ("emitter", "p_cross")
+    if p_cross and raw.lower() == "auto":
+        return "auto"
+    if key == "photon_numbers":
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    if isinstance(default, bool):
+        lowered = raw.lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if isinstance(default, int):
+        return int(raw)
+    if isinstance(default, float) or p_cross:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+    if isinstance(default, str):
+        return raw
+    raise ValueError("unsupported value type")
 
 
-def _line_of(text: str, section: str, key: str) -> int | None:
+def _where(text: str, section: str, key: str) -> str:
+    """The suffix ' (line N)' naming the line that sets ``key`` in ``section``; empty if none does."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip()
-        elif current == section and (stripped.startswith(key + " ") or stripped.startswith(key + "=")):
-            return lineno
-    return None
+        elif current == section and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
+            return f" (line {lineno})"
+    return ""
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -138,10 +143,12 @@ def parse_config_text(text: str) -> RunConfig:
         known = {f.name: getattr(target, f.name) for f in fields(target)}
         for key, raw in cp.items(section_name):
             if key not in known:
-                line = _line_of(text, section_name, key)
-                where = f" (line {line})" if line else ""
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]{where}")
-            setattr(target, key, _parse_value(section_name, key, raw, known[key]))
+                raise ConfigError(f"unknown key {key!r} in section [{section_name}]{_where(text, section_name, key)}")
+            try:
+                value = _parse_value(section_name, key, raw, known[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section_name}] {key}: {exc}{_where(text, section_name, key)}") from exc
+            setattr(target, key, value)
     return config
 
 

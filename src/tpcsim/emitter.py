@@ -67,6 +67,11 @@ class EmitterParams:
         return float(self.p_cross)
 
     def validate(self) -> None:
+        # the line parameters come first: an automatic p_cross is resolved from them
+        if self.detuning_ghz < 0:
+            raise EmitterModelError(f"detuning_ghz must be >= 0, got {self.detuning_ghz}")
+        if self.linewidth_mhz <= 0:
+            raise EmitterModelError(f"linewidth_mhz must be > 0, got {self.linewidth_mhz}")
         probs = {
             "p_shelve": self.p_shelve,
             "p_spin_flip": self.p_spin_flip,
@@ -81,8 +86,6 @@ class EmitterParams:
                 raise EmitterModelError(f"{name} must lie in [0, 1], got {value}")
         if not 0.0 < self.zpl_fraction <= 1.0:
             raise EmitterModelError(f"zpl_fraction must lie in (0, 1], got {self.zpl_fraction}")
-        if self.detuning_ghz < 0 or self.linewidth_mhz <= 0:
-            raise EmitterModelError("detuning must be >= 0 and linewidth > 0")
 
 
 def lorentzian_cross_excitation(detuning_ghz: float, linewidth_mhz: float) -> float:

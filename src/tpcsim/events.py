@@ -1,10 +1,13 @@
 """Monte Carlo generation of timestamped detector click records.
 
 Each cycle runs one protocol trajectory: a branch of every imperfection
-channel is sampled, the photon arrival window and analyzer port are drawn from
-the exact conditional probabilities of the sampled pure state, clicks are
-thinned by the detection efficiency, Poisson background clicks are added, and
-the phonon-sideband readout click is sampled from the final spin populations.
+channel is sampled (for one photon, a leaf of the precomputed trajectory
+table), each photon is measured, clicks are thinned by the detection
+efficiency, Poisson background clicks are added, and the phonon-sideband
+readout click is sampled from the final spin. Both samplers measure a photon
+by one rule: its two time bins give the outcome (none, early, erased, late or
+double), an erased photon collapses the spin onto its analyzer port's
+superposition of the bins, and the readout follows the collapsed spin.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
@@ -69,9 +72,14 @@ _RECORD_LABELS = dict(_CSV_LABELS, readout_click=np.array([False, True], dtype=o
 CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _CSV_LABELS.items()}
 _ROW_FORMAT = "{},{},{},{:.3f},{:.9f},{},{}\n".format
 
+# bin occupations on the last axis of a (spin, occupation) state: 2 * bin1 + bin2
+_OCC_00, _OCC_01, _OCC_10, _OCC_11 = range(4)
+# occupation that each photon outcome (0 none, 1 early, 2 erased, 3 late,
+# 4 double) leaves the spin in; an erased photon's spin comes from the collapse
+_OUTCOME_OCC = np.array([_OCC_00, _OCC_10, _OCC_00, _OCC_01, _OCC_11])
 _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
-_IO_CHUNK = 8192  # rows per CSV write or parse step; bounds the Python objects alive at once
+_CHUNK = 8192  # rows per CSV write, parse or n = 1 measurement step; bounds the objects alive at once
 
 
 class EventModelError(ValueError):
@@ -156,8 +164,8 @@ def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm
 
 class _BlockModel:
     """What both samplers share: the validated configuration, pulse times,
-    detector thinning, port offsets, initial spin populations and the bright
-    readout row of the tomography rotation."""
+    detector thinning, arm weights, port offsets, initial spin populations and
+    the bright readout row of the tomography rotation."""
 
     def __init__(
         self,
@@ -174,23 +182,22 @@ class _BlockModel:
         self.params = params
         self.pulse_times = pulse_times(build_sequence(protocol_cfg, ifm))
         self.eta_det = detection.detector_thinning(params.zpl_fraction)
+        self.arms = arm_weights(ifm)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
         self.init_pops = np.real(np.diag(em.initialize_spin(params)))
         self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
 
 
 class _CompiledModel(_BlockModel):
-    """Per-leaf tables of the single-photon cycle, shared by all cycles.
+    """The trajectory leaves of the single-photon cycle, shared by all cycles.
 
-    Trajectory branches of all channels are enumerated once; each leaf stores
-    the four spin vectors conditioned on the joint bin occupation, plus the
-    derived timing, port, and readout coefficients. The erasure-visibility
-    dephasing is folded in by doubling each leaf with the late-bin amplitude
-    sign flipped.
-
-    This is the n = 1 case of the chain sampler (_ChainModel), kept because
-    looking up a leaf per cycle runs about 25x faster than propagating each
-    cycle through the Kraus operators (single-photon default config).
+    Every branch of the preparation and the entangling block is enumerated
+    once: per leaf, the normalized (spin, bin occupation) state, its weight
+    (cumulative per prep) and the cumulative photon-outcome weights. Each leaf
+    is doubled with the late-bin amplitude's sign flipped, weighted by the
+    erasure visibility. Drawing a leaf per cycle replaces sampling the first
+    block's Kraus branches cycle by cycle (about 25x slower on the default
+    config); from the leaf on, the chain sampler's measurement rule applies.
     """
 
     def __init__(self, params, protocol_cfg, ifm, detection):
@@ -198,95 +205,40 @@ class _CompiledModel(_BlockModel):
         span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
 
-        leaves: list[list[np.ndarray]] = [[] for _ in PREP_NAMES]
-        probs: list[list[float]] = [[] for _ in PREP_NAMES]
         prep_ops, block_ops, _ = _block_operators(params, protocol_cfg, ifm)
-        for prep_idx, ops in enumerate(prep_ops):
-            chains = [ops, *block_ops]
-            for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1):
-                w0 = self.init_pops[lvl]
-                if w0 < _LEAF_PRUNE:
-                    continue
-                root = np.zeros(em.SPIN_DIM * 4, dtype=complex)
-                root[lvl * 4 + 0] = 1.0
-                stack = [(root, w0, 0)]
-                while stack:
-                    vec, w, depth = stack.pop()
-                    if depth == len(chains):
-                        leaves[prep_idx].append(vec / np.linalg.norm(vec))
-                        probs[prep_idx].append(w)
-                        if len(leaves[prep_idx]) > _MAX_LEAVES:
-                            raise EventModelError("trajectory tree too large; reduce channel branching")
-                        continue
-                    for k in chains[depth]:
-                        child = k @ vec
-                        p = float(np.vdot(child, child).real)
-                        if p * w > _LEAF_PRUNE:
-                            stack.append((child / np.sqrt(p), w * p, depth + 1))
+        shares = np.array([1.0 + ifm.erasure_visibility, 1.0 - ifm.erasure_visibility])
+        leaves, self.leaf_cum, self.prep_offset = [], [], [0]
+        for ops in prep_ops:
+            states, w = self._expand([ops, *block_ops])
+            # visibility dephasing: each leaf and a copy with the late-bin
+            # amplitude's sign flipped; at visibility 1 the copy weighs 0
+            copies = np.stack([states, states], axis=1)
+            copies[:, 1, :, _OCC_01] *= -1.0
+            cw = w[:, None] * shares / 2
+            keep = cw >= _LEAF_PRUNE
+            leaves.append(copies[keep])
+            self.leaf_cum.append(np.cumsum(cw[keep] / cw[keep].sum()))
+            self.prep_offset.append(self.prep_offset[-1] + int(keep.sum()))
+        self.leaves = np.concatenate(leaves)
+        self.outcome_cum = np.cumsum(_outcome_weights(self.leaves, self.arms), axis=1)
 
-        # visibility dephasing: flip the sign of the late-bin amplitude
-        v = ifm.erasure_visibility
-        all_probs, chi = [], {"00": [], "10": [], "01": [], "11": []}
-        self.prep_offset = []
-        for prep_idx in (0, 1):
-            self.prep_offset.append(len(all_probs))
-            for vec, w in zip(leaves[prep_idx], probs[prep_idx]):
-                t = vec.reshape(em.SPIN_DIM, 2, 2)
-                copies = [(w, 1.0)] if v >= 1.0 else [(w * (1 + v) / 2, 1.0), (w * (1 - v) / 2, -1.0)]
-                for cw, sgn in copies:
-                    if cw < _LEAF_PRUNE:
-                        continue
-                    all_probs.append(cw)
-                    chi["00"].append(t[:, 0, 0])
-                    chi["10"].append(t[:, 1, 0])
-                    chi["01"].append(sgn * t[:, 0, 1])
-                    chi["11"].append(t[:, 1, 1])
-        self.prep_offset.append(len(all_probs))
-
-        w_arr = np.array(all_probs)
-        chi = {k: np.array(vs) for k, vs in chi.items()}
-
-        # cumulative leaf distribution per prep
-        self.leaf_cum = []
-        for prep_idx in (0, 1):
-            lo, hi = self.prep_offset[prep_idx], self.prep_offset[prep_idx + 1]
-            seg = w_arr[lo:hi]
-            self.leaf_cum.append(np.cumsum(seg / seg.sum()))
-
-        p00, p10, p01, p11 = (_sq_norms(chi[occ]) for occ in ("00", "10", "01", "11"))
-
-        (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
-        self.erase_weights = (erase1, erase2)
-        p_erased = erase1 * p10 + erase2 * p01
-        self.timing_cum = np.cumsum(
-            np.stack([p00, reveal1 * p10, p_erased, reveal2 * p01, p11], axis=1), axis=1
-        )
-
-        # erased-window port / readout coefficients
-        zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", chi["01"].conj(), chi["10"])
-        self.u_hv = p_erased
-        self.zeta_abs = np.abs(zeta)
-        self.zeta_arg = np.angle(zeta)
-
-        alpha = np.sqrt(erase1) * (chi["10"] @ self.bright_row)
-        beta = np.sqrt(erase2) * (chi["01"] @ self.bright_row)
-        kappa = np.conj(alpha) * beta
-        self.a2b2 = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-        self.kappa_abs = np.abs(kappa)
-        self.kappa_arg = np.angle(kappa)
-
-        def bright(vecs, pops, row):
-            amp = vecs @ row
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.abs(amp) ** 2 / pops
-            return np.nan_to_num(out, nan=0.0, posinf=0.0)
-
-        row_z = np.eye(em.SPIN_DIM, dtype=complex)[em.LVL_G0]
-        self.bright_early = bright(chi["10"], p10, row_z)
-        self.bright_late = bright(chi["01"], p01, row_z)
-        self.bright_none = bright(chi["00"], p00, self.bright_row)
-        self.bright_dbl_x = bright(chi["11"], p11, self.bright_row)
-        self.bright_dbl_z = bright(chi["11"], p11, row_z)
+    def _expand(self, chains):
+        """Normalized (spin, occupation) states and weights of every trajectory
+        branch above _LEAF_PRUNE, in depth-first order: rows major and each
+        row's branches last-first."""
+        levels = [lvl for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1) if self.init_pops[lvl] >= _LEAF_PRUNE]
+        vecs = np.zeros((len(levels), em.SPIN_DIM * 4), dtype=complex)
+        vecs[np.arange(len(levels)), np.multiply(levels, 4)] = 1.0  # both bins empty
+        w = self.init_pops[levels]
+        for ops in chains:
+            children = np.stack([vecs @ k.T for k in reversed(ops)], axis=1)
+            p = _sq_norms(children)
+            keep = p * w[:, None] > _LEAF_PRUNE
+            if np.count_nonzero(keep) > _MAX_LEAVES:
+                raise EventModelError("trajectory tree too large; reduce channel branching")
+            vecs = children[keep] / np.sqrt(p[keep])[:, None]
+            w = (w[:, None] * p)[keep]
+        return _normalized(vecs).reshape(-1, em.SPIN_DIM, 4), w
 
 
 class _ChainModel(_BlockModel):
@@ -352,33 +304,19 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
-    period = pcfg.cycle_period_ns
     t_a1, t_a2 = model.pulse_times
-    delay = ifm.delay_ns
-    w = ifm.window_ns
+    delay, w = ifm.delay_ns, ifm.window_ns
 
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.int64)
-    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, lo // detection.block_size)
-
-    phase_true = _block_true_phase(ifm, ids, detection.seed, lo // detection.block_size, walk_offset, period)
-
-    u_leaf = rng.random(m)
-    u_time = rng.random(m)
-    u_arm1 = rng.random(m)
-    u_arm2 = rng.random(m)
-    u_thin1 = rng.random(m)
-    u_thin2 = rng.random(m)
-    u_port1 = rng.random(m)
-    u_port2 = rng.random(m)
-    u_ro = rng.random(m)
-    noise_ro = rng.standard_normal(m) * ifm.phase_readout_sigma
+    block = lo // detection.block_size
+    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
+    phase_true = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
+    draws = rng.random((9, m))
+    u_leaf, u_time, u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2, u_ro = draws
+    phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
     n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
-    total_bg = int(n_bg.sum())
-    u_bg_time = rng.random(total_bg)
-    u_bg_port = rng.random(total_bg)
-
-    phase_read = phase_true + noise_ro
+    u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
     t_class = np.array([t_a1, t_a2, t_a2 + delay])  # arrival time of EARLY, ERASED, LATE
     prep_idx = _prep_codes(ids, pcfg, detection)
 
@@ -389,65 +327,85 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
         seg = np.minimum(seg, len(model.leaf_cum[p]) - 1)
         li[msk] = model.prep_offset[p] + seg
 
-    cum = model.timing_cum[li]
-    total = cum[:, -1]
-    outcome = (u_time[:, None] * total[:, None] > cum).sum(axis=1)
-    # 0 none, 1 early, 2 erased, 3 late, 4 double
+    cum = model.outcome_cum[li]
+    outcome = (u_time[:, None] * cum[:, -1:] > cum).sum(axis=1)
 
-    # erased ports: conditional probabilities over D, A, R, L
-    erased = outcome == 2
-    port_idx = np.zeros(m, dtype=np.int64)
-    pb = np.zeros(m)
-
-    if erased.any():
-        le = li[erased]
-        ph = phase_true[erased]
-        base = model.u_hv[le]
-        args = ph[:, None] + model.port_offsets[None, :]
-        pj = base[:, None] + 2.0 * model.zeta_abs[le][:, None] * np.cos(args + model.zeta_arg[le][:, None])
-        pj = np.maximum(pj, 0.0)
-        cumj = np.cumsum(pj, axis=1)
-        pick = u_port1[erased] * cumj[:, -1]
-        port_idx[erased] = (pick[:, None] > cumj).sum(axis=1)
-        o = model.port_offsets[port_idx[erased]]
-        num = model.a2b2[le] + 2.0 * model.kappa_abs[le] * np.cos(ph + o - model.kappa_arg[le])
-        den = base + 2.0 * model.zeta_abs[le] * np.cos(ph + o + model.zeta_arg[le])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pb_er = np.clip(np.nan_to_num(num / den, nan=0.0, posinf=0.0), 0.0, 1.0)
-        pb[erased] = pb_er
-
-    early = outcome == 1
-    late = outcome == 3
-    none = outcome == 0
-    pb[early] = model.bright_early[li[early]]
-    pb[late] = model.bright_late[li[late]]
-    pb[none] = model.bright_none[li[none]]
-    port_idx[early | late] = _quarter(u_port1[early | late])
-
-    # both bins occupied: the readout basis follows the earliest surviving
-    # click (the cycle is rejected downstream anyway)
+    det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
     dbl = np.flatnonzero(outcome == 4)
-    pair_sources, lead_erased = _pair_clicks(
-        dbl, (u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2), model.erase_weights, eta, t_class
-    )
-    pb[dbl] = np.where(lead_erased, model.bright_dbl_x[li[dbl]], model.bright_dbl_z[li[dbl]])
-    ro_click = u_ro < em.readout_click_probability(pb, model.params, detection.readout_dark_click)
-
-    det = np.flatnonzero((early | late | erased) & (u_thin1 < eta))
+    pair_sources, lead_erased = _pair_clicks(dbl, draws[2:8], model.arms, eta, t_class)
     owners = np.repeat(np.arange(m), n_bg)
-    t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
 
+    # only the cycles that own a record have a port or a readout to write
+    own = np.zeros(m, dtype=bool)
+    for rows in (det, owners, *(src[0] for src in pair_sources)):
+        own[rows] = True
+    own = np.flatnonzero(own)
+    # readout basis: polar for a revealing photon, equatorial for none or
+    # erased, and the earliest surviving click's for a double (the cycle is
+    # rejected downstream anyway)
+    basis_x = (outcome == 0) | (outcome == 2)
+    basis_x[dbl] = lead_erased
+    port = np.zeros(m, dtype=np.int64)
+    ro_click = np.zeros(m, dtype=bool)
+    for rows in np.split(own, range(_CHUNK, own.size, _CHUNK)):
+        port[rows], spin = _measure(model.leaves, li[rows], outcome[rows], phase_true[rows], u_port1[rows], model)
+        p_bright = _bright(spin, basis_x[rows], model.bright_row)
+        ro_click[rows] = u_ro[rows] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
+
+    t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
     # (cycle index, class, time in cycle, port) in insertion order: first and
     # second photons of double cycles, single detections, background clicks
     sources = (
         *pair_sources,
-        (det, outcome[det] - 1, t_class[outcome[det] - 1], port_idx[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
+        (det, outcome[det] - 1, t_class[outcome[det] - 1], port[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
         (owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)),
     )
-    return _rows(sources, ids, period, phase_read, prep_idx, ro_click)
+    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
 
 
-def _pair_clicks(rows, draws, erase_weights, eta, t_class):
+def _outcome_weights(states, arms):
+    """Weights of the photon outcomes 0 none, 1 early, 2 erased, 3 late and
+    4 double of each (spin, occupation) state on the last two axes of
+    ``states``, for the arm weights ``arms``."""
+    (erase1, reveal1), (erase2, reveal2) = arms
+    p00, p01, p10, p11 = np.moveaxis(_sq_norms(np.swapaxes(states, -1, -2)), -1, 0)
+    return np.stack([p00, reveal1 * p10, erase1 * p10 + erase2 * p01, reveal2 * p01, p11], axis=-1)
+
+
+def _measure(states, rows, outcome, phase, u_port, model):
+    """Analyzer port and normalized post-measurement spin of the photon in
+    each ``states[rows]``, given its outcome.
+
+    A revealing or double photon takes a uniform port. An erased photon picks
+    a port with the weights base + 2|zeta| cos(phase + offset + arg zeta),
+    zeta = sqrt(e1 e2) <chi01|chi10>, and the spin collapses onto that port's
+    superposition of the two bins.
+    """
+    (erase1, _), (erase2, _) = model.arms
+    port = _quarter(u_port)
+    spin = states[rows, :, _OUTCOME_OCC[outcome]]
+    er = np.flatnonzero(outcome == 2)
+    early, late = states[rows[er], :, _OCC_10], states[rows[er], :, _OCC_01]
+    zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", late.conj(), early)
+    base = erase1 * _sq_norms(early) + erase2 * _sq_norms(late)
+    args = phase[er, None] + model.port_offsets
+    weights = base[:, None] + 2.0 * np.abs(zeta)[:, None] * np.cos(args + np.angle(zeta)[:, None])
+    port[er] = _pick(np.maximum(weights, 0.0), u_port[er])
+    early *= np.sqrt(erase1) * np.exp(1j * phase[er])[:, None]
+    late *= np.sqrt(erase2)
+    late *= np.exp(-1j * model.port_offsets[port[er]])[:, None]
+    spin[er] = early + late
+    return port, _normalized(spin)
+
+
+def _bright(spin, basis_x, bright_row):
+    """Probability of the bright level for each normalized ``spin``: in the
+    equatorial basis (after the tomography rotation, whose bright row is
+    ``bright_row``) where ``basis_x``, in the polar basis elsewhere."""
+    return np.abs(np.where(basis_x, spin @ bright_row, spin[:, em.LVL_G0])) ** 2
+
+
+def _pair_clicks(rows, draws, arms, eta, t_class):
     """Clicks of the cycles ``rows`` whose photon occupied both bins.
 
     Each photon of the pair takes its own arm and survives detection on its
@@ -457,8 +415,9 @@ def _pair_clicks(rows, draws, erase_weights, eta, t_class):
     when none survives). The first photon never arrives after the second.
     """
     u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = (u[rows] for u in draws)
-    first_cls = np.where(u_arm1 < erase_weights[0], ERASED, EARLY)
-    second_cls = np.where(u_arm2 < erase_weights[1], ERASED, LATE)
+    (erase1, _), (erase2, _) = arms
+    first_cls = np.where(u_arm1 < erase1, ERASED, EARLY)
+    second_cls = np.where(u_arm2 < erase2, ERASED, LATE)
     seen1, seen2 = u_thin1 < eta, u_thin2 < eta
     sources = [
         (rows[seen1], first_cls[seen1], t_class[first_cls[seen1]], _quarter(u_port1[seen1])),
@@ -511,7 +470,6 @@ def _simulate_chain_block(model: _ChainModel, detection: DetectionParams, lo: in
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
-    (erase1, reveal1), (erase2, reveal2) = arm_weights(ifm)
 
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.int64)
@@ -534,34 +492,20 @@ def _simulate_chain_block(model: _ChainModel, detection: DetectionParams, lo: in
         for ops in model.block_ops:
             state = _sample_kraus(state, ops, rng.random(m))
 
-        # measure the photon: spin vectors conditioned on the (bin1, bin2) occupation
-        chi = state.reshape(m, em.SPIN_DIM, 2, 2)
-        c00, c10, c01, c11 = chi[:, :, 0, 0], chi[:, :, 1, 0], chi[:, :, 0, 1], chi[:, :, 1, 1]
-        p00, p10, p01, p11 = map(_sq_norms, (c00, c10, c01, c11))
+        # measure the photon; the late-bin amplitude's sign flips at rate (1 - visibility) / 2
+        states = state.reshape(m, em.SPIN_DIM, 4)
         draws = rng.random((8, m))
         u_out, u_vis, u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = draws
-        outcome = _pick(np.stack([p00, reveal1 * p10, erase1 * p10 + erase2 * p01, reveal2 * p01, p11], axis=1), u_out)
-        # 0 none, 1 early, 2 erased, 3 late, 4 double
-        spin = np.choose(outcome[:, None], (c00, c10, c00, c01, c11))
-        port = _quarter(u_port1)
-
-        # erased: collapse onto the analyzer port, with the late amplitude's
-        # sign flipped at rate (1 - visibility) / 2
-        er = np.flatnonzero(outcome == 2)
-        sign = np.where(u_vis[er] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)
-        early_amp = np.sqrt(erase1) * np.exp(1j * phase_true[er])[:, None] * c10[er]
-        late_amp = np.sqrt(erase2) * sign[:, None] * c01[er]
-        collapsed = early_amp[:, None] + np.exp(-1j * model.port_offsets)[:, None] * late_amp[:, None]
-        port[er] = _pick(_sq_norms(collapsed), u_port1[er])
-        spin[er] = collapsed[np.arange(er.size), port[er]]
-        spin = _normalized(spin)
+        outcome = _pick(_outcome_weights(states, model.arms), u_out)
+        states[:, :, _OCC_01] *= np.where(u_vis < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
+        port, spin = _measure(states, np.arange(m), outcome, phase_true, u_port1, model)
 
         t_erased = model.pulse_times[2 * k + 1]
         t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + ifm.delay_ns])
         det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
-        pair_sources, _ = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:], (erase1, erase2), eta, t_class)
+        pair_sources, _ = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:], model.arms, eta, t_class)
         sources += [*pair_sources, (det, outcome[det] - 1, t_class[outcome[det] - 1], port[det])]
-        del state, chi, c00, c10, c01, c11  # free the measured block state before the next photon's
+        del state, states  # free the measured block state before the next photon's
 
     # the readout basis follows the cycle's earliest surviving click (equatorial if none)
     owner, cls, t_cycle, _ = (np.concatenate(col) for col in zip(*sources))
@@ -569,8 +513,8 @@ def _simulate_chain_block(model: _ChainModel, detection: DetectionParams, lo: in
     earliest = order[np.unique(owner[order], return_index=True)[1]]
     basis_x = np.ones(m, dtype=bool)
     basis_x[owner[earliest]] = cls[earliest] == ERASED
-    amp = np.where(basis_x, spin @ model.bright_row, spin[:, em.LVL_G0])
-    ro_click = rng.random(m) < em.readout_click_probability(np.abs(amp) ** 2, model.params, detection.readout_dark_click)
+    p_bright = _bright(spin, basis_x, model.bright_row)
+    ro_click = rng.random(m) < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
     return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
 
 
@@ -649,8 +593,8 @@ def _columns(records: np.ndarray, labels: dict) -> list[list]:
 def write_records(path, records: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for lo in range(0, len(records), _IO_CHUNK):
-            fh.write("".join(map(_ROW_FORMAT, *_columns(records[lo : lo + _IO_CHUNK], _CSV_LABELS))))
+        for lo in range(0, len(records), _CHUNK):
+            fh.write("".join(map(_ROW_FORMAT, *_columns(records[lo : lo + _CHUNK], _CSV_LABELS))))
 
 
 def read_records(path) -> np.ndarray:
@@ -667,7 +611,7 @@ def read_records(path) -> np.ndarray:
             )
         parts = []
         first = 2
-        for lines in iter(lambda: list(islice(fh, _IO_CHUNK)), []):
+        for lines in iter(lambda: list(islice(fh, _CHUNK)), []):
             parts.append(_parse_lines(lines, first))
             first += len(lines)
     return np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)

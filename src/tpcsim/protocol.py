@@ -39,16 +39,7 @@ class SequenceStep:
     kind: str  # green_init | pump_init | mw_rotation | optical_pulse | tomography_rotation | readout
     time_ns: float
     theta: float | None = None
-    bin_label: str | None = None
     duration_ns: float = 0.0
-
-    def describe(self) -> str:
-        extra = ""
-        if self.theta is not None:
-            extra = f" theta={self.theta:+.4f} rad"
-        if self.bin_label is not None:
-            extra = f" bin={self.bin_label}"
-        return f"{self.time_ns:>12.1f} ns  {self.kind:<20s}{extra}"
 
 
 @dataclass
@@ -83,10 +74,6 @@ def prep_theta(prep_sign: str) -> float:
     return np.pi / 2.0 if prep_sign == "minus" else -np.pi / 2.0
 
 
-def bin_label(pulse_index: int) -> str:
-    return f"bin{pulse_index}"
-
-
 def photon_label(photon_index: int) -> str:
     return f"photon{photon_index}"
 
@@ -113,7 +100,7 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
     n_pulses = 2 * config.n_photons
     for j in range(1, n_pulses + 1):
         t_pulse = t0 + (j - 1) * delay
-        steps.append(SequenceStep("optical_pulse", t_pulse, bin_label=bin_label(j)))
+        steps.append(SequenceStep("optical_pulse", t_pulse))
         if j < n_pulses:
             theta = np.pi if j % 2 == 1 else config.interblock_theta()
             steps.append(
@@ -137,7 +124,15 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
 
 
 def format_sequence(steps: list[SequenceStep]) -> str:
-    return "\n".join(s.describe() for s in steps)
+    """One line per step: time, kind, and the rotation angle or the pulse's bin number."""
+    lines, pulses = [], 0
+    for s in steps:
+        extra = f" theta={s.theta:+.4f} rad" if s.theta is not None else ""
+        if s.kind == "optical_pulse":
+            pulses += 1
+            extra = f" bin=bin{pulses}"
+        lines.append(f"{s.time_ns:>12.1f} ns  {s.kind:<20s}{extra}")
+    return "\n".join(lines)
 
 
 def pulse_times(steps: list[SequenceStep]) -> list[float]:

@@ -1,4 +1,7 @@
 """Config parsing and CLI behavior: round trips, diagnostics, exit codes."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,13 @@ class TestConfig:
         text = "[emitter]\nzpl_fraction = 0.5\nbogus_knob = 1\n"
         with pytest.raises(ConfigError, match=r"bogus_knob.*line 3"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("line", ["Cycle_Period_NS = nan", "cycle_period_ns: nan", "bogus_knob: 1"])
+    def test_line_found_for_any_key_spelling(self, line):
+        # keys are case-insensitive and may use ':' as the delimiter
+        key = line.split()[0].rstrip(":").lower()
+        with pytest.raises(ConfigError, match=rf"{key}.*line 3"):
+            parse_config_text(f"[protocol]\n\n{line}\n")
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match=r"\[lasers\]"):
@@ -262,6 +272,53 @@ class TestCliRatesValidate:
         out = capsys.readouterr().out
         assert "[interferometer] FAIL" in out
         assert "split_ratio" in out
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "analyze", "rates"])
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("protocol", "cycle_period_ns", "nan"),
+            ("interferometer", "phase", "nan"),
+            ("detection", "background_rate_hz", "nan"),
+            ("rates", "single_shot_readout_s", "nan"),
+            ("emitter", "p_cross", "inf"),
+            ("interferometer", "delay_ns", "-inf"),
+        ],
+    )
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n# a comment\n{key} = {value}\n")
+        args = {
+            "validate": ["validate"],
+            "simulate": ["simulate", "--out", str(tmp_path / "x.csv"), "--cycles", "10"],
+            "analyze": ["analyze", str(tmp_path / "x.csv")],
+            "rates": ["rates"],
+        }[command]
+        assert main([*args, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and "finite" in err and "line 3" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_linewidth_is_named(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[emitter]\nlinewidth_mhz = 0\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "[emitter] FAIL: linewidth_mhz must be > 0" in out
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # python -m tpcsim must not re-import tpcsim.cli as __main__
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tpcsim", "validate", "--config", "configs/example.ini"],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "" and "[rates] pass" in done.stdout
 
     def test_validate_dump_round_trips(self, capsys):
         assert main(["validate", "--dump"]) == 0

@@ -14,11 +14,13 @@ from tpcsim.events import (
     ERASED,
     INVALID,
     LATE,
+    PREP_NAMES,
     RECORD_COLUMNS,
     DetectionParams,
     EventModelError,
     RecordFormatError,
     _ChainModel,
+    _CompiledModel,
     _simulate_chain_block,
     pair_coincidences,
     read_records,
@@ -27,10 +29,10 @@ from tpcsim.events import (
     write_records,
 )
 from tpcsim.optics import InterferometerConfig
-from tpcsim.protocol import ProtocolConfig, build_sequence, pulse_times, run_noisy
+from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy
 from tpcsim.qsim import expectation, partial_trace
 
-from conftest import apply, hardware_port_states, make_records, projector_onto, ry, write_fixture_ini
+from conftest import FIXTURE, apply, hardware_port_states, make_records, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
 
@@ -211,6 +213,26 @@ class TestBornConsistency:
             fb = sel["readout_click"].mean()
             s3b = 3 * np.sqrt(max(p_bright * (1 - p_bright), 0.01) / len(sel))
             assert abs(fb - p_bright) <= s3b
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.8])
+    @pytest.mark.parametrize("prep", PREP_NAMES)
+    @pytest.mark.parametrize("emitter", ["fixture", "noisy"])
+    def test_leaf_table_reproduces_exact_block_state(self, emitter, prep, visibility):
+        # sum_leaves w |psi><psi| is the state after the first block, with the
+        # coherences of the late-bin occupation scaled by the erasure visibility
+        params = EmitterParams(**FIXTURE) if emitter == "fixture" else noisy_emitter()
+        ifm = InterferometerConfig(erasure_visibility=visibility)
+        pcfg = ProtocolConfig(prep_sign=prep)
+        model = _CompiledModel(params, pcfg, ifm, DetectionParams())
+        p = PREP_NAMES.index(prep)
+        psi = model.leaves[model.prep_offset[p] : model.prep_offset[p + 1]].reshape(len(model.leaf_cum[p]), -1)
+        w = np.diff(model.leaf_cum[p], prepend=0.0)
+        rho = np.einsum("l,li,lj->ij", w, psi, psi.conj())
+
+        exact = {name: r for name, r, _ in _evolve(build_sequence(pcfg, ifm), params, ifm)}["after_pulse_2"]
+        late = np.arange(len(exact)) % 4 == 1  # (bin1, bin2) = (0, 1)
+        exact = np.where(late[:, None] != late[None, :], visibility * exact, exact)
+        assert np.abs(rho - exact).max() < 1e-9
 
     def test_multiphoton_sampler_agrees_with_fast_path_statistics(self):
         params = noisy_emitter()
