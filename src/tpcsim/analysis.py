@@ -15,7 +15,7 @@ bright-state click probability before any probability is formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import pi, sin
 
 import numpy as np
@@ -316,7 +316,7 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
     """
     b = background_fraction
     if not 0.0 <= b < 1.0:
-        raise AnalysisError("background fraction must lie in [0, 1)")
+        raise AnalysisError(f"background fraction must lie in [0, 1), got {b}")
     scale = 1.0 / (1.0 - b)
 
     def corr(c, s):
@@ -331,21 +331,10 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
         for d, e in zip(report.diagonals, report.diagonal_errors)
     )
     f_corr, f_corr_err = _bound_with_error(diag, diag_err, c_xx, c_xx_err)
-    return CorrelationReport(
-        n_records=report.n_records,
-        n_rejected_cycles=report.n_rejected_cycles,
-        diagonals=report.diagonals,
-        diagonal_errors=report.diagonal_errors,
-        c_zz=report.c_zz,
-        c_zz_err=report.c_zz_err,
-        c_xx=report.c_xx,
-        c_xx_err=report.c_xx_err,
-        fits=report.fits,
+    return replace(
+        report,
         background_fraction=b,
         background_fraction_err=background_err,
-        f_bound_raw=report.f_bound_raw,
-        f_bound_raw_err=report.f_bound_raw_err,
-        significance_raw=report.significance_raw,
         f_bound_corrected=f_corr,
         f_bound_corrected_err=f_corr_err,
         significance_corrected=significance(f_corr, f_corr_err),
@@ -353,8 +342,6 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
         c_zz_corrected_err=c_zz_err,
         c_xx_corrected=c_xx,
         c_xx_corrected_err=c_xx_err,
-        insufficient_cells=report.insufficient_cells,
-        curves=report.curves,
     )
 
 
@@ -460,7 +447,9 @@ def analyze_records(
         b, b_err = estimate_background_fraction(clean, ifm)
     elif background is not None:
         b, b_err = float(background), 0.0
-    if b > 0.0:
+    # an estimate is never negative; an explicit value outside [0, 1), NaN
+    # included, reaches subtract_background and is refused there
+    if b != 0.0:
         report = subtract_background(report, b, b_err)
     return report
 

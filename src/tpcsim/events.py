@@ -1,20 +1,24 @@
 """Monte Carlo generation of timestamped detector click records.
 
-Each cycle runs one protocol trajectory: a branch of every imperfection
-channel is sampled (for one photon, a leaf of the precomputed trajectory
-table), each photon is measured, clicks are thinned by the detection
-efficiency, Poisson background clicks are added, and the phonon-sideband
-readout click is sampled from the final spin. Both samplers measure a photon
-by one rule: its two time bins give the outcome (none, early, erased, late or
-double), an erased photon collapses the spin onto its analyzer port's
-superposition of the bins, and the readout follows the collapsed spin.
+Each cycle runs one protocol trajectory, one photon at a time, in one sampler
+for every chain length. The first photon's state is a leaf of the
+precomputed trajectory table of the preparation and the first entangling
+block; each later photon's state comes from Kraus sampling of the rotation
+between blocks and the block, applied to the spin that the previous photon's
+measurement left. Every photon is measured by one rule: its two time bins give
+the outcome (none, early, erased, late or double), an erased photon collapses
+the spin onto its analyzer port's superposition of the bins, and clicks are
+thinned by the detection efficiency. Poisson background clicks are added, and
+the phonon-sideband readout click is sampled from the final spin.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
 are sharded across workers. The per-cycle tomography basis follows the arrival
-class of the detected photon (path-erased -> equatorial readout, path-revealed
--> polar readout), mirroring how measurement settings and event classes are
-matched up in the corresponding hardware datasets.
+class of the cycle's earliest surviving photon click (path-erased ->
+equatorial readout, path-revealed -> polar readout); a cycle without one reads
+out in the polar basis when its last photon was path-revealing and in the
+equatorial basis otherwise. This mirrors how measurement settings and event
+classes are matched up in the corresponding hardware datasets.
 """
 from __future__ import annotations
 
@@ -79,7 +83,7 @@ _OCC_00, _OCC_01, _OCC_10, _OCC_11 = range(4)
 _OUTCOME_OCC = np.array([_OCC_00, _OCC_10, _OCC_00, _OCC_01, _OCC_11])
 _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
-_CHUNK = 8192  # rows per CSV write, parse or n = 1 measurement step; bounds the objects alive at once
+_CHUNK = 8192  # rows per CSV write, parse or photon measurement step; bounds the objects alive at once
 
 
 class EventModelError(ValueError):
@@ -118,11 +122,11 @@ class DetectionParams:
             raise EventModelError("block_size must be >= 1")
 
     def validate_photons(self, n_photons: int) -> None:
-        """Refuse background clicks on a photon chain: the chain sampler does not model them."""
+        """Refuse background clicks on a photon chain: the sampler draws them in the first photon's windows only."""
         if n_photons > 1 and self.background_rate_hz > 0:
             raise EventModelError(
                 f"background_rate_hz must be 0 when n_photons > 1, got {self.background_rate_hz}: "
-                "background clicks are modeled on the single-photon path only"
+                "background clicks are modeled for single photons only"
             )
 
     def detector_thinning(self, zpl_fraction: float) -> float:
@@ -162,10 +166,25 @@ def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm
     return [s[0] for s in schedules], steps[1:4], steps[4] if len(steps) > 4 else []
 
 
-class _BlockModel:
-    """What both samplers share: the validated configuration, pulse times,
-    detector thinning, arm weights, port offsets, initial spin populations and
-    the bright readout row of the tomography rotation."""
+class _CycleModel:
+    """What every cycle shares: the validated configuration, pulse times,
+    detector thinning, arm weights, port offsets, the bright readout row of
+    the tomography rotation, the leaf table of the first photon and the Kraus
+    operators of every later photon.
+
+    Every branch of the preparation and the first entangling block is
+    enumerated once: per leaf, the normalized (spin, bin occupation) state,
+    its weight (cumulative per prep) and the cumulative photon-outcome
+    weights. Each leaf is doubled with the late-bin amplitude's sign flipped,
+    weighted by the erasure visibility. Drawing a leaf per cycle replaces
+    sampling the first block's Kraus branches cycle by cycle (about 25x slower
+    on the default config). A chain repeats the block once per photon, with a
+    rotation between blocks; the sampler applies ``later_ops`` (that rotation,
+    then the block) branch by branch to the spin that the previous photon's
+    measurement left, so a cycle's live state never grows beyond
+    (spin, bin1, bin2). ``_simulate_block`` samples every chain length from
+    this one model, with one readout-basis rule (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -174,6 +193,7 @@ class _BlockModel:
         ifm: InterferometerConfig,
         detection: DetectionParams,
     ):
+        detection.validate_photons(protocol_cfg.n_photons)
         params.validate()
         protocol_cfg.validate()
         ifm.validate()
@@ -184,32 +204,17 @@ class _BlockModel:
         self.eta_det = detection.detector_thinning(params.zpl_fraction)
         self.arms = arm_weights(ifm)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
-        self.init_pops = np.real(np.diag(em.initialize_spin(params)))
         self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
-
-
-class _CompiledModel(_BlockModel):
-    """The trajectory leaves of the single-photon cycle, shared by all cycles.
-
-    Every branch of the preparation and the entangling block is enumerated
-    once: per leaf, the normalized (spin, bin occupation) state, its weight
-    (cumulative per prep) and the cumulative photon-outcome weights. Each leaf
-    is doubled with the late-bin amplitude's sign flipped, weighted by the
-    erasure visibility. Drawing a leaf per cycle replaces sampling the first
-    block's Kraus branches cycle by cycle (about 25x slower on the default
-    config); from the leaf on, the chain sampler's measurement rule applies.
-    """
-
-    def __init__(self, params, protocol_cfg, ifm, detection):
-        super().__init__(params, protocol_cfg, ifm, detection)
         span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
 
-        prep_ops, block_ops, _ = _block_operators(params, protocol_cfg, ifm)
+        prep_ops, block_ops, interblock_ops = _block_operators(params, protocol_cfg, ifm)
+        self.later_ops = [interblock_ops, *block_ops]
+        init_pops = np.real(np.diag(em.initialize_spin(params)))
         shares = np.array([1.0 + ifm.erasure_visibility, 1.0 - ifm.erasure_visibility])
         leaves, self.leaf_cum, self.prep_offset = [], [], [0]
         for ops in prep_ops:
-            states, w = self._expand([ops, *block_ops])
+            states, w = self._expand(init_pops, [ops, *block_ops])
             # visibility dephasing: each leaf and a copy with the late-bin
             # amplitude's sign flipped; at visibility 1 the copy weighs 0
             copies = np.stack([states, states], axis=1)
@@ -222,14 +227,15 @@ class _CompiledModel(_BlockModel):
         self.leaves = np.concatenate(leaves)
         self.outcome_cum = np.cumsum(_outcome_weights(self.leaves, self.arms), axis=1)
 
-    def _expand(self, chains):
+    @staticmethod
+    def _expand(init_pops, chains):
         """Normalized (spin, occupation) states and weights of every trajectory
         branch above _LEAF_PRUNE, in depth-first order: rows major and each
         row's branches last-first."""
-        levels = [lvl for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1) if self.init_pops[lvl] >= _LEAF_PRUNE]
+        levels = [lvl for lvl in (em.LVL_G0, em.LVL_GM1, em.LVL_GP1) if init_pops[lvl] >= _LEAF_PRUNE]
         vecs = np.zeros((len(levels), em.SPIN_DIM * 4), dtype=complex)
         vecs[np.arange(len(levels)), np.multiply(levels, 4)] = 1.0  # both bins empty
-        w = self.init_pops[levels]
+        w = init_pops[levels]
         for ops in chains:
             children = np.stack([vecs @ k.T for k in reversed(ops)], axis=1)
             p = _sq_norms(children)
@@ -239,21 +245,6 @@ class _CompiledModel(_BlockModel):
             vecs = children[keep] / np.sqrt(p[keep])[:, None]
             w = (w[:, None] * p)[keep]
         return _normalized(vecs).reshape(-1, em.SPIN_DIM, 4), w
-
-
-class _ChainModel(_BlockModel):
-    """Operators of the n-photon chain, shared by all cycles.
-
-    A chain repeats the entangling block once per photon, with a rotation
-    between blocks. Nothing touches a photon's time bins after its block, so
-    the sampler measures each photon as soon as its block ends and discards
-    its bins: a cycle's live state never grows beyond (spin, bin1, bin2).
-    """
-
-    def __init__(self, params, protocol_cfg, ifm, detection):
-        detection.validate_photons(protocol_cfg.n_photons)
-        super().__init__(params, protocol_cfg, ifm, detection)
-        self.prep_ops, self.block_ops, self.interblock_ops = _block_operators(params, protocol_cfg, ifm)
 
 
 # -- phase trajectory ------------------------------------------------------------
@@ -300,11 +291,11 @@ def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, blo
 # -- block simulation --------------------------------------------------------------
 
 
-def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
+def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
-    t_a1, t_a2 = model.pulse_times
+    t_a1, t_a2 = model.pulse_times[:2]
     delay, w = ifm.delay_ns, ifm.window_ns
 
     m = hi - lo
@@ -313,11 +304,10 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
     rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
     phase_true = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
     draws = rng.random((9, m))
-    u_leaf, u_time, u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2, u_ro = draws
+    u_leaf, u_ro = draws[0], draws[8]
     phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
     n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
     u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
-    t_class = np.array([t_a1, t_a2, t_a2 + delay])  # arrival time of EARLY, ERASED, LATE
     prep_idx = _prep_codes(ids, pcfg, detection)
 
     li = np.empty(m, dtype=np.int64)
@@ -326,41 +316,74 @@ def _simulate_block(model: _CompiledModel, detection: DetectionParams, lo: int, 
         seg = np.searchsorted(model.leaf_cum[p], u_leaf[msk], side="right")
         seg = np.minimum(seg, len(model.leaf_cum[p]) - 1)
         li[msk] = model.prep_offset[p] + seg
+    # photon 1's state is its cycle's leaf
+    states, state_rows = model.leaves, li
+    outcome = _pick(model.outcome_cum[li], draws[1])
 
-    cum = model.outcome_cum[li]
-    outcome = (u_time[:, None] * cum[:, -1:] > cum).sum(axis=1)
-
-    det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
-    dbl = np.flatnonzero(outcome == 4)
-    pair_sources, lead_erased = _pair_clicks(dbl, draws[2:8], model.arms, eta, t_class)
-    owners = np.repeat(np.arange(m), n_bg)
-
-    # only the cycles that own a record have a port or a readout to write
-    own = np.zeros(m, dtype=bool)
-    for rows in (det, owners, *(src[0] for src in pair_sources)):
-        own[rows] = True
-    own = np.flatnonzero(own)
-    # readout basis: polar for a revealing photon, equatorial for none or
-    # erased, and the earliest surviving click's for a double (the cycle is
-    # rejected downstream anyway)
-    basis_x = (outcome == 0) | (outcome == 2)
-    basis_x[dbl] = lead_erased
-    port = np.zeros(m, dtype=np.int64)
+    sources = []
+    basis_x = np.zeros(m, dtype=bool)
+    undecided = np.ones(m, dtype=bool)  # no surviving photon click yet
     ro_click = np.zeros(m, dtype=bool)
-    for rows in np.split(own, range(_CHUNK, own.size, _CHUNK)):
-        port[rows], spin = _measure(model.leaves, li[rows], outcome[rows], phase_true[rows], u_port1[rows], model)
-        p_bright = _bright(spin, basis_x[rows], model.bright_row)
-        ro_click[rows] = u_ro[rows] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
+    for k in range(pcfg.n_photons):
+        if k:
+            states = None  # free the measured photon's state before the next one's
+            states, state_rows = _next_photon(model, spin, rng), np.arange(m)
+            draws = rng.random((8, m))
+            outcome = _pick(np.cumsum(_outcome_weights(states, model.arms), axis=1), draws[0])
+            # the late-bin amplitude's sign flips at rate (1 - visibility) / 2
+            states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
+        # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon's clicks
+        u_thin1, u_port1 = draws[4], draws[6]
+        t_erased = model.pulse_times[2 * k + 1]
+        t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + delay])  # arrival time of EARLY, ERASED, LATE
+        det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
+        det_cls = outcome[det] - 1  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
+        pair_sources = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:8], model.arms, eta, t_class)
+
+        # the readout basis is the class of the cycle's earliest surviving
+        # photon click; photons arrive in order, and a pair's first click
+        # never arrives after its second
+        for rows, cls in ((det, det_cls), *(src[:2] for src in pair_sources)):
+            first = undecided[rows]
+            basis_x[rows[first]] = cls[first] == ERASED
+            undecided[rows] = False
+        last = k == pcfg.n_photons - 1
+        if last:
+            # no surviving photon click: polar for a revealing last photon,
+            # equatorial for none, erased or double (outcomes 0, 2, 4)
+            basis_x[undecided] = outcome[undecided] % 2 == 0
+            # only the cycles that own a record have a port or a readout to write
+            measured = np.flatnonzero(~undecided | (n_bg > 0))
+        else:
+            measured = np.arange(m)
+            spin = np.empty((m, em.SPIN_DIM), dtype=complex)
+        port = np.zeros(m, dtype=np.int64)
+        for chunk in np.split(measured, range(_CHUNK, measured.size, _CHUNK)):
+            port[chunk], chunk_spin = _measure(states, state_rows[chunk], outcome[chunk], phase_true[chunk], u_port1[chunk], model)
+            if last:
+                p_bright = _bright(chunk_spin, basis_x[chunk], model.bright_row)
+                ro_click[chunk] = u_ro[chunk] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
+            else:
+                spin[chunk] = chunk_spin
+        # (cycle index, class, time in cycle, port) in insertion order: first
+        # and second photons of double cycles, then single detections
+        sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]
 
     t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
-    # (cycle index, class, time in cycle, port) in insertion order: first and
-    # second photons of double cycles, single detections, background clicks
-    sources = (
-        *pair_sources,
-        (det, outcome[det] - 1, t_class[outcome[det] - 1], port[det]),  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
-        (owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)),
-    )
+    owners = np.repeat(np.arange(m), n_bg)
+    sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)))
     return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
+
+
+def _next_photon(model: _CycleModel, spin, rng):
+    """(spin, occupation) state of each cycle's next photon: the interblock
+    rotation and the entangling block, one Born-weighted Kraus branch each,
+    applied to the normalized ``spin`` that the last measurement left."""
+    state = np.zeros((len(spin), em.SPIN_DIM * 4), dtype=complex)
+    state[:, ::4] = spin  # both bins empty
+    for ops in model.later_ops:
+        state = _sample_kraus(state, ops, rng.random(len(spin)))
+    return state.reshape(-1, em.SPIN_DIM, 4)
 
 
 def _outcome_weights(states, arms):
@@ -390,7 +413,7 @@ def _measure(states, rows, outcome, phase, u_port, model):
     base = erase1 * _sq_norms(early) + erase2 * _sq_norms(late)
     args = phase[er, None] + model.port_offsets
     weights = base[:, None] + 2.0 * np.abs(zeta)[:, None] * np.cos(args + np.angle(zeta)[:, None])
-    port[er] = _pick(np.maximum(weights, 0.0), u_port[er])
+    port[er] = _pick(np.cumsum(np.maximum(weights, 0.0), axis=1), u_port[er])
     early *= np.sqrt(erase1) * np.exp(1j * phase[er])[:, None]
     late *= np.sqrt(erase2)
     late *= np.exp(-1j * model.port_offsets[port[er]])[:, None]
@@ -410,20 +433,18 @@ def _pair_clicks(rows, draws, arms, eta, t_class):
 
     Each photon of the pair takes its own arm and survives detection on its
     own; ``draws`` holds the per-cycle uniforms (arm, arm, thinning, thinning,
-    port, port). Returns the click sources of the first and the second photon
-    and whether each cycle's earliest surviving click is path-erased (true
-    when none survives). The first photon never arrives after the second.
+    port, port). Returns the click sources of the first and the second photon;
+    the first never arrives after the second.
     """
     u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = (u[rows] for u in draws)
     (erase1, _), (erase2, _) = arms
     first_cls = np.where(u_arm1 < erase1, ERASED, EARLY)
     second_cls = np.where(u_arm2 < erase2, ERASED, LATE)
     seen1, seen2 = u_thin1 < eta, u_thin2 < eta
-    sources = [
+    return [
         (rows[seen1], first_cls[seen1], t_class[first_cls[seen1]], _quarter(u_port1[seen1])),
         (rows[seen2], second_cls[seen2], t_class[second_cls[seen2]], _quarter(u_port2[seen2])),
     ]
-    return sources, np.where(seen1, first_cls == ERASED, ~seen2 | (second_cls == ERASED))
 
 
 def _quarter(u):
@@ -431,11 +452,11 @@ def _quarter(u):
     return np.minimum((u * 4).astype(np.int64), 3)
 
 
-def _pick(weights, u):
+def _pick(cum, u):
     """Index of the branch that each row's uniform draw ``u`` selects with
-    probability proportional to that row of ``weights``."""
-    cum = np.cumsum(weights, axis=1)
-    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), weights.shape[1] - 1)
+    probability proportional to its weight, given each row's cumulative
+    branch weights ``cum``."""
+    return (u[:, None] * cum[:, -1:] > cum).sum(axis=1)
 
 
 def _sq_norms(vecs):
@@ -458,64 +479,12 @@ def _sample_kraus(vecs, ops, u):
     weights = np.empty((len(vecs), len(ops)))
     for k, op in enumerate(ops):
         weights[:, k] = _sq_norms(vecs @ op.T)
-    pick = _pick(weights, u)
+    pick = _pick(np.cumsum(weights, axis=1), u)
     out = vecs @ ops[0].T  # every row through the first branch, then redo the rows that took another
     for k, op in enumerate(ops[1:], start=1):
         rows = pick == k
         out[rows] = vecs[rows] @ op.T
     return _normalized(out)
-
-
-def _simulate_chain_block(model: _ChainModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
-    ifm = model.ifm
-    pcfg = model.protocol_cfg
-    eta = model.eta_det
-
-    m = hi - lo
-    ids = np.arange(lo, hi, dtype=np.int64)
-    block = lo // detection.block_size
-    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
-    phase_true = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
-    phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
-    prep_idx = _prep_codes(ids, pcfg, detection)
-
-    spin = np.eye(em.SPIN_DIM, dtype=complex)[_pick(np.broadcast_to(model.init_pops, (m, em.SPIN_DIM)), rng.random(m))]
-    sources = []
-    for k in range(pcfg.n_photons):
-        state = np.zeros((m, em.SPIN_DIM * 4), dtype=complex)
-        state[:, ::4] = spin  # both bins empty
-        # the rotation before the block: the preparation, then the interblock rotation
-        u = rng.random(m)
-        for p, ops in enumerate(model.prep_ops if k == 0 else [model.interblock_ops] * len(PREP_NAMES)):
-            rows = prep_idx == p
-            state[rows] = _sample_kraus(state[rows], ops, u[rows])
-        for ops in model.block_ops:
-            state = _sample_kraus(state, ops, rng.random(m))
-
-        # measure the photon; the late-bin amplitude's sign flips at rate (1 - visibility) / 2
-        states = state.reshape(m, em.SPIN_DIM, 4)
-        draws = rng.random((8, m))
-        u_out, u_vis, u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = draws
-        outcome = _pick(_outcome_weights(states, model.arms), u_out)
-        states[:, :, _OCC_01] *= np.where(u_vis < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
-        port, spin = _measure(states, np.arange(m), outcome, phase_true, u_port1, model)
-
-        t_erased = model.pulse_times[2 * k + 1]
-        t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + ifm.delay_ns])
-        det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
-        pair_sources, _ = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:], model.arms, eta, t_class)
-        sources += [*pair_sources, (det, outcome[det] - 1, t_class[outcome[det] - 1], port[det])]
-        del state, states  # free the measured block state before the next photon's
-
-    # the readout basis follows the cycle's earliest surviving click (equatorial if none)
-    owner, cls, t_cycle, _ = (np.concatenate(col) for col in zip(*sources))
-    order = np.lexsort((t_cycle, owner))
-    earliest = order[np.unique(owner[order], return_index=True)[1]]
-    basis_x = np.ones(m, dtype=bool)
-    basis_x[owner[earliest]] = cls[earliest] == ERASED
-    p_bright = _bright(spin, basis_x, model.bright_row)
-    ro_click = rng.random(m) < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
-    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
 
 
 def _rows(sources, ids, period, phase_read, prep_idx, ro_click) -> np.ndarray:
@@ -538,12 +507,6 @@ def _rows(sources, ids, period, phase_read, prep_idx, ro_click) -> np.ndarray:
     return out
 
 
-def _block_task(args):
-    model = args[0]
-    sample = _simulate_block if isinstance(model, _CompiledModel) else _simulate_chain_block
-    return sample(*args)
-
-
 # -- public API --------------------------------------------------------------------
 
 
@@ -563,22 +526,20 @@ def simulate_cycles(
     if n_cycles < 1:
         raise EventModelError("n_cycles must be >= 1")
     detection.validate()
-    model_class = _CompiledModel if protocol_cfg.n_photons == 1 else _ChainModel
-    model = model_class(params, protocol_cfg, ifm, detection)
+    model = _CycleModel(params, protocol_cfg, ifm, detection)
     n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
     if ifm.phase_mode == "walk":
         offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
     else:
         offsets = np.zeros(n_blocks)
-    tasks = [
-        (model, detection, b * detection.block_size, min(n_cycles, (b + 1) * detection.block_size), offsets[b])
-        for b in range(n_blocks)
-    ]
+    los = range(0, n_cycles, detection.block_size)
+    his = [min(n_cycles, lo + detection.block_size) for lo in los]
+    args = (repeat(model), repeat(detection), los, his, offsets)
     if workers > 1 and n_blocks > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_task, tasks, chunksize=max(1, n_blocks // (4 * workers))))
+            parts = list(pool.map(_simulate_block, *args, chunksize=max(1, n_blocks // (4 * workers))))
     else:
-        parts = [_block_task(t) for t in tasks]
+        parts = list(map(_simulate_block, *args))
     return np.concatenate(parts)
 
 

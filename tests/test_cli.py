@@ -195,6 +195,15 @@ class TestCliSimulateAnalyze:
         assert main(["analyze", out, "--config", str(cfg)]) == 2
         assert "n_photons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-0.3", "nan", "inf", "1"])
+    def test_background_outside_unit_interval_exits_two(self, tmp_path, capsys, value):
+        cfg = self.write_config(tmp_path)
+        out = str(tmp_path / "records.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--cycles", "5000"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", out, "--config", cfg, f"--background={value}"]) == 2
+        assert f"got {float(value)}" in capsys.readouterr().err
+
     def test_missing_records_file_exits_one(self, tmp_path):
         code = main(["analyze", str(tmp_path / "missing.csv")])
         assert code == 1
