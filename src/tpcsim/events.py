@@ -551,11 +551,88 @@ def _columns(records: np.ndarray, labels: dict) -> list[list]:
     return [(labels[name][records[name]] if name in labels else records[name]).tolist() for name in RECORD_COLUMNS]
 
 
+# The writer builds a chunk's rows in one uint8 buffer, each field in the width
+# of its widest value and padded with NULs, which are deleted before writing.
+# Digits come four at a time from _QUADS, the ASCII of "0000".."9999" as uint32.
+_DECIMALS = {"t_ns": 3, "phase_rad": 9}
+_EXACT_BELOW = 2.0**52  # a chunk with |x * 10**d| at or above this is formatted by _ROW_FORMAT
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
+_POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
+_LABEL_BYTES = {name: np.array(labels, "S").view(np.uint8).reshape(len(labels), -1) for name, labels in _CSV_LABELS.items()}
+
+
+def _check_writable(records: np.ndarray) -> None:
+    """Refuse what read_records would refuse: a non-finite number or a code outside its vocabulary."""
+    for name in RECORD_COLUMNS[1:]:
+        column, labels = records[name], _CSV_LABELS.get(name)
+        bad = ~np.isfinite(column) if labels is None else column >= len(labels)
+        if bad.any():
+            k = int(np.argmax(bad))
+            expected = "a finite number" if labels is None else "a code of " + ", ".join(labels)
+            raise RecordFormatError(f"record {k}: {name} {column[k]} is not {expected}")
+
+
+def _decimal(mag: np.ndarray, neg: np.ndarray, min_digits: int) -> np.ndarray:
+    """ASCII decimals of uint64 magnitudes after one sign column: '-' before the
+    negatives, NUL in place of leading zeros beyond ``min_digits`` digits."""
+    digits = np.maximum(np.searchsorted(_POW10, mag, side="right") + 1, min_digits)
+    groups = -(-int(digits.max(initial=min_digits)) // 4)
+    quads = np.empty((mag.size, groups), np.uint32)
+    for j in range(groups - 1, -1, -1):
+        mag, low = np.divmod(mag, np.uint64(10_000))
+        quads[:, j] = np.take(_QUADS, low.view(np.int64))  # numpy 1.x take casts only safely to intp
+    width = 4 * groups + 1
+    lead = width - 1 - digits  # the sign column of each row
+    text = np.empty((mag.size, width), np.uint8)
+    text[:, 1:] = quads.view(np.uint8)
+    cols = np.arange(width)
+    text &= np.take(np.where(cols > cols[:, None], np.uint8(255), np.uint8(0)), lead, axis=0)
+    np.put(text, np.flatnonzero(neg) * width + lead[neg], ord("-"))
+    return text
+
+
+def _round_scaled(x: np.ndarray, p: np.ndarray, d: int) -> np.ndarray:
+    """|x * 10**d| rounded half to even, from p = fl(x * 10**d) below 2**52: rint(p)
+    unless p is a half-integer, where the sign of Dekker's exact error of p decides
+    (x split by Veltkamp; 10**d has at most 26 significant bits and needs no split)."""
+    scale = 10.0**d
+    split = x * 134217729.0  # 2**27 + 1
+    hi = split - (split - x)
+    err = (hi * scale - p) + (x - hi) * scale
+    r = np.rint(p)
+    half = p - r
+    r += (half == 0.5) & (err > 0)
+    r -= (half == -0.5) & (err < 0)
+    return np.abs(r).astype(np.uint64)
+
+
+def _format_rows(chunk: np.ndarray) -> bytes:
+    """The CSV rows of ``chunk``, byte for byte those of _ROW_FORMAT."""
+    with np.errstate(over="ignore"):
+        scaled = {name: chunk[name] * 10.0**d for name, d in _DECIMALS.items()}
+    if not all((np.abs(p) < _EXACT_BELOW).all() for p in scaled.values()):
+        return "".join(map(_ROW_FORMAT, *_columns(chunk, _CSV_LABELS))).encode()
+    comma, dot, newline = (np.full((len(chunk), 1), ord(c), np.uint8) for c in ",.\n")
+    ids = chunk["cycle_id"]
+    mag = ids.astype(np.uint64)
+    pieces = [_decimal(np.where(ids < 0, -mag, mag), ids < 0, 1)]  # -mag wraps, so int64 min works
+    for name in RECORD_COLUMNS[1:]:
+        column, d = chunk[name], _DECIMALS.get(name)
+        if d is None:
+            pieces += [comma, np.take(_LABEL_BYTES[name], column, axis=0)]
+        else:
+            text = _decimal(_round_scaled(column, scaled[name], d), np.signbit(column), d + 1)
+            pieces += [comma, text[:, :-d], dot, text[:, -d:]]
+    return np.concatenate(pieces + [newline], axis=1).tobytes().translate(None, b"\0")
+
+
 def write_records(path, records: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
+    """Write a record file; a record that read_records would refuse raises RecordFormatError before any write."""
+    _check_writable(records)
+    with open(path, "wb") as fh:
+        fh.write((",".join(RECORD_COLUMNS) + "\n").encode())
         for lo in range(0, len(records), _CHUNK):
-            fh.write("".join(map(_ROW_FORMAT, *_columns(records[lo : lo + _CHUNK], _CSV_LABELS))))
+            fh.write(_format_rows(records[lo : lo + _CHUNK]))
 
 
 def read_records(path) -> np.ndarray:

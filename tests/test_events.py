@@ -453,6 +453,27 @@ class TestRecordIO:
         with pytest.raises(RecordFormatError, match="line 4"):
             read_records(path)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("t_ns", np.nan),
+            ("t_ns", np.inf),
+            ("phase_rad", -np.inf),
+            ("phase_rad", np.nan),
+            ("port", 7),
+            ("arrival_class", len(ARRIVAL_CLASSES)),
+            ("prep_sign", len(PREP_NAMES)),
+            ("readout_click", 2),
+        ],
+    )
+    def test_unreadable_record_refused_before_writing(self, tmp_path, name, value):
+        recs = make_records([(k, "D", "Erased", 1.0 + k, 0.5, "minus", 1) for k in range(3)])
+        recs[name][1] = value
+        path = tmp_path / "refused.csv"
+        with pytest.raises(RecordFormatError, match=f"record 1: {name} "):
+            write_records(path, recs)
+        assert not path.exists()
+
     def test_criterion_4_fixture_bytes_pinned(self, tmp_path):
         # the n = 1 record bytes are the hardware ingestion contract
         ini = tmp_path / "fixture.ini"
