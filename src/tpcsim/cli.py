@@ -16,14 +16,19 @@ from .config import ConfigError, dump_config, load_config, validate_config
 from .rates import rate_table
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type of an integer in [lo, hi), or at least lo without ``hi``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < lo or (hi is not None and value >= hi):
+            raise argparse.ArgumentTypeError(f"value must be >= {lo}" + ("" if hi is None else f" and < {hi}"))
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a click-record file")
     p_sim.add_argument("--config", default=None, help="INI run configuration")
     p_sim.add_argument("--out", required=True, help="output record file")
-    p_sim.add_argument("--cycles", type=_positive_int, required=True, help="number of protocol cycles")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
-    p_sim.add_argument("--workers", type=_positive_int, default=1, help="worker processes (output-invariant)")
+    p_sim.add_argument("--cycles", type=_int_in(1), required=True, help="number of protocol cycles")
+    p_sim.add_argument("--seed", type=_int_in(0, ev.SEED_LIMIT), default=None, help="override the configured RNG seed")
+    p_sim.add_argument("--workers", type=_int_in(1), default=1, help="worker processes (output-invariant)")
 
     p_an = sub.add_parser("analyze", help="reconstruct correlations from records")
     p_an.add_argument("records", help="record file from the simulate subcommand")

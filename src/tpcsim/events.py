@@ -120,6 +120,8 @@ class DetectionParams:
             raise EventModelError("readout_dark_click must lie in [0, 1]")
         if self.block_size < 1:
             raise EventModelError("block_size must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise EventModelError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def validate_photons(self, n_photons: int) -> None:
         """Refuse background clicks on a photon chain: the sampler draws them in the first photon's windows only."""
@@ -251,6 +253,7 @@ class _CycleModel:
 
 
 _CYCLE_STREAM, _PHASE_STREAM = 1, 2  # the per-cycle draws and the phase-walk steps
+SEED_LIMIT = 2**64  # a seed is one 64-bit word of the Philox key
 
 
 def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -259,7 +262,7 @@ def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     Streams and blocks map to disjoint Philox keys, so any sharding of blocks
     across workers reproduces the identical draws.
     """
-    key = np.array([np.uint64(seed & 0xFFFF_FFFF_FFFF_FFFF), np.uint64((stream << 48) | block)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64((stream << 48) | block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -277,21 +280,24 @@ def _walk_block_offsets(ifm: InterferometerConfig, n_blocks: int, block_size: in
 
 
 def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float):
+    """True phase of each cycle of a block, and the walk's offset for the next
+    block (bitwise the next entry of _walk_block_offsets)."""
     if ifm.phase_mode == "static":
-        return np.full(ids.shape, ifm.phase)
+        return np.full(ids.shape, ifm.phase), offset
     if ifm.phase_mode == "scan":
-        return np.mod(ifm.phase + ifm.scan_step_rad * ids, 2.0 * np.pi)
+        return np.mod(ifm.phase + ifm.scan_step_rad * ids, 2.0 * np.pi), offset
     sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
     if sigma == 0:
-        return np.full(ids.shape, offset)
-    steps = sigma * _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(ids.shape[0])
-    return offset + np.cumsum(steps)
+        return np.full(ids.shape, offset), offset
+    normals = _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(ids.shape[0])
+    return offset + np.cumsum(sigma * normals), offset + sigma * normals.sum()
 
 
 # -- block simulation --------------------------------------------------------------
 
 
 def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
+    """Records of the cycles lo..hi-1, and the walk offset of the next block."""
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
@@ -302,12 +308,20 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     ids = np.arange(lo, hi, dtype=np.int64)
     block = lo // detection.block_size
     rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
-    phase_true = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
+    phase_true, next_offset = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
     draws = rng.random((9, m))
     u_leaf, u_ro = draws[0], draws[8]
     phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
     n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
     u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
+    if pcfg.n_photons == 1:
+        # every draw is taken; only a cycle with a surviving thinning draw or
+        # a background click can leave a record, so only those are sampled on
+        active = (draws[4] < eta) | (draws[5] < eta) | (n_bg > 0)
+        if not active.all():
+            rows = np.flatnonzero(active)
+            ids, phase_true, phase_read, n_bg, draws = (a[..., rows] for a in (ids, phase_true, phase_read, n_bg, draws))
+            m, u_leaf, u_ro = rows.size, draws[0], draws[8]
     prep_idx = _prep_codes(ids, pcfg, detection)
 
     li = np.empty(m, dtype=np.int64)
@@ -372,7 +386,7 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
     owners = np.repeat(np.arange(m), n_bg)
     sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)))
-    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
+    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click), next_offset
 
 
 def _next_photon(model: _CycleModel, spin, rng):
@@ -528,18 +542,21 @@ def simulate_cycles(
     detection.validate()
     model = _CycleModel(params, protocol_cfg, ifm, detection)
     n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
-    if ifm.phase_mode == "walk":
-        offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
-    else:
-        offsets = np.zeros(n_blocks)
     los = range(0, n_cycles, detection.block_size)
     his = [min(n_cycles, lo + detection.block_size) for lo in los]
-    args = (repeat(model), repeat(detection), los, his, offsets)
     if workers > 1 and n_blocks > 1:
+        # blocks run out of order, so every walk offset is drawn up front
+        offsets = repeat(ifm.phase)
+        if ifm.phase_mode == "walk":
+            offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
+        args = (repeat(model), repeat(detection), los, his, offsets)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_block, *args, chunksize=max(1, n_blocks // (4 * workers))))
+            parts = [part for part, _ in pool.map(_simulate_block, *args, chunksize=max(1, n_blocks // (4 * workers)))]
     else:
-        parts = list(map(_simulate_block, *args))
+        parts, offset = [], ifm.phase
+        for lo, hi in zip(los, his):
+            part, offset = _simulate_block(model, detection, lo, hi, offset)
+            parts.append(part)
     return np.concatenate(parts)
 
 

@@ -152,6 +152,21 @@ class TestCliSimulateAnalyze:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--cycles", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551621"])
+    def test_seed_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
+        # such a seed would alias one inside [0, 2**64)
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--cycles", "10", f"--seed={seed}"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        ini = tmp_path / "seed.ini"
+        ini.write_text(f"[detection]\nseed = {seed}\n")
+        assert main(["validate", "--config", str(ini)]) == 2
+        assert "[detection] FAIL: seed must lie in [0, 2**64)" in capsys.readouterr().out
+        assert main(["simulate", "--config", str(ini), "--out", str(out), "--cycles", "10"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[emitter]\nnot_a_knob = 3\n")

@@ -1,5 +1,6 @@
 """Event generator tests: determinism, routing statistics, Born consistency,
 background uniformity, record I/O, and coincidence pairing."""
+from dataclasses import replace
 from hashlib import sha256
 
 import numpy as np
@@ -20,6 +21,8 @@ from tpcsim.events import (
     EventModelError,
     RecordFormatError,
     _CycleModel,
+    _simulate_block,
+    _walk_block_offsets,
     pair_coincidences,
     read_records,
     simulate_cycles,
@@ -501,6 +504,70 @@ class TestRecordIO:
                 "3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"
             )
 
+    def test_thinned_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path):
+        # detection thinning 1/15 drops most cycles before they are sampled;
+        # 12 full blocks and a partial one, background clicks of every class
+        args = (
+            replace(noisy_emitter(), zpl_fraction=0.03),
+            InterferometerConfig(phase_mode="walk"),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83, block_size=4096),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(50_000, *args, workers=workers)
+            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "b0026897820298ae0012c2c28704df3a4c4c819d0652c34f8ad322b4194f7f02"
+            )
+
+    def test_thinned_double_clicks_bytes_pinned(self, tmp_path):
+        # at thinning 0.3 a double-occupation cycle often keeps only its
+        # second photon's click, and such a cycle must still be sampled
+        args = (
+            noisy_emitter(),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=0.3, seed=97, block_size=2048),
+        )
+        recs = simulate_cycles(20_000, *args)
+        assert np.count_nonzero(np.unique(recs["cycle_id"], return_counts=True)[1] == 2) > 0
+        path = tmp_path / "doubles.csv"
+        write_records(path, recs)
+        assert sha256(path.read_bytes()).hexdigest() == (
+            "34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"
+        )
+
+    def test_default_sparse_efficiency_bytes_pinned(self, tmp_path):
+        # the default config's efficiency: most of the 98 blocks have no
+        # cycle that can leave a record, and the walk phase runs through them
+        det = DetectionParams(block_size=1024)
+        recs = simulate_cycles(100_000, EmitterParams(), InterferometerConfig(), ProtocolConfig(), det)
+        assert 0 < np.unique(recs["cycle_id"] // det.block_size).size < 10
+        path = tmp_path / "sparse.csv"
+        write_records(path, recs)
+        assert sha256(path.read_bytes()).hexdigest() == (
+            "bbf0dfb787eda2ca63b8b6512e8ccad107c806836df00664272ae380aa62ce27"
+        )
+
+    @pytest.mark.parametrize("drift", [2.4e-9, 0.0])
+    def test_carried_walk_offsets_equal_drawn_offsets(self, drift):
+        ifm = InterferometerConfig(phase_mode="walk", phase=0.3, phase_drift_var_per_ns=drift)
+        pcfg = ProtocolConfig()
+        det = DetectionParams(zpl_efficiency=0.01, seed=19, block_size=4096)
+        model = _CycleModel(ideal_emitter(), pcfg, ifm, det)
+        n_cycles, period = 10_000, pcfg.cycle_period_ns  # the last block holds 1,808 cycles
+        drawn = _walk_block_offsets(ifm, 3, det.block_size, n_cycles, det.seed, period)
+        offset = ifm.phase
+        for b, lo in enumerate(range(0, n_cycles, det.block_size)):
+            assert offset == drawn[b]
+            _, offset = _simulate_block(model, det, lo, min(n_cycles, lo + det.block_size), offset)
+        # a lone partial block 0 of 1,808 cycles is the first of two blocks of that size
+        _, offset = _simulate_block(model, det, 0, 1808, ifm.phase)
+        assert offset == _walk_block_offsets(ifm, 2, 1808, 1809, det.seed, period)[1]
+        assert (len(set(drawn)) == 3) == (drift > 0)
+
     @pytest.mark.parametrize(
         "n_photons,cycles,digest",
         [
@@ -531,6 +598,17 @@ class TestValidation:
             DetectionParams(zpl_efficiency=0.0).validate()
         with pytest.raises(EventModelError):
             DetectionParams(zpl_efficiency=1.5).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the Philox key holds 64 bits of seed; a wider one would alias another
+        with pytest.raises(EventModelError, match="seed"):
+            DetectionParams(seed=seed).validate()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_64_bit_ends_accepted(self, seed):
+        det = DetectionParams(zpl_efficiency=1.0, seed=seed)
+        assert len(simulate_cycles(20, ideal_emitter(), InterferometerConfig(), ProtocolConfig(), det)) > 0
 
     def test_multiphoton_background_unsupported(self):
         with pytest.raises(EventModelError):
