@@ -13,12 +13,14 @@ the phonon-sideband readout click is sampled from the final spin.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
-are sharded across workers. The per-cycle tomography basis follows the arrival
-class of the cycle's earliest surviving photon click (path-erased ->
+are sharded across workers. A block takes all of its draws up front, for any
+chain length, then samples only the cycles with a surviving thinning draw of
+some photon or a background click. The per-cycle tomography basis follows the
+arrival class of the cycle's earliest surviving photon click (path-erased ->
 equatorial readout, path-revealed -> polar readout); a cycle without one reads
 out in the polar basis when its last photon was path-revealing and in the
-equatorial basis otherwise. This mirrors how measurement settings and event
-classes are matched up in the corresponding hardware datasets.
+equatorial basis otherwise, as settings and event classes are matched up in
+the corresponding hardware datasets.
 """
 from __future__ import annotations
 
@@ -184,8 +186,7 @@ class _CycleModel:
     rotation between blocks; the sampler applies ``later_ops`` (that rotation,
     then the block) branch by branch to the spin that the previous photon's
     measurement left, so a cycle's live state never grows beyond
-    (spin, bin1, bin2). ``_simulate_block`` samples every chain length from
-    this one model, with one readout-basis rule (see the module docstring).
+    (spin, bin1, bin2).
     """
 
     def __init__(
@@ -207,8 +208,8 @@ class _CycleModel:
         self.arms = arm_weights(ifm)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
         self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
-        span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns
-        self.bg_per_cycle = detection.background_rate_hz * 4.0 * span_ns * 1e-9
+        self.bg_span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns  # the background window of one port
+        self.bg_per_cycle = detection.background_rate_hz * 4.0 * self.bg_span_ns * 1e-9
 
         prep_ops, block_ops, interblock_ops = _block_operators(params, protocol_cfg, ifm)
         self.later_ops = [interblock_ops, *block_ops]
@@ -310,18 +311,21 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
     phase_true, next_offset = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
     draws = rng.random((9, m))
-    u_leaf, u_ro = draws[0], draws[8]
     phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
     n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
     u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
-    if pcfg.n_photons == 1:
-        # every draw is taken; only a cycle with a surviving thinning draw or
-        # a background click can leave a record, so only those are sampled on
-        active = (draws[4] < eta) | (draws[5] < eta) | (n_bg > 0)
-        if not active.all():
-            rows = np.flatnonzero(active)
-            ids, phase_true, phase_read, n_bg, draws = (a[..., rows] for a in (ids, phase_true, phase_read, n_bg, draws))
-            m, u_leaf, u_ro = rows.size, draws[0], draws[8]
+    n_ops = len(model.later_ops)
+    later = rng.random((pcfg.n_photons - 1, n_ops + 8, m))  # per later photon: a Kraus uniform per op, then 8 photon uniforms
+    # every draw is taken; only a cycle with a surviving thinning draw of some
+    # photon or a background click can leave a record, so only those are sampled on
+    active = n_bg > 0
+    for u_thin in (draws[4], draws[5], *later[:, n_ops + 4], *later[:, n_ops + 5]):
+        active |= u_thin < eta
+    if not active.all():
+        rows = np.flatnonzero(active)
+        ids, phase_true, phase_read, n_bg, draws, later = (a[..., rows] for a in (ids, phase_true, phase_read, n_bg, draws, later))
+        m = rows.size
+    u_leaf, u_ro = draws[0], draws[8]
     prep_idx = _prep_codes(ids, pcfg, detection)
 
     li = np.empty(m, dtype=np.int64)
@@ -341,8 +345,14 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     for k in range(pcfg.n_photons):
         if k:
             states = None  # free the measured photon's state before the next one's
-            states, state_rows = _next_photon(model, spin, rng), np.arange(m)
-            draws = rng.random((8, m))
+            # the rotation between blocks and the entangling block, one Born-weighted
+            # Kraus branch each, applied to the spin that the last measurement left
+            state = np.zeros((m, em.SPIN_DIM * 4), dtype=complex)
+            state[:, ::4] = spin  # both bins empty
+            for ops, u in zip(model.later_ops, later[k - 1, :n_ops]):
+                state = _sample_kraus(state, ops, u)
+            states, state_rows = state.reshape(-1, em.SPIN_DIM, 4), np.arange(m)
+            draws = later[k - 1, n_ops:]
             outcome = _pick(np.cumsum(_outcome_weights(states, model.arms), axis=1), draws[0])
             # the late-bin amplitude's sign flips at rate (1 - visibility) / 2
             states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
@@ -383,21 +393,10 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
         # and second photons of double cycles, then single detections
         sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]
 
-    t_in = (t_a1 - w) + u_bg_time * (2.0 * delay + 2.0 * w)
+    t_in = (t_a1 - w) + u_bg_time * model.bg_span_ns
     owners = np.repeat(np.arange(m), n_bg)
     sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)))
     return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click), next_offset
-
-
-def _next_photon(model: _CycleModel, spin, rng):
-    """(spin, occupation) state of each cycle's next photon: the interblock
-    rotation and the entangling block, one Born-weighted Kraus branch each,
-    applied to the normalized ``spin`` that the last measurement left."""
-    state = np.zeros((len(spin), em.SPIN_DIM * 4), dtype=complex)
-    state[:, ::4] = spin  # both bins empty
-    for ops in model.later_ops:
-        state = _sample_kraus(state, ops, rng.random(len(spin)))
-    return state.reshape(-1, em.SPIN_DIM, 4)
 
 
 def _outcome_weights(states, arms):
@@ -544,7 +543,8 @@ def simulate_cycles(
     n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
     los = range(0, n_cycles, detection.block_size)
     his = [min(n_cycles, lo + detection.block_size) for lo in los]
-    if workers > 1 and n_blocks > 1:
+    workers = min(workers, n_blocks)  # a fork-started pool launches every worker at the first submit
+    if workers > 1:
         # blocks run out of order, so every walk offset is drawn up front
         offsets = repeat(ifm.phase)
         if ifm.phase_mode == "walk":

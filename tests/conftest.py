@@ -16,6 +16,22 @@ PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
 LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
 
 
+def ideal_emitter(**overrides) -> em.EmitterParams:
+    """An emitter without imperfections; ``p_readout_click`` keeps its default
+    unless overridden."""
+    base = dict(
+        p_cross=0.0,
+        zpl_fraction=1.0,
+        p_shelve=0.0,
+        p_spin_flip=0.0,
+        init_fidelity=1.0,
+        nuclear_pol=1.0,
+        pi_pulse_error=0.0,
+    )
+    base.update(overrides)
+    return em.EmitterParams(**base)
+
+
 def make_records(rows):
     """Records from rows that spell the coded columns with their CSV labels,
     e.g. (0, "D", "Erased", 100.0, 0.1, "minus", 1)."""

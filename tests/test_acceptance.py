@@ -26,7 +26,7 @@ from tpcsim.protocol import (
 )
 from tpcsim.qsim import Operator, expectation
 
-from conftest import FIXTURE, bell_target, fidelity_to, route, write_fixture_ini
+from conftest import FIXTURE, bell_target, fidelity_to, ideal_emitter, route, write_fixture_ini
 from test_protocol import brute_force_chain
 
 FIXTURE_TARGETS = dict(c_zz=0.837, c_xx=0.407, f_bound=0.647)
@@ -38,21 +38,6 @@ def _verdict(number: int, ok: bool, message: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} {status}: {message}")
     assert ok, f"criterion {number}: {message}"
-
-
-def ideal_emitter(**overrides):
-    base = dict(
-        p_cross=0.0,
-        zpl_fraction=1.0,
-        p_shelve=0.0,
-        p_spin_flip=0.0,
-        init_fidelity=1.0,
-        nuclear_pol=1.0,
-        pi_pulse_error=0.0,
-        p_readout_click=1.0,
-    )
-    base.update(overrides)
-    return EmitterParams(**base)
 
 
 IDEAL_INI = """
@@ -133,7 +118,7 @@ def test_criterion_2_routing_table_and_heralded_fraction():
     n = 100_000
     recs = simulate_cycles(
         n,
-        ideal_emitter(),
+        ideal_emitter(p_readout_click=1.0),
         InterferometerConfig(phase_mode="scan"),
         ProtocolConfig(),
         DetectionParams(zpl_efficiency=1.0, seed=201),
@@ -252,7 +237,7 @@ def test_criterion_5_background_subtraction_oracle():
         det = DetectionParams(
             zpl_efficiency=0.02, background_rate_hz=rate_hz, seed=int(1000 * b)
         )
-        recs = simulate_cycles(6_000_000, ideal_emitter(), ifm, ProtocolConfig(), det)
+        recs = simulate_cycles(6_000_000, ideal_emitter(p_readout_click=1.0), ifm, ProtocolConfig(), det)
         raw = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm)
         corrected = analyze_records(
             recs, AnalysisParams(p_readout_click=1.0), ifm, auto_background=True
@@ -312,7 +297,7 @@ def test_criterion_8_multiphoton_stabilizers_and_heralding():
         n_cycles = 20_000
         recs = simulate_cycles(
             n_cycles,
-            ideal_emitter(),
+            ideal_emitter(p_readout_click=1.0),
             InterferometerConfig(),
             pcfg,
             DetectionParams(zpl_efficiency=1.0, seed=800 + n, alternate_preps=False),
@@ -331,7 +316,7 @@ def test_criterion_8_multiphoton_stabilizers_and_heralding():
 
         switch = simulate_cycles(
             5_000,
-            ideal_emitter(),
+            ideal_emitter(p_readout_click=1.0),
             InterferometerConfig(active_switch=True),
             pcfg,
             DetectionParams(zpl_efficiency=1.0, seed=900 + n, alternate_preps=False),

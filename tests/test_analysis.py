@@ -14,33 +14,17 @@ from tpcsim.analysis import (
     significance,
     subtract_background,
 )
-from tpcsim.emitter import EmitterParams
 from tpcsim.events import ERASED, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
 
-from conftest import make_records
-
-
-def ideal_emitter(**overrides):
-    base = dict(
-        p_cross=0.0,
-        zpl_fraction=1.0,
-        p_shelve=0.0,
-        p_spin_flip=0.0,
-        init_fidelity=1.0,
-        nuclear_pol=1.0,
-        pi_pulse_error=0.0,
-        p_readout_click=1.0,
-    )
-    base.update(overrides)
-    return EmitterParams(**base)
+from conftest import ideal_emitter, make_records
 
 
 def ideal_records(n_cycles, seed=5, **ifm_overrides):
     ifm = InterferometerConfig(phase_mode="scan", phase_readout_sigma=0.0, **ifm_overrides)
     det = DetectionParams(zpl_efficiency=1.0, seed=seed)
-    return simulate_cycles(n_cycles, ideal_emitter(), ifm, ProtocolConfig(), det), ifm
+    return simulate_cycles(n_cycles, ideal_emitter(p_readout_click=1.0), ifm, ProtocolConfig(), det), ifm
 
 
 def inject_uniform_background(records, b, ifm, rng):

@@ -33,23 +33,9 @@ from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy
 from tpcsim.qsim import expectation, partial_trace
 
-from conftest import FIXTURE, apply, hardware_port_states, make_records, projector_onto, ry, write_fixture_ini
+from conftest import FIXTURE, apply, hardware_port_states, ideal_emitter, make_records, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
-
-
-def ideal_emitter(**overrides):
-    base = dict(
-        p_cross=0.0,
-        zpl_fraction=1.0,
-        p_shelve=0.0,
-        p_spin_flip=0.0,
-        init_fidelity=1.0,
-        nuclear_pol=1.0,
-        pi_pulse_error=0.0,
-    )
-    base.update(overrides)
-    return EmitterParams(**base)
 
 
 def noisy_emitter():
@@ -82,6 +68,34 @@ class TestDeterminism:
             serial = simulate_cycles(12_000, params, ifm, pcfg, det, workers=1)
             parallel = simulate_cycles(12_000, params, ifm, pcfg, det, workers=4)
             assert np.array_equal(serial, parallel)
+
+    def test_pool_holds_no_more_workers_than_blocks(self, monkeypatch):
+        # a fork-started pool launches all of its workers at the first submit
+        class SerialPool:
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
+        args = (
+            ideal_emitter(),
+            InterferometerConfig(phase_mode="walk"),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=0.5, seed=3, block_size=1000),
+        )
+        pooled = simulate_cycles(2_500, *args, workers=64)
+        assert SerialPool.sizes == [3]
+        assert np.array_equal(pooled, simulate_cycles(2_500, *args, workers=1))
 
     def test_different_seeds_differ(self):
         params = ideal_emitter()
@@ -590,6 +604,29 @@ class TestRecordIO:
         path = tmp_path / "chain.csv"
         write_records(path, recs)
         assert sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n_photons,cycles,n_records,digest",
+        [
+            (2, 20_000, 1_865, "b45b98af68f89a714f5311b1d908305b7470fc69d30ed7d8f15a6db736a13071"),
+            (3, 12_000, 1_642, "e43e8dbe53bc55a666ddbc4f8672282e02d4b1d7560a1b5bf1c1bde074247f53"),
+        ],
+    )
+    def test_thinned_chain_bytes_pinned_for_any_worker_count(self, tmp_path, n_photons, cycles, n_records, digest):
+        # at thinning 0.05 most cycles are dropped before they are sampled; a
+        # cycle whose only surviving click is a later photon's must be kept
+        args = (
+            noisy_emitter(),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(n_photons=n_photons),
+            DetectionParams(zpl_efficiency=0.05, seed=89, block_size=2048),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(cycles, *args, workers=workers)
+            assert len(recs) == n_records
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestValidation:

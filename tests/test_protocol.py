@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tpcsim.emitter import EmitterParams, LVL_G0, LVL_GM1
+from tpcsim.emitter import LVL_G0, LVL_GM1
 from tpcsim.events import ERASED, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig, POL_H, POL_V
 from tpcsim.protocol import (
@@ -19,21 +19,7 @@ from tpcsim.protocol import (
 )
 from tpcsim.qsim import QuantumState, SubsystemSpec, expectation, Operator
 
-from conftest import apply, bell_target, fidelity_to
-
-
-def ideal_emitter(**overrides):
-    base = dict(
-        p_cross=0.0,
-        zpl_fraction=1.0,
-        p_shelve=0.0,
-        p_spin_flip=0.0,
-        init_fidelity=1.0,
-        nuclear_pol=1.0,
-        pi_pulse_error=0.0,
-    )
-    base.update(overrides)
-    return EmitterParams(**base)
+from conftest import apply, bell_target, fidelity_to, ideal_emitter
 
 
 def make_sequence(n_photons=1, prep_sign="minus", chain_mode="cluster", period=2_000_000.0):
