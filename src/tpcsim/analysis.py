@@ -85,20 +85,21 @@ class CorrelationReport:
     c_xx: float
     c_xx_err: float
     fits: dict[str, FitCurve]
-    background_fraction: float
-    background_fraction_err: float
     f_bound_raw: float
     f_bound_raw_err: float
     significance_raw: float
-    f_bound_corrected: float
-    f_bound_corrected_err: float
-    significance_corrected: float
-    c_zz_corrected: float = 0.0
-    c_zz_corrected_err: float = 0.0
-    c_xx_corrected: float = 0.0
-    c_xx_corrected_err: float = 0.0
     insufficient_cells: tuple[str, ...] = ()
     curves: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # the corrected half, set by subtract_background
+    background_fraction: float = field(init=False)
+    background_fraction_err: float = field(init=False)
+    c_zz_corrected: float = field(init=False)
+    c_zz_corrected_err: float = field(init=False)
+    c_xx_corrected: float = field(init=False)
+    c_xx_corrected_err: float = field(init=False)
+    f_bound_corrected: float = field(init=False)
+    f_bound_corrected_err: float = field(init=False)
+    significance_corrected: float = field(init=False)
 
     def to_text(self) -> str:
         lines = [
@@ -314,7 +315,7 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
     Correlations divide by (1 - b); diagonals shed a uniform weight b/4 per
     cell and renormalize.
     """
-    b = background_fraction
+    b = background_fraction + 0.0  # -0.0 reads as 0.0
     if not 0.0 <= b < 1.0:
         raise AnalysisError(f"background fraction must lie in [0, 1), got {b}")
     scale = 1.0 / (1.0 - b)
@@ -323,26 +324,19 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
         err = np.hypot(s * scale, c * background_err * scale**2)
         return c * scale, float(err)
 
-    c_zz, c_zz_err = corr(report.c_zz, report.c_zz_err)
-    c_xx, c_xx_err = corr(report.c_xx, report.c_xx_err)
+    out = replace(report)  # the init=False corrected half is set below
+    out.background_fraction, out.background_fraction_err = b, background_err
+    out.c_zz_corrected, out.c_zz_corrected_err = corr(report.c_zz, report.c_zz_err)
+    out.c_xx_corrected, out.c_xx_corrected_err = corr(report.c_xx, report.c_xx_err)
     diag = tuple((d - b / 4.0) * scale for d in report.diagonals)
     diag_err = tuple(
         float(np.hypot(e * scale, abs(d - 0.25) * background_err * scale**2))
         for d, e in zip(report.diagonals, report.diagonal_errors)
     )
-    f_corr, f_corr_err = _bound_with_error(diag, diag_err, c_xx, c_xx_err)
-    return replace(
-        report,
-        background_fraction=b,
-        background_fraction_err=background_err,
-        f_bound_corrected=f_corr,
-        f_bound_corrected_err=f_corr_err,
-        significance_corrected=significance(f_corr, f_corr_err),
-        c_zz_corrected=c_zz,
-        c_zz_corrected_err=c_zz_err,
-        c_xx_corrected=c_xx,
-        c_xx_corrected_err=c_xx_err,
-    )
+    f_corr, f_corr_err = _bound_with_error(diag, diag_err, out.c_xx_corrected, out.c_xx_corrected_err)
+    out.f_bound_corrected, out.f_bound_corrected_err = f_corr, f_corr_err
+    out.significance_corrected = significance(f_corr, f_corr_err)
+    return out
 
 
 # -- fidelity bound ----------------------------------------------------------------
@@ -427,18 +421,9 @@ def analyze_records(
         c_xx=eq.c_xx,
         c_xx_err=eq.c_xx_err,
         fits=eq.fits,
-        background_fraction=0.0,
-        background_fraction_err=0.0,
         f_bound_raw=f_raw,
         f_bound_raw_err=f_raw_err,
         significance_raw=significance(f_raw, f_raw_err),
-        f_bound_corrected=f_raw,
-        f_bound_corrected_err=f_raw_err,
-        significance_corrected=significance(f_raw, f_raw_err),
-        c_zz_corrected=diag.c_zz,
-        c_zz_corrected_err=diag.c_zz_err,
-        c_xx_corrected=eq.c_xx,
-        c_xx_corrected_err=eq.c_xx_err,
         insufficient_cells=tuple(diag.insufficient) + tuple(eq.insufficient),
         curves=eq.curves,
     )
@@ -447,11 +432,9 @@ def analyze_records(
         b, b_err = estimate_background_fraction(clean, ifm)
     elif background is not None:
         b, b_err = float(background), 0.0
-    # an estimate is never negative; an explicit value outside [0, 1), NaN
-    # included, reaches subtract_background and is refused there
-    if b != 0.0:
-        report = subtract_background(report, b, b_err)
-    return report
+    # at b = 0 with no error on b the corrected half equals the raw half bit
+    # for bit; an explicit value outside [0, 1), NaN included, is refused there
+    return subtract_background(report, b, b_err)
 
 
 def write_diagonals_csv(path, report: CorrelationReport) -> None:

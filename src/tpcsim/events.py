@@ -13,19 +13,22 @@ the phonon-sideband readout click is sampled from the final spin.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
-are sharded across workers. A block takes all of its draws up front, for any
-chain length, then samples only the cycles with a surviving thinning draw of
-some photon or a background click. The per-cycle tomography basis follows the
-arrival class of the cycle's earliest surviving photon click (path-erased ->
-equatorial readout, path-revealed -> polar readout); a cycle without one reads
-out in the polar basis when its last photon was path-revealing and in the
-equatorial basis otherwise, as settings and event classes are matched up in
-the corresponding hardware datasets.
+are sharded across workers: each worker runs one contiguous run of blocks in
+order, carrying the walk phase from block to block, and first carries it
+through the phase steps of the blocks before its run. A block takes all of its
+draws up front, for any chain length, then samples only the cycles with a
+surviving thinning draw of some photon or a background click. The per-cycle
+tomography basis follows the arrival class of the cycle's earliest surviving
+photon click (path-erased -> equatorial readout, path-revealed -> polar
+readout); a cycle without one reads out in the polar basis when its last
+photon was path-revealing and in the equatorial basis otherwise, as settings
+and event classes are matched up in the corresponding hardware datasets.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice, repeat
 from typing import NamedTuple
 
@@ -267,31 +270,27 @@ def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _walk_block_offsets(ifm: InterferometerConfig, n_blocks: int, block_size: int, n_cycles: int, seed: int, period_ns: float):
-    """Starting phase of every block under the random-walk model."""
+def _walk_steps(ifm: InterferometerConfig, seed: int, block: int, m: int, offset: float, period_ns: float):
+    """Phase steps of the random walk over a block's ``m`` cycles, and the
+    walk's offset after them; no steps (None) and nothing drawn when the phase
+    does not walk."""
     sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
-    offsets = np.empty(n_blocks)
-    acc = ifm.phase
-    for b in range(n_blocks):
-        offsets[b] = acc
-        m = min(block_size, n_cycles - b * block_size)
-        if sigma > 0:
-            acc += sigma * _keyed_rng(seed, _PHASE_STREAM, b).standard_normal(m).sum()
-    return offsets
+    if ifm.phase_mode != "walk" or sigma == 0:
+        return None, offset
+    normals = _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(m)
+    return sigma * normals, offset + sigma * normals.sum()
 
 
 def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float):
-    """True phase of each cycle of a block, and the walk's offset for the next
-    block (bitwise the next entry of _walk_block_offsets)."""
+    """True phase of each cycle of a block, and the walk's offset for the next block."""
     if ifm.phase_mode == "static":
         return np.full(ids.shape, ifm.phase), offset
     if ifm.phase_mode == "scan":
         return np.mod(ifm.phase + ifm.scan_step_rad * ids, 2.0 * np.pi), offset
-    sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
-    if sigma == 0:
+    steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns)
+    if steps is None:
         return np.full(ids.shape, offset), offset
-    normals = _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(ids.shape[0])
-    return offset + np.cumsum(sigma * normals), offset + sigma * normals.sum()
+    return offset + np.cumsum(steps), next_offset
 
 
 # -- block simulation --------------------------------------------------------------
@@ -520,6 +519,21 @@ def _rows(sources, ids, period, phase_read, prep_idx, ro_click) -> np.ndarray:
     return out
 
 
+def _simulate_shard(model: _CycleModel, detection: DetectionParams, n_cycles: int, first: int, stop: int) -> np.ndarray:
+    """Records of the blocks first..stop-1 of an ``n_cycles`` run, run in order
+    with the walk offset carried from block to block. The offset at ``first``
+    comes from carrying the walk through the earlier blocks, which are full."""
+    size, period = detection.block_size, model.protocol_cfg.cycle_period_ns
+    offset = model.ifm.phase
+    for block in range(first):
+        _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period)
+    parts = []
+    for lo in range(first * size, min(n_cycles, stop * size), size):
+        part, offset = _simulate_block(model, detection, lo, min(n_cycles, lo + size), offset)
+        parts.append(part)
+    return np.concatenate(parts)
+
+
 # -- public API --------------------------------------------------------------------
 
 
@@ -533,31 +547,23 @@ def simulate_cycles(
 ) -> np.ndarray:
     """Simulate ``n_cycles`` protocol cycles and return the click records.
 
-    Deterministic in (configs, detection.seed); the ``workers`` count shards
-    whole RNG blocks across processes and never changes the output.
+    Deterministic in (configs, detection.seed); the ``workers`` count splits
+    the RNG blocks into contiguous runs, one per process, and never changes
+    the output.
     """
     if n_cycles < 1:
         raise EventModelError("n_cycles must be >= 1")
     detection.validate()
     model = _CycleModel(params, protocol_cfg, ifm, detection)
     n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
-    los = range(0, n_cycles, detection.block_size)
-    his = [min(n_cycles, lo + detection.block_size) for lo in los]
     workers = min(workers, n_blocks)  # a fork-started pool launches every worker at the first submit
-    if workers > 1:
-        # blocks run out of order, so every walk offset is drawn up front
-        offsets = repeat(ifm.phase)
-        if ifm.phase_mode == "walk":
-            offsets = _walk_block_offsets(ifm, n_blocks, detection.block_size, n_cycles, detection.seed, protocol_cfg.cycle_period_ns)
-        args = (repeat(model), repeat(detection), los, his, offsets)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = [part for part, _ in pool.map(_simulate_block, *args, chunksize=max(1, n_blocks // (4 * workers)))]
-    else:
-        parts, offset = [], ifm.phase
-        for lo, hi in zip(los, his):
-            part, offset = _simulate_block(model, detection, lo, hi, offset)
-            parts.append(part)
-    return np.concatenate(parts)
+    shard = partial(_simulate_shard, model, detection, n_cycles)
+    if workers == 1:
+        return shard(0, n_blocks)
+    # one contiguous run of blocks per worker, of nearly equal length
+    cuts = [n_blocks * k // workers for k in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(shard, cuts[:-1], cuts[1:])))
 
 
 # -- record I/O ---------------------------------------------------------------------

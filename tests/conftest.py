@@ -32,6 +32,25 @@ def ideal_emitter(**overrides) -> em.EmitterParams:
     return em.EmitterParams(**base)
 
 
+class SerialPool:
+    """ProcessPoolExecutor stand-in that maps in this process; ``sizes`` lists
+    the max_workers of every pool made, and a test resets it before use."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
 def make_records(rows):
     """Records from rows that spell the coded columns with their CSV labels,
     e.g. (0, "D", "Erased", 100.0, 0.1, "minus", 1)."""

@@ -198,12 +198,33 @@ class TestPhaseBins:
 
 
 class TestBackground:
-    def test_zero_background_leaves_report(self):
+    @pytest.mark.parametrize("background", [None, 0.0, -0.0])
+    def test_zero_background_leaves_report(self, background):
+        # the corrected half equals the raw half bit for bit
         recs, ifm = ideal_records(30_000)
-        report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm)
-        corrected = subtract_background(report, 0.0)
-        assert corrected.f_bound_corrected == report.f_bound_raw
-        assert corrected.c_zz == report.c_zz
+        report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm, background=background)
+        assert "background_fraction = 0.000000 +- 0.000000" in report.to_text()
+        assert (report.background_fraction, report.background_fraction_err) == (0.0, 0.0)
+        for raw, corrected in (
+            ("c_zz", "c_zz_corrected"),
+            ("c_zz_err", "c_zz_corrected_err"),
+            ("c_xx", "c_xx_corrected"),
+            ("c_xx_err", "c_xx_corrected_err"),
+            ("f_bound_raw", "f_bound_corrected"),
+            ("f_bound_raw_err", "f_bound_corrected_err"),
+            ("significance_raw", "significance_corrected"),
+        ):
+            assert getattr(report, corrected) == getattr(report, raw), corrected
+
+    def test_zero_estimate_keeps_its_error(self):
+        # no inter-window click: the estimate is 0 with the error of one click
+        recs, ifm = ideal_records(30_000)
+        b, sigma = estimate_background_fraction(recs, ifm)
+        report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm, auto_background=True)
+        assert b == 0.0 < sigma
+        assert (report.background_fraction, report.background_fraction_err) == (b, sigma)
+        assert report.c_zz_corrected == report.c_zz
+        assert report.c_zz_corrected_err > report.c_zz_err
 
     def test_uniform_mixture_algebra(self):
         # C_raw = (1 - b) C_true: at C_raw = 0.5, b = 0.5 the corrected value is 1

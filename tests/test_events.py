@@ -17,12 +17,13 @@ from tpcsim.events import (
     LATE,
     PREP_NAMES,
     RECORD_COLUMNS,
+    _PHASE_STREAM,
     DetectionParams,
     EventModelError,
     RecordFormatError,
     _CycleModel,
+    _keyed_rng,
     _simulate_block,
-    _walk_block_offsets,
     pair_coincidences,
     read_records,
     simulate_cycles,
@@ -33,7 +34,7 @@ from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy
 from tpcsim.qsim import expectation, partial_trace
 
-from conftest import FIXTURE, apply, hardware_port_states, ideal_emitter, make_records, projector_onto, ry, write_fixture_ini
+from conftest import FIXTURE, SerialPool, apply, hardware_port_states, ideal_emitter, make_records, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
 
@@ -49,6 +50,21 @@ def noisy_emitter():
         pi_pulse_error=0.02,
         p_readout_click=1.0,
     )
+
+
+def _walk_block_offsets(ifm, n_blocks, block_size, n_cycles, seed, period_ns):
+    """Starting phase of every block under the random-walk model, each block's
+    steps drawn and summed in turn: the reference for the offsets that the
+    block loop carries and that a later shard skips ahead to."""
+    sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
+    offsets = np.empty(n_blocks)
+    acc = ifm.phase
+    for b in range(n_blocks):
+        offsets[b] = acc
+        m = min(block_size, n_cycles - b * block_size)
+        if sigma > 0:
+            acc += sigma * _keyed_rng(seed, _PHASE_STREAM, b).standard_normal(m).sum()
+    return offsets
 
 
 class TestDeterminism:
@@ -71,21 +87,7 @@ class TestDeterminism:
 
     def test_pool_holds_no_more_workers_than_blocks(self, monkeypatch):
         # a fork-started pool launches all of its workers at the first submit
-        class SerialPool:
-            sizes = []
-
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
+        monkeypatch.setattr(SerialPool, "sizes", [])
         monkeypatch.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
         args = (
             ideal_emitter(),
@@ -565,22 +567,37 @@ class TestRecordIO:
             "bbf0dfb787eda2ca63b8b6512e8ccad107c806836df00664272ae380aa62ce27"
         )
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("drift", [2.4e-9, 0.0])
-    def test_carried_walk_offsets_equal_drawn_offsets(self, drift):
+    def test_every_block_starts_from_the_drawn_walk_offset(self, monkeypatch, drift, workers):
+        # five blocks, the last of 1,808 cycles: 2 workers cut them 2 + 3 and
+        # 3 workers 1 + 2 + 2, so later shards skip ahead over 1 to 3 blocks
         ifm = InterferometerConfig(phase_mode="walk", phase=0.3, phase_drift_var_per_ns=drift)
         pcfg = ProtocolConfig()
-        det = DetectionParams(zpl_efficiency=0.01, seed=19, block_size=4096)
-        model = _CycleModel(ideal_emitter(), pcfg, ifm, det)
-        n_cycles, period = 10_000, pcfg.cycle_period_ns  # the last block holds 1,808 cycles
-        drawn = _walk_block_offsets(ifm, 3, det.block_size, n_cycles, det.seed, period)
-        offset = ifm.phase
-        for b, lo in enumerate(range(0, n_cycles, det.block_size)):
-            assert offset == drawn[b]
-            _, offset = _simulate_block(model, det, lo, min(n_cycles, lo + det.block_size), offset)
-        # a lone partial block 0 of 1,808 cycles is the first of two blocks of that size
-        _, offset = _simulate_block(model, det, 0, 1808, ifm.phase)
-        assert offset == _walk_block_offsets(ifm, 2, 1808, 1809, det.seed, period)[1]
-        assert (len(set(drawn)) == 3) == (drift > 0)
+        det = DetectionParams(zpl_efficiency=0.01, seed=19, block_size=2048)
+        n_cycles = 10_000
+        drawn = _walk_block_offsets(ifm, 5, det.block_size, n_cycles, det.seed, pcfg.cycle_period_ns)
+        starts, streams = {}, []
+
+        def recording_block(model, detection, lo, hi, offset):
+            starts[lo // detection.block_size] = offset
+            return _simulate_block(model, detection, lo, hi, offset)
+
+        def recording_rng(seed, stream, block):
+            streams.append(stream)
+            return _keyed_rng(seed, stream, block)
+
+        monkeypatch.setattr("tpcsim.events._simulate_block", recording_block)
+        monkeypatch.setattr("tpcsim.events._keyed_rng", recording_rng)
+        monkeypatch.setattr(SerialPool, "sizes", [])
+        monkeypatch.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
+        simulate_cycles(n_cycles, ideal_emitter(), ifm, pcfg, det, workers=workers)
+        assert sorted(starts) == list(range(5))
+        for block, offset in starts.items():
+            assert offset == drawn[block], block
+        assert (len(set(drawn)) == 5) == (drift > 0)
+        # a phase that does not walk draws no phase step, not even to skip ahead
+        assert (_PHASE_STREAM in streams) == (drift > 0)
 
     @pytest.mark.parametrize(
         "n_photons,cycles,digest",

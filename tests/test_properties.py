@@ -1,7 +1,7 @@
-"""Property tests of the record path and the analysis: the CSV round trip,
-the writer against its one-row reference format, multi-click rejection, and
-the report's invariance under a common phase shift, over arbitrary valid
-inputs."""
+"""Property tests of the record path and the analysis: the records' invariance
+under the cut of the blocks into worker shards, the CSV round trip, the
+writer against its one-row reference format, multi-click rejection, and the
+report's invariance under a common phase shift, over arbitrary valid inputs."""
 from math import pi
 
 import numpy as np
@@ -30,7 +30,36 @@ from tpcsim.events import (
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
 
+from conftest import SerialPool, ideal_emitter
+
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    cycles=st.integers(1, 600),
+    block_size=st.integers(1, 200),
+    workers=st.integers(1, 5),
+    phase_mode=st.sampled_from(["walk", "scan", "static"]),
+)
+def test_shard_cuts_never_change_the_records(cycles, block_size, workers, phase_mode):
+    args = (
+        ideal_emitter(),
+        InterferometerConfig(phase_mode=phase_mode, phase=0.3),
+        ProtocolConfig(),
+        DetectionParams(zpl_efficiency=0.3, seed=11, block_size=block_size),
+    )
+    one = simulate_cycles(cycles, *args)
+    # the pool maps in this process, so the test starts no process
+    pools = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SerialPool, "sizes", pools)
+        mp.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
+        sharded = simulate_cycles(cycles, *args, workers=workers)
+    shards = min(workers, -(-cycles // block_size))
+    assert pools == [shards] * (shards > 1)
+    assert np.array_equal(sharded, one)
+
 
 records = st.lists(
     st.tuples(
