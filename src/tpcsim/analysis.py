@@ -12,6 +12,9 @@ probability against the effective analyzer phase (record phase + port offset)
 falls on one sinusoid per preparation sign, whose contrasts combine into the
 XX correlation. Readout clicks are inverted through the calibrated
 bright-state click probability before any probability is formed.
+
+The estimators read counts only: ``tally_records`` drops the multi-click
+cycles and counts the rest once into the ``Tally`` that they all share.
 """
 from __future__ import annotations
 
@@ -20,11 +23,11 @@ from math import pi, sin
 
 import numpy as np
 
-from .events import EARLY, ERASED, INVALID, LATE, PREP_NAMES, multiclick_cycles
-from .optics import InterferometerConfig, port_offsets
+from .events import ARRIVAL_CLASSES, EARLY, ERASED, INVALID, LATE, PREP_NAMES, multiclick_cycles
+from .optics import PORT_NAMES, InterferometerConfig, port_offsets
 
-PREP_ORDER = PREP_NAMES  # indexed by the records' prep_sign code
 DIAGONAL_LABELS = ("rho11_0H", "rho22_0V", "rho33_m1H", "rho44_m1V")
+CELL_SHAPE = (len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_NAMES), 2)  # [prep, class, port, click]
 
 
 class AnalysisError(ValueError):
@@ -102,36 +105,60 @@ class CorrelationReport:
     significance_corrected: float = field(init=False)
 
     def to_text(self) -> str:
-        lines = [
-            f"n_records = {self.n_records}",
-            f"rejected_cycles = {self.n_rejected_cycles}",
-        ]
-        for label, value, err in zip(DIAGONAL_LABELS, self.diagonals, self.diagonal_errors):
-            lines.append(f"{label} = {value:.6f} +- {err:.6f}")
-        lines.append(f"c_zz = {self.c_zz:.6f} +- {self.c_zz_err:.6f}")
-        lines.append(f"c_xx = {self.c_xx:.6f} +- {self.c_xx_err:.6f}")
-        for prep in PREP_ORDER:
-            if prep in self.fits:
-                fit = self.fits[prep]
-                lines.append(
-                    f"fit_{prep}_amplitude = {fit.amplitude:.6f} +- {fit.amplitude_err:.6f}"
-                )
-                lines.append(f"fit_{prep}_phase = {fit.phase0:.6f}")
-                lines.append(f"fit_{prep}_baseline = {fit.baseline:.6f}")
-        lines.append(
-            f"background_fraction = {self.background_fraction:.6f} +- {self.background_fraction_err:.6f}"
-        )
-        lines.append(f"c_zz_corrected = {self.c_zz_corrected:.6f} +- {self.c_zz_corrected_err:.6f}")
-        lines.append(f"c_xx_corrected = {self.c_xx_corrected:.6f} +- {self.c_xx_corrected_err:.6f}")
-        lines.append(f"f_bound_raw = {self.f_bound_raw:.6f} +- {self.f_bound_raw_err:.6f}")
+        def pm(name, value=None, err=None):  # a field and its _err field unless given
+            if value is None:
+                value, err = getattr(self, name), getattr(self, name + "_err")
+            return f"{name} = {value:.6f} +- {err:.6f}"
+
+        lines = [f"n_records = {self.n_records}", f"rejected_cycles = {self.n_rejected_cycles}"]
+        lines += map(pm, DIAGONAL_LABELS, self.diagonals, self.diagonal_errors)
+        lines += [pm("c_zz"), pm("c_xx")]
+        for prep in (p for p in PREP_NAMES if p in self.fits):
+            fit = self.fits[prep]
+            lines.append(pm(f"fit_{prep}_amplitude", fit.amplitude, fit.amplitude_err))
+            lines += [f"fit_{prep}_phase = {fit.phase0:.6f}", f"fit_{prep}_baseline = {fit.baseline:.6f}"]
+        lines += [pm("background_fraction"), pm("c_zz_corrected"), pm("c_xx_corrected"), pm("f_bound_raw")]
         lines.append(f"significance_raw = {self.significance_raw:.2f}")
-        lines.append(
-            f"f_bound_corrected = {self.f_bound_corrected:.6f} +- {self.f_bound_corrected_err:.6f}"
-        )
+        lines.append(pm("f_bound_corrected"))
         lines.append(f"significance_corrected = {self.significance_corrected:.2f}")
         if self.insufficient_cells:
             lines.append("insufficient_statistics = " + ",".join(self.insufficient_cells))
         return "\n".join(lines) + "\n"
+
+
+# -- the count tally ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tally:
+    """Record counts, multi-click cycles dropped: ``cells[prep, class, port,
+    click]``, and ``fringe[prep, bin, click]`` of the path-erased records in
+    ``n_phase_bins`` equal bins of effective phase (record phase + port offset)."""
+
+    cells: np.ndarray
+    fringe: np.ndarray
+    n_records: int
+    n_rejected_cycles: int
+
+
+def tally_records(records: np.ndarray, params: AnalysisParams, ifm: InterferometerConfig) -> Tally:
+    """The tally of single-photon records in any order; the only reader of record columns."""
+    params.validate()
+    drop, rejected = multiclick_cycles(records["cycle_id"], 1)
+    keep = ~drop
+    prep, cls, port, click = (records[c][keep] for c in ("prep_sign", "arrival_class", "port", "readout_click"))
+    erased = cls == ERASED
+    phases = np.mod(records["phase_rad"][keep][erased] + port_offsets(ifm.quadrature_offset)[port[erased]], 2.0 * pi)
+    nb = params.n_phase_bins
+    bins = np.minimum((phases / (2.0 * pi / nb)).astype(int), nb - 1)
+    cells = _count((prep, cls, port, click), CELL_SHAPE)
+    fringe = _count((prep[erased], bins, click[erased]), (len(PREP_NAMES), nb, 2))
+    return Tally(cells, fringe, len(prep), rejected)
+
+
+def _count(index, shape) -> np.ndarray:
+    """How often each index tuple occurs, as an array of ``shape``."""
+    return np.bincount(np.ravel_multi_index(index, shape), minlength=np.prod(shape)).reshape(shape)
 
 
 # -- diagonal (polar-basis) tomography ------------------------------------------
@@ -147,12 +174,11 @@ class DiagonalResult:
     insufficient: tuple[str, ...]
 
 
-def diagonal_tomography(records: np.ndarray, params: AnalysisParams) -> DiagonalResult:
+def diagonal_tomography(tally: Tally, params: AnalysisParams) -> DiagonalResult:
     """Populations and ZZ correlation from path-revealing events."""
     params.validate()
-    early = records[records["arrival_class"] == EARLY]
-    late = records[records["arrival_class"] == LATE]
-    n_e, n_l = len(early), len(late)
+    counts = tally.cells.sum(axis=(0, 2))  # [class, click]
+    n_e, n_l = int(counts[EARLY].sum()), int(counts[LATE].sum())
     if n_e == 0 or n_l == 0:
         raise AnalysisError("diagonal tomography needs both path-revealing arrival classes")
     insufficient = []
@@ -160,8 +186,7 @@ def diagonal_tomography(records: np.ndarray, params: AnalysisParams) -> Diagonal
         if n < params.min_cell_count:
             insufficient.append(f"revealing_{name}")
 
-    k_e = int(early["readout_click"].sum())
-    k_l = int(late["readout_click"].sum())
+    k_e, k_l = int(counts[EARLY, 1]), int(counts[LATE, 1])
     p0_e = params.invert_click_fraction(k_e / n_e)
     p0_l = params.invert_click_fraction(k_l / n_l)
     s_e = params.click_fraction_sigma(k_e, n_e)
@@ -208,12 +233,12 @@ class EquatorialResult:
     insufficient: tuple[str, ...]
 
 
-def _fit_one_prep(phases: np.ndarray, clicks: np.ndarray, params: AnalysisParams):
-    nb = params.n_phase_bins
+def _fit_one_prep(counts: np.ndarray, params: AnalysisParams):
+    """Fringe fit of one preparation's counts[bin, click]."""
+    nb = len(counts)
     width = 2.0 * pi / nb
-    idx = np.minimum((np.mod(phases, 2.0 * pi) / width).astype(int), nb - 1)
-    n_b = np.bincount(idx, minlength=nb).astype(float)
-    k_b = np.bincount(idx, weights=clicks.astype(float), minlength=nb)
+    n_b = counts.sum(axis=1).astype(float)
+    k_b = counts[:, 1].astype(float)
 
     filled = n_b > 0
     if filled.sum() * width <= pi:
@@ -248,32 +273,29 @@ def _fit_one_prep(phases: np.ndarray, clicks: np.ndarray, params: AnalysisParams
     return FitCurve(amplitude, amp_err, phase0, float(c0), int(n_b.sum())), curve
 
 
-def fit_equatorial(records: np.ndarray, params: AnalysisParams, ifm: InterferometerConfig) -> EquatorialResult:
+def fit_equatorial(tally: Tally, params: AnalysisParams) -> EquatorialResult:
     """Per-preparation fringe fits and the combined XX correlation.
 
-    Events from all equatorial ports are merged on a single fringe through the
-    effective phase (recorded phase + the port offset that ``ifm`` sets). The
-    two preparation signs produce anti-phased fringes; the XX correlation is
-    the averaged contrast with its sign fixed by the fitted relative phase,
-    which makes the value invariant under any common shift of the phase origin.
+    Events from all equatorial ports lie on a single fringe through the
+    effective phase that the tally bins them by. The two preparation signs
+    produce anti-phased fringes; the XX correlation is the averaged contrast
+    with its sign fixed by the fitted relative phase, which makes the value
+    invariant under any common shift of the phase origin.
     """
     params.validate()
-    offset_of_port = port_offsets(ifm.quadrature_offset)
-    erased = records[records["arrival_class"] == ERASED]
-    if len(erased) == 0:
+    if not tally.fringe.any():
         raise AnalysisError("no path-erased events to fit")
 
     fits: dict[str, FitCurve] = {}
     curves: dict[str, np.ndarray] = {}
     insufficient = []
-    for prep_code, prep in enumerate(PREP_ORDER):
-        sel = erased[erased["prep_sign"] == prep_code]
-        if len(sel) == 0:
+    for counts, prep in zip(tally.fringe, PREP_NAMES):
+        n = int(counts.sum())
+        if n == 0:
             raise AnalysisError(f"missing path-erased events for preparation {prep!r}")
-        if len(sel) < params.min_cell_count * params.n_phase_bins / 4:
+        if n < params.min_cell_count * params.n_phase_bins / 4:
             insufficient.append(f"erased_{prep}")
-        phases = sel["phase_rad"] + offset_of_port[sel["port"]]
-        fit, curve = _fit_one_prep(phases, sel["readout_click"], params)
+        fit, curve = _fit_one_prep(counts, params)
         fits[prep] = fit
         curves[prep] = curve
 
@@ -287,7 +309,7 @@ def fit_equatorial(records: np.ndarray, params: AnalysisParams, ifm: Interferome
 # -- background --------------------------------------------------------------------
 
 
-def estimate_background_fraction(records: np.ndarray, ifm: InterferometerConfig):
+def estimate_background_fraction(tally: Tally, ifm: InterferometerConfig):
     """Background fraction of path-erased clicks from inter-window click rates.
 
     Clicks between the arrival windows can only be background; their rate per
@@ -295,8 +317,8 @@ def estimate_background_fraction(records: np.ndarray, ifm: InterferometerConfig)
     count hiding under the erased window.
     """
     ifm.validate()
-    n_inv = int(np.sum(records["arrival_class"] == INVALID))
-    n_erased = int(np.sum(records["arrival_class"] == ERASED))
+    n_inv = int(tally.cells[:, INVALID].sum())
+    n_erased = int(tally.cells[:, ERASED].sum())
     if n_erased == 0:
         raise AnalysisError("no path-erased events; background fraction undefined")
     t_invalid = 2.0 * (ifm.delay_ns - 2.0 * ifm.window_ns)
@@ -389,12 +411,6 @@ def binomial_sigma(p: float, n: int) -> float:
 # -- pipeline ----------------------------------------------------------------------
 
 
-def reject_multiclick_cycles(records: np.ndarray, n_photons: int = 1):
-    """Drop cycles whose click count exceeds the protocol photon number."""
-    drop, rejected = multiclick_cycles(records["cycle_id"], n_photons)
-    return records[~drop], rejected
-
-
 def analyze_records(
     records: np.ndarray,
     params: AnalysisParams,
@@ -403,17 +419,16 @@ def analyze_records(
     auto_background: bool = False,
 ) -> CorrelationReport:
     """Full reconstruction: diagonals, fringe fits, bounds, uncertainties."""
-    params.validate()
-    clean, rejected = reject_multiclick_cycles(records)
-    if len(clean) == 0:
+    tally = tally_records(records, params, ifm)
+    if tally.n_records == 0:
         raise AnalysisError("no usable records")
-    diag = diagonal_tomography(clean, params)
-    eq = fit_equatorial(clean, params, ifm)
+    diag = diagonal_tomography(tally, params)
+    eq = fit_equatorial(tally, params)
     f_raw, f_raw_err = _bound_with_error(diag.diagonals, diag.errors, eq.c_xx, eq.c_xx_err)
 
     report = CorrelationReport(
-        n_records=int(len(clean)),
-        n_rejected_cycles=int(rejected),
+        n_records=tally.n_records,
+        n_rejected_cycles=tally.n_rejected_cycles,
         diagonals=diag.diagonals,
         diagonal_errors=diag.errors,
         c_zz=diag.c_zz,
@@ -429,7 +444,7 @@ def analyze_records(
     )
     b, b_err = 0.0, 0.0
     if auto_background:
-        b, b_err = estimate_background_fraction(clean, ifm)
+        b, b_err = estimate_background_fraction(tally, ifm)
     elif background is not None:
         b, b_err = float(background), 0.0
     # at b = 0 with no error on b the corrected half equals the raw half bit

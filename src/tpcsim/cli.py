@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_rates(args) -> int:
     config = _load_valid_config(args.config)
-    rows = rate_table(config.rates.scenario(1), config.rates.photon_numbers)
+    rows = rate_table(config.rates)
     print("n_photons  rate_hz")
     for n, rate in rows:
         print(f"{n:>9d}  {rate:.6g}")

@@ -18,52 +18,11 @@ from .emitter import EmitterParams
 from .events import DetectionParams
 from .optics import InterferometerConfig
 from .protocol import ProtocolConfig, build_sequence
-from .rates import Enhancements, RateScenario
+from .rates import RatesConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RatesConfig:
-    """Scenario inputs for the rate calculator.
-
-    ``single_shot_readout_s`` > 0 replaces the sequence duration (0 disables).
-    ``zpl_purcell`` and ``active_switch`` are not modeled by the calculator and
-    accept only their neutral values, 0 and false.
-    """
-
-    system_efficiency: float = 0.4
-    sequence_duration_s: float = 1e-5
-    photon_numbers: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-    zpl_purcell: float = 0.0
-    active_switch: bool = False
-    single_shot_readout_s: float = 0.0
-
-    def validate(self) -> None:
-        if not 0.0 < self.system_efficiency <= 1.0:
-            raise ConfigError("system_efficiency must lie in (0, 1]")
-        if self.sequence_duration_s <= 0:
-            raise ConfigError("sequence_duration_s must be > 0")
-        if not self.photon_numbers or any(n < 1 for n in self.photon_numbers):
-            raise ConfigError("photon_numbers must be positive integers")
-        if self.single_shot_readout_s < 0:
-            raise ConfigError("single_shot_readout_s must be >= 0 (0 disables)")
-        if self.zpl_purcell != 0.0:
-            raise ConfigError("zpl_purcell is not modeled by the rate calculator; only 0 is accepted")
-        if self.active_switch:
-            raise ConfigError("active_switch is not modeled by the rate calculator; only false is accepted")
-
-    def enhancements(self) -> Enhancements:
-        return Enhancements(
-            single_shot_readout_s=self.single_shot_readout_s if self.single_shot_readout_s > 0 else None,
-        )
-
-    def scenario(self, n_photons: int) -> RateScenario:
-        return RateScenario(
-            self.system_efficiency, self.sequence_duration_s, n_photons, self.enhancements()
-        )
 
 
 @dataclass

@@ -7,7 +7,7 @@ sequence duration by the readout time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class RateModelError(ValueError):
@@ -15,49 +15,45 @@ class RateModelError(ValueError):
 
 
 @dataclass
-class Enhancements:
-    single_shot_readout_s: float | None = None
+class RatesConfig:
+    """Scenario inputs for the rate calculator.
 
-    def validate(self) -> None:
-        if self.single_shot_readout_s is not None and self.single_shot_readout_s <= 0:
-            raise RateModelError("single_shot_readout_s must be > 0")
+    ``single_shot_readout_s`` > 0 replaces the sequence duration (0 disables).
+    ``zpl_purcell`` and ``active_switch`` are not modeled by the calculator and
+    accept only their neutral values, 0 and false.
+    """
 
-
-@dataclass
-class RateScenario:
-    system_efficiency: float
-    sequence_duration_s: float
-    n_photons: int
-    enhancements: Enhancements = field(default_factory=Enhancements)
+    system_efficiency: float = 0.4
+    sequence_duration_s: float = 1e-5
+    photon_numbers: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+    zpl_purcell: float = 0.0
+    active_switch: bool = False
+    single_shot_readout_s: float = 0.0
 
     def validate(self) -> None:
         if not 0.0 < self.system_efficiency <= 1.0:
             raise RateModelError("system_efficiency must lie in (0, 1]")
         if self.sequence_duration_s <= 0:
             raise RateModelError("sequence_duration_s must be > 0")
-        if self.n_photons < 1:
-            raise RateModelError("n_photons must be >= 1")
-        self.enhancements.validate()
+        if not self.photon_numbers or any(n < 1 for n in self.photon_numbers):
+            raise RateModelError("photon_numbers must be positive integers")
+        if self.single_shot_readout_s < 0:
+            raise RateModelError("single_shot_readout_s must be >= 0 (0 disables)")
+        if self.zpl_purcell != 0.0:
+            raise RateModelError("zpl_purcell is not modeled by the rate calculator; only 0 is accepted")
+        if self.active_switch:
+            raise RateModelError("active_switch is not modeled by the rate calculator; only false is accepted")
 
 
-def chain_rate(scenario: RateScenario) -> float:
+def chain_rate(rates: RatesConfig, n_photons: int) -> float:
     """Successful n-photon strings per second: eta^n / T."""
-    scenario.validate()
-    duration = scenario.sequence_duration_s
-    if scenario.enhancements.single_shot_readout_s is not None:
-        duration = scenario.enhancements.single_shot_readout_s
-    return scenario.system_efficiency**scenario.n_photons / duration
+    rates.validate()
+    if n_photons < 1:
+        raise RateModelError("n_photons must be >= 1")
+    duration = rates.single_shot_readout_s or rates.sequence_duration_s
+    return rates.system_efficiency**n_photons / duration
 
 
-def rate_table(scenario_base: RateScenario, photon_numbers) -> list[tuple[int, float]]:
-    """(n, rate) rows for a list of chain lengths under one scenario."""
-    rows = []
-    for n in photon_numbers:
-        s = RateScenario(
-            scenario_base.system_efficiency,
-            scenario_base.sequence_duration_s,
-            int(n),
-            scenario_base.enhancements,
-        )
-        rows.append((int(n), chain_rate(s)))
-    return rows
+def rate_table(rates: RatesConfig) -> list[tuple[int, float]]:
+    """(n, rate) rows for every chain length in ``rates.photon_numbers``."""
+    return [(n, chain_rate(rates, n)) for n in map(int, rates.photon_numbers)]

@@ -252,10 +252,10 @@ def test_criterion_5_background_subtraction_oracle():
 
 
 def test_criterion_6_chain_rates():
-    from tpcsim.rates import RateScenario, chain_rate
+    from tpcsim.rates import RatesConfig, chain_rate
 
-    r3 = chain_rate(RateScenario(0.4, 10e-6, 3))
-    r10 = chain_rate(RateScenario(0.4, 10e-6, 10))
+    r3 = chain_rate(RatesConfig(0.4, 10e-6), 3)
+    r10 = chain_rate(RatesConfig(0.4, 10e-6), 10)
     ok = r3 == pytest.approx(6400.0, abs=1e-9)
     ok &= abs(r10 - 10.49) <= 0.01 + 0.005
     _verdict(6, bool(ok), f"3-photon rate {r3:.1f} Hz, 10-photon rate {r10:.3f} Hz")

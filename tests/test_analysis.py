@@ -13,8 +13,9 @@ from tpcsim.analysis import (
     fit_equatorial,
     significance,
     subtract_background,
+    tally_records,
 )
-from tpcsim.events import ERASED, DetectionParams, simulate_cycles
+from tpcsim.events import EARLY, ERASED, INVALID, LATE, RECORD_DTYPE, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
 
@@ -27,6 +28,21 @@ def ideal_records(n_cycles, seed=5, **ifm_overrides):
     return simulate_cycles(n_cycles, ideal_emitter(p_readout_click=1.0), ifm, ProtocolConfig(), det), ifm
 
 
+def tomography(records, params):
+    """diagonal_tomography on the tally of ``records``."""
+    return diagonal_tomography(tally_records(records, params, InterferometerConfig()), params)
+
+
+def fringe_fit(records, params, ifm):
+    """fit_equatorial on the tally of ``records``."""
+    return fit_equatorial(tally_records(records, params, ifm), params)
+
+
+def background_fraction(records, ifm):
+    """estimate_background_fraction on the tally of ``records``."""
+    return estimate_background_fraction(tally_records(records, AnalysisParams(), ifm), ifm)
+
+
 def inject_uniform_background(records, b, ifm, rng):
     """Add spin-uncorrelated, time-uniform clicks so the path-erased class
     carries a background fraction ``b``. Injected clicks use fresh cycle ids."""
@@ -36,25 +52,19 @@ def inject_uniform_background(records, b, ifm, rng):
     span = 2.0 * d + 2.0 * w
     n_total = int(round(n_bg_erased * span / (2.0 * w)))
     t_rel = rng.uniform(-d - w, d + w, size=n_total)
-    cls = np.full(n_total, "Invalid", dtype="U16")
-    cls[np.abs(t_rel) <= w] = "Erased"
-    cls[np.abs(t_rel + d) <= w] = "EarlyRevealing"
-    cls[np.abs(t_rel - d) <= w] = "LateRevealing"
-    base = int(records["cycle_id"].max()) + 1
-    rows = []
-    for k in range(n_total):
-        rows.append(
-            (
-                base + k,
-                "DARL"[rng.integers(4)],
-                cls[k],
-                float(t_rel[k]),
-                rng.uniform(0, 2 * np.pi),
-                "minus" if rng.random() < 0.5 else "plus",
-                1 if rng.random() < 0.5 else 0,
-            )
-        )
-    merged = np.concatenate([records, make_records(rows)])
+    cls = np.full(n_total, INVALID)
+    cls[np.abs(t_rel) <= w] = ERASED
+    cls[np.abs(t_rel + d) <= w] = EARLY
+    cls[np.abs(t_rel - d) <= w] = LATE
+    injected = np.empty(n_total, dtype=RECORD_DTYPE)
+    injected["cycle_id"] = int(records["cycle_id"].max()) + 1 + np.arange(n_total)
+    injected["port"] = rng.integers(4, size=n_total)
+    injected["arrival_class"] = cls
+    injected["t_ns"] = t_rel
+    injected["phase_rad"] = rng.uniform(0, 2 * np.pi, size=n_total)
+    injected["prep_sign"] = rng.random(n_total) >= 0.5  # minus below one half
+    injected["readout_click"] = rng.random(n_total) < 0.5
+    merged = np.concatenate([records, injected])
     return merged[np.argsort(merged["cycle_id"], kind="stable")]
 
 
@@ -67,7 +77,7 @@ class TestDiagonalTomography:
             rows.append((i, "D", "EarlyRevealing", 0.0, 0.0, "minus", 1 if i < 300 else 0))
         for i in range(500):
             rows.append((1000 + i, "D", "LateRevealing", 0.0, 0.0, "minus", 1 if i < 400 else 0))
-        result = diagonal_tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
+        result = tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
         rho11, rho22, rho33, rho44 = result.diagonals
         assert abs(rho11 - 2 / 3 * 0.3) < 1e-12
         assert abs(rho33 - 2 / 3 * 0.7) < 1e-12
@@ -88,13 +98,13 @@ class TestDiagonalTomography:
             bright = rng.random() < 0.8
             click = bright and (rng.random() < 0.167)
             rows.append((40_000 + i, "D", "LateRevealing", 0.0, 0.0, "minus", int(click)))
-        result = diagonal_tomography(make_records(rows), AnalysisParams(p_readout_click=0.167))
+        result = tomography(make_records(rows), AnalysisParams(p_readout_click=0.167))
         assert abs(result.stats["p0_e"] - 0.3) < 3 * result.stats["s_e"]
         assert abs(result.stats["p0_l"] - 0.8) < 3 * result.stats["s_l"]
 
     def test_ideal_records_give_unit_correlation(self):
         recs, _ = ideal_records(40_000)
-        result = diagonal_tomography(recs, AnalysisParams(p_readout_click=1.0))
+        result = tomography(recs, AnalysisParams(p_readout_click=1.0))
         assert abs(result.c_zz - 1.0) <= 3 * max(result.c_zz_err, 1e-4)
 
     def test_uniform_random_records_give_zero(self):
@@ -103,39 +113,39 @@ class TestDiagonalTomography:
         for i in range(20_000):
             cls = ("EarlyRevealing", "LateRevealing")[rng.integers(2)]
             rows.append((i, "D", cls, 0.0, 0.0, "minus", int(rng.random() < 0.5)))
-        result = diagonal_tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
+        result = tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
         assert abs(result.c_zz) <= 3 * result.c_zz_err
 
     def test_missing_class_rejected(self):
         rows = [(0, "D", "EarlyRevealing", 0.0, 0.0, "minus", 1)]
         with pytest.raises(AnalysisError):
-            diagonal_tomography(make_records(rows), AnalysisParams())
+            tomography(make_records(rows), AnalysisParams())
 
     def test_insufficient_statistics_flagged_not_fatal(self):
         rows = [
             (0, "D", "EarlyRevealing", 0.0, 0.0, "minus", 1),
             (1, "D", "LateRevealing", 0.0, 0.0, "minus", 0),
         ]
-        result = diagonal_tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
+        result = tomography(make_records(rows), AnalysisParams(p_readout_click=1.0))
         assert "revealing_early" in result.insufficient
 
 
 class TestEquatorialFit:
     def test_ideal_contrast_and_antiphase(self):
         recs, ifm = ideal_records(60_000)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
+        result = fringe_fit(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx - 1.0) <= 3 * result.c_xx_err + 0.01
         rel = result.fits["minus"].phase0 - result.fits["plus"].phase0
         assert abs(abs(((rel + np.pi) % (2 * np.pi)) - np.pi) - np.pi) % np.pi < 0.05
 
     def test_dephased_photon_gives_zero_contrast(self):
         recs, ifm = ideal_records(40_000, erasure_visibility=0.0)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
+        result = fringe_fit(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx) <= 3 * result.c_xx_err + 0.01
 
     def test_intermediate_coherence_recovered(self):
         recs, ifm = ideal_records(80_000, erasure_visibility=0.407, seed=9)
-        result = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm)
+        result = fringe_fit(recs, AnalysisParams(p_readout_click=1.0), ifm)
         assert abs(result.c_xx - 0.407) <= 3 * result.c_xx_err + 0.01
 
     def test_exact_invariance_under_one_bin_shift(self):
@@ -146,8 +156,8 @@ class TestEquatorialFit:
         shifted = recs.copy()
         width = 2 * np.pi / params.n_phase_bins
         shifted["phase_rad"] = np.mod(shifted["phase_rad"] + width, 2 * np.pi)
-        a = fit_equatorial(recs, params, ifm)
-        b = fit_equatorial(shifted, params, ifm)
+        a = fringe_fit(recs, params, ifm)
+        b = fringe_fit(shifted, params, ifm)
         assert abs(a.c_xx - b.c_xx) < 1e-9
 
     def test_approximate_invariance_under_any_shift(self):
@@ -155,8 +165,8 @@ class TestEquatorialFit:
         params = AnalysisParams(p_readout_click=1.0)
         shifted = recs.copy()
         shifted["phase_rad"] = np.mod(shifted["phase_rad"] + 0.613, 2 * np.pi)
-        a = fit_equatorial(recs, params, ifm)
-        b = fit_equatorial(shifted, params, ifm)
+        a = fringe_fit(recs, params, ifm)
+        b = fringe_fit(shifted, params, ifm)
         assert abs(a.c_xx - b.c_xx) < 3 * np.hypot(a.c_xx_err, b.c_xx_err) + 0.005
 
     def test_phase_coverage_below_half_period_rejected(self):
@@ -168,19 +178,19 @@ class TestEquatorialFit:
                     (len(rows), "D", "Erased", 0.0, rng.uniform(0, 1.2), prep, int(rng.random() < 0.5))
                 )
         with pytest.raises(AnalysisError, match="coverage"):
-            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
+            fringe_fit(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
 
     def test_missing_prep_rejected(self):
         rows = [(i, "D", "Erased", 0.0, 0.1 * i, "minus", 0) for i in range(100)]
         with pytest.raises(AnalysisError, match="plus"):
-            fit_equatorial(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
+            fringe_fit(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
 
 
 class TestPhaseBins:
     def test_bins_partition_full_turn(self):
         recs, ifm = ideal_records(10_000, seed=31)
         params = AnalysisParams(p_readout_click=1.0)
-        curves = fit_equatorial(recs, params, ifm).curves
+        curves = fringe_fit(recs, params, ifm).curves
         assert set(curves) == {"minus", "plus"}
         width = 2 * np.pi / params.n_phase_bins
         for curve in curves.values():
@@ -192,7 +202,7 @@ class TestPhaseBins:
 
     def test_counts_cover_all_erased_events(self):
         recs, ifm = ideal_records(10_000, seed=32)
-        curves = fit_equatorial(recs, AnalysisParams(p_readout_click=1.0), ifm).curves
+        curves = fringe_fit(recs, AnalysisParams(p_readout_click=1.0), ifm).curves
         total = sum(curve[:, 3].sum() for curve in curves.values())
         assert total == int(np.sum(recs["arrival_class"] == ERASED)) > 0
 
@@ -219,7 +229,7 @@ class TestBackground:
     def test_zero_estimate_keeps_its_error(self):
         # no inter-window click: the estimate is 0 with the error of one click
         recs, ifm = ideal_records(30_000)
-        b, sigma = estimate_background_fraction(recs, ifm)
+        b, sigma = background_fraction(recs, ifm)
         report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm, auto_background=True)
         assert b == 0.0 < sigma
         assert (report.background_fraction, report.background_fraction_err) == (b, sigma)
@@ -240,7 +250,7 @@ class TestBackground:
         for b in (0.1, 0.3, 0.5):
             recs, ifm = ideal_records(30_000, seed=int(100 * b))
             merged = inject_uniform_background(recs, b, ifm, rng)
-            b_hat, sigma = estimate_background_fraction(merged, ifm)
+            b_hat, sigma = background_fraction(merged, ifm)
             assert abs(b_hat - b) <= 4 * sigma + 0.01
 
     def test_subtract_undoes_injection(self):
@@ -349,3 +359,20 @@ class TestPipeline:
         merged["cycle_id"][:2] = -1  # keep sorted order with a shared leading cycle
         report = analyze_records(merged, AnalysisParams(p_readout_click=1.0), ifm)
         assert report.n_rejected_cycles == 1
+
+    def test_all_multiclick_cycles_leave_no_usable_records(self):
+        rows = [(c, "D", "Erased", 0.0, 0.1 * k, "minus", 1) for k, c in enumerate((0, 0, 1, 1, 1))]
+        with pytest.raises(AnalysisError, match="no usable records"):
+            analyze_records(make_records(rows), AnalysisParams(), InterferometerConfig())
+
+    def test_revealing_records_only_have_no_fringe(self):
+        rows = [(i, "D", ("EarlyRevealing", "LateRevealing")[i % 2], 0.0, 0.0, "minus", i % 3 == 0) for i in range(200)]
+        with pytest.raises(AnalysisError, match="no path-erased events"):
+            analyze_records(make_records(rows), AnalysisParams(), InterferometerConfig())
+
+    @pytest.mark.parametrize("present,missing", [("minus", "plus"), ("plus", "minus")])
+    def test_erased_records_of_one_prep_name_the_other(self, present, missing):
+        rows = [(i, "D", ("EarlyRevealing", "LateRevealing")[i % 2], 0.0, 0.0, "minus", i % 3 == 0) for i in range(200)]
+        rows += [(200 + i, "DARL"[i % 4], "Erased", 0.0, 0.05 * i, present, i % 2) for i in range(400)]
+        with pytest.raises(AnalysisError, match=f"missing path-erased events for preparation '{missing}'"):
+            analyze_records(make_records(rows), AnalysisParams(), InterferometerConfig())

@@ -1,18 +1,24 @@
 """Property tests of the record path and the analysis: the records' invariance
 under the cut of the blocks into worker shards, the CSV round trip, the
-writer against its one-row reference format, multi-click rejection, and the
-report's invariance under a common phase shift, over arbitrary valid inputs."""
+writer against its one-row reference format, multi-click rejection, the
+analysis tally against a count by hand, and the report's invariance under a
+common phase shift, over arbitrary valid inputs."""
+from collections import Counter
+from itertools import product
 from math import pi
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpcsim.analysis import AnalysisParams, analyze_records
+from tpcsim.analysis import AnalysisParams, analyze_records, tally_records
 from tpcsim.emitter import EmitterParams
 from tpcsim.events import (
     ARRIVAL_CLASSES,
+    EARLY,
+    ERASED,
     PORT_LETTERS,
     PREP_NAMES,
     RECORD_COLUMNS,
@@ -154,6 +160,67 @@ def test_multiclick_rejection_follows_record_permutation(data, n_photons):
     permuted_mask, permuted_count = multiclick_cycles(ids[perm], n_photons)
     assert np.array_equal(permuted_mask, mask[perm])
     assert permuted_count == count
+
+
+N_BINS = (4, 5, 16)
+# bin edges of every bin count above, multiples of 2 pi among them, and values
+# that wrap to just below 2 pi or sit next to 0
+BIN_EDGES = sorted({k * 2.0 * pi / nb for nb in N_BINS for k in range(-2 * nb, 2 * nb + 1)}) + [-0.0, -1e-300, 1e-300]
+tally_rows = st.lists(
+    st.tuples(
+        st.integers(0, 7),  # few cycle ids, so cycles of two and three clicks occur
+        st.integers(0, len(PORT_LETTERS) - 1),
+        st.integers(0, len(ARRIVAL_CLASSES) - 1),
+        st.one_of(st.sampled_from(BIN_EDGES), st.floats(-30.0, 30.0)),
+        st.integers(0, len(PREP_NAMES) - 1),
+        st.integers(0, 1),
+    ),
+    max_size=40,
+)
+# every class, port and prep once each in cycles of their own, then a cycle of
+# two clicks and one of three; the erased records take the phases from -1e-300 on
+WRAPS = (-0.0, 1e-300, -1e-300, -1.0, 2.0 * pi, -2.0 * pi, 3 * 2.0 * pi / 16)
+EVERY_CELL = [
+    (100 + k, port, cls, WRAPS[k % len(WRAPS)], prep, k % 2)
+    for k, (port, cls, prep) in enumerate(product(range(len(PORT_LETTERS)), range(len(ARRIVAL_CLASSES)), range(len(PREP_NAMES))))
+] + [(0, 0, ERASED, -1.0, 0, 1), (0, 1, EARLY, 2.0 * pi, 1, 0)] + [(1, 2, ERASED, -2.0 * pi, 1, 1)] * 3
+
+
+def counted_by_hand(rows, n_bins, quadrature_offset):
+    """Tally cells, fringe, record count and rejected cycles, one record at a time."""
+    clicks = Counter(row[0] for row in rows)
+    offsets = (0.0, pi, quadrature_offset, quadrature_offset + pi)  # D, A, R, L
+    width = 2.0 * pi / n_bins
+    cells = np.zeros((len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_LETTERS), 2), dtype=np.int64)
+    fringe = np.zeros((len(PREP_NAMES), n_bins, 2), dtype=np.int64)
+    for cycle, port, cls, phase, prep, click in rows:
+        if clicks[cycle] > 1:
+            continue
+        cells[prep, cls, port, click] += 1
+        if cls == ERASED:
+            fringe[prep, min(int((phase + offsets[port]) % (2.0 * pi) / width), n_bins - 1), click] += 1
+    return cells, fringe, sum(n for n in clicks.values() if n == 1), sum(n > 1 for n in clicks.values())
+
+
+@PROPERTY
+@example(rows=EVERY_CELL, n_bins=16, quadrature_offset=pi / 4, order=Random(0))
+@example(rows=EVERY_CELL, n_bins=5, quadrature_offset=1.0, order=Random(1))
+@given(
+    rows=tally_rows,
+    n_bins=st.sampled_from(N_BINS),
+    quadrature_offset=st.sampled_from((pi / 4, 1.0)),
+    order=st.randoms(use_true_random=False),
+)
+def test_tally_equals_hand_count_in_any_order(rows, n_bins, quadrature_offset, order):
+    recs = np.array([(c, port, cls, 0.0, phase, prep, click) for c, port, cls, phase, prep, click in rows], dtype=RECORD_DTYPE)
+    params, ifm = AnalysisParams(n_phase_bins=n_bins), InterferometerConfig(quadrature_offset=quadrature_offset)
+    cells, fringe, n_records, rejected = counted_by_hand(rows, n_bins, quadrature_offset)
+    perm = list(range(len(recs)))
+    order.shuffle(perm)
+    for tally in (tally_records(recs, params, ifm), tally_records(recs[perm], params, ifm)):
+        assert np.array_equal(tally.cells, cells)
+        assert np.array_equal(tally.fringe, fringe)
+        assert (tally.n_records, tally.n_rejected_cycles) == (n_records, rejected)
 
 
 @pytest.fixture(scope="module")
