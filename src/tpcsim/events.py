@@ -26,6 +26,7 @@ and event classes are matched up in the corresponding hardware datasets.
 """
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -582,6 +583,8 @@ _EXACT_BELOW = 2.0**52  # a chunk with |x * 10**d| at or above this is formatted
 _QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
 _POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
 _LABEL_BYTES = {name: np.array(labels, "S").view(np.uint8).reshape(len(labels), -1) for name, labels in _CSV_LABELS.items()}
+# The columns as np.loadtxt reads them: a label column one byte wider than its longest label cuts a longer field to no label
+_TABLE_DTYPE = np.dtype([(n, f"S{_LABEL_BYTES[n].shape[1] + 1}" if n in CODES else RECORD_DTYPE[n]) for n in RECORD_COLUMNS])
 
 
 def _check_writable(records: np.ndarray) -> None:
@@ -659,7 +662,8 @@ def write_records(path, records: np.ndarray) -> None:
 
 
 def read_records(path) -> np.ndarray:
-    """Read a record file; a malformed field raises RecordFormatError naming its line."""
+    """Read a record file, each chunk of lines with numpy's C reader; a chunk that it refuses goes
+    to _parse_lines, which sets the rules: a malformed field raises RecordFormatError naming its line."""
     # a byte that is not UTF-8 decodes to a lone surrogate and fails its field's check
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
@@ -673,9 +677,36 @@ def read_records(path) -> np.ndarray:
         parts = []
         first = 2
         for lines in iter(lambda: list(islice(fh, _CHUNK)), []):
-            parts.append(_parse_lines(lines, first))
+            try:
+                parts.append(_parse_table(lines))
+            except (ValueError, Warning):
+                parts.append(_parse_lines(lines, first))
             first += len(lines)
     return np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
+
+
+def _parse_table(lines: list[str]) -> np.ndarray:
+    """The lines parsed by numpy's C reader, or ValueError or a warning where it might differ from
+    _parse_lines: no rows, a field outside its column's range, or a NUL, which a bytes label drops."""
+    if "\0" in "".join(lines):
+        raise ValueError("NUL in a line")
+    # taken before the larger table, whose freed block the next chunk reuses rather than leaves a hole
+    out = np.empty(len(lines), dtype=RECORD_DTYPE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, dtype=_TABLE_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1, encoding="utf-8")
+    out = out[: len(table)]  # blank lines hold no row
+    for name in RECORD_COLUMNS:
+        column = table[name]
+        if name in CODES:
+            hits = column[:, None] == _CSV_LABELS[name].astype("S")
+            column, valid = hits.argmax(axis=1), hits.any(axis=1)
+        else:
+            valid = np.isfinite(column)
+        if not valid.all():
+            raise ValueError(f"{name} outside its vocabulary or range")
+        out[name] = column
+    return out
 
 
 def _parse_lines(lines: list[str], first: int) -> np.ndarray:
@@ -689,7 +720,7 @@ def _parse_lines(lines: list[str], first: int) -> np.ndarray:
     if commas.count(width - 1) != len(commas):
         k = next(k for k, n in enumerate(commas) if n != width - 1)
         raise RecordFormatError(f"line {linenos[k]}: expected {width} fields, got {commas[k] + 1}")
-    fields = ",".join(rows).split(",")
+    fields = ",".join(rows).split(",") if rows else []
     out = np.empty(len(rows), dtype=RECORD_DTYPE)
     for k, name in enumerate(RECORD_COLUMNS):
         out[name] = _parse_column(name, fields[k::width], linenos)
@@ -732,9 +763,13 @@ def multiclick_cycles(cycle_ids: np.ndarray, n_photons: int):
     Such cycles lie outside the protocol subspace and are rejected. The
     records may come in any order.
     """
-    _, inverse, counts = np.unique(cycle_ids, return_inverse=True, return_counts=True)
+    order = np.argsort(cycle_ids, kind="stable") if np.any(cycle_ids[1:] < cycle_ids[:-1]) else slice(None)
+    ids = cycle_ids[order]
+    counts = np.diff(np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]]), append=ids.size)  # run lengths
     over = counts > n_photons
-    return over[inverse], int(np.count_nonzero(over))
+    mask = np.empty(ids.size, dtype=bool)
+    mask[order] = np.repeat(over, counts)
+    return mask, int(np.count_nonzero(over))
 
 
 def _sorted_multiclick(records: np.ndarray, n_photons: int):

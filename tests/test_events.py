@@ -1,11 +1,13 @@
 """Event generator tests: determinism, routing statistics, Born consistency,
 background uniformity, record I/O, and coincidence pairing."""
+import warnings
 from dataclasses import replace
 from hashlib import sha256
 
 import numpy as np
 import pytest
 
+from tpcsim import events
 from tpcsim.cli import main
 from tpcsim.emitter import EmitterParams
 from tpcsim.events import (
@@ -17,6 +19,8 @@ from tpcsim.events import (
     LATE,
     PREP_NAMES,
     RECORD_COLUMNS,
+    RECORD_DTYPE,
+    _CHUNK,
     _PHASE_STREAM,
     DetectionParams,
     EventModelError,
@@ -451,9 +455,41 @@ class TestRecordIO:
         with pytest.raises(RecordFormatError, match="line 3"):
             read_records(path)
 
+    @pytest.mark.parametrize("body", ["", "\n\n", "\n \n"])
+    def test_header_only_or_blank_body_reads_empty_under_warnings_as_errors(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(RECORD_COLUMNS) + "\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_records(path)
+        assert back.dtype == RECORD_DTYPE and len(back) == 0
+
+    def test_bad_field_in_second_chunk_names_its_line(self, tmp_path):
+        rows = [f"{k},D,Erased,{k}.5,0.25,plus,0\n" for k in range(_CHUNK + 10)]
+        rows[_CHUNK + 3] = rows[_CHUNK + 3].replace("0.25", "0.2x5")  # line 1 is the header
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RECORD_COLUMNS) + "\n" + "".join(rows))
+        with pytest.raises(RecordFormatError, match=f"^line {_CHUNK + 5}: phase_rad '0.2x5' is not a finite number$"):
+            read_records(path)
+
+    def test_only_a_chunk_that_numpy_refuses_goes_to_the_line_parser(self, tmp_path, monkeypatch):
+        recs = make_records([(k, "LRAD"[k % 4], ARRIVAL_CLASSES[k % 4], k / 8, -(k % 1000) / 1000, "plus", k % 2) for k in range(2 * _CHUNK + 5)])
+        path = tmp_path / "records.csv"
+        write_records(path, recs)
+        lines = path.read_text().splitlines(keepends=True)
+        k = _CHUNK + 6  # on line k + 2, in the second chunk: an id that only Python's int reads
+        lines[k + 1] = "_".join(str(k)) + lines[k + 1][len(str(k)) :]
+        path.write_text("".join(lines))
+        firsts = []
+        parse_lines = events._parse_lines
+        monkeypatch.setattr(events, "_parse_lines", lambda lines, first: firsts.append(first) or parse_lines(lines, first))
+        assert read_records(path).tobytes() == recs.tobytes()
+        assert firsts == [_CHUNK + 2]
+
     @pytest.mark.parametrize(
         "line",
         [
+            "1,D,EarlyRevealingX,2.0,0.5,minus,1",  # not cut to the longest label
             "1,D,Erased,2.0,0.5,minusss,1",  # not cut to a known prep sign
             "1,D,ErasedErasedErasedEr,2.0,0.5,minus,1",  # not cut to 16 characters
             "1,D,Erased,2.0,0.5,minus,7",

@@ -1,6 +1,7 @@
 """Property tests of the record path and the analysis: the records' invariance
 under the cut of the blocks into worker shards, the CSV round trip, the
-writer against its one-row reference format, multi-click rejection, the
+writer against its one-row reference format, the reader against its line
+parser on edited files, multi-click rejection, the
 analysis tally against a count by hand, and the report's invariance under a
 common phase shift, over arbitrary valid inputs."""
 from collections import Counter
@@ -27,7 +28,9 @@ from tpcsim.events import (
     _CSV_LABELS,
     _ROW_FORMAT,
     DetectionParams,
+    RecordFormatError,
     _columns,
+    _parse_lines,
     multiclick_cycles,
     read_records,
     simulate_cycles,
@@ -100,6 +103,72 @@ def test_write_read_round_trip(scratch, recs):
         assert np.all(np.abs(back[name] - recs[name]) <= tol + np.spacing(np.abs(recs[name])))
     write_records(second, back)
     assert second.read_bytes() == first.read_bytes()
+
+
+# edits of one field of a written line, and of a whole line; read_records must
+# read each edited file exactly as _parse_lines does
+FIELD_EDITS = {
+    "space before": lambda f: " " + f,
+    "space after": lambda f: f + " ",
+    "one more character": lambda f: f + "X",
+    "NUL after": lambda f: f + "\0",
+    "lone surrogate": lambda f: f[:1] + "\udcff" + f[1:],
+    **{f"= {v!r}": (lambda f, v=v: v) for v in ("nan", "inf", "1e400", "1_0", "\u0663", "5.0", "+5", str(2**63), "")},
+}
+LINE_EDITS = {
+    "blanked": lambda line: "\n",
+    "blank line before": lambda line: "\n" + line,
+    "whitespace line before": lambda line: " \t\n" + line,
+    "seventh comma": lambda line: line[:-1] + ",\n",
+}
+edits = st.lists(
+    st.tuples(st.integers(0, 50), st.integers(0, len(RECORD_COLUMNS) - 1), st.sampled_from(sorted(FIELD_EDITS) + sorted(LINE_EDITS))),
+    max_size=3,
+)
+ONE_ROW = np.array([(7, 0, 0, 2.5, 0.25, 1, 1)], dtype=RECORD_DTYPE)  # D, EarlyRevealing, plus
+
+
+def edited(lines, changes):
+    lines = list(lines)
+    for row, column, name in changes:
+        if not lines:
+            break
+        k = row % len(lines)
+        if name in LINE_EDITS:
+            lines[k] = LINE_EDITS[name](lines[k])
+        else:
+            fields = lines[k][:-1].split(",")
+            column %= len(fields)  # an edited line may hold fewer fields
+            fields[column] = FIELD_EDITS[name](fields[column])
+            lines[k] = ",".join(fields) + "\n"
+    return lines
+
+
+@PROPERTY
+@example(recs=ONE_ROW[:0], changes=[]).via("a header-only file")
+@example(recs=ONE_ROW, changes=[(0, 0, "blanked")]).via("numpy finds no rows")
+@example(recs=ONE_ROW, changes=[(0, 2, "one more character")]).via("the longest label plus one")
+@example(recs=ONE_ROW, changes=[(0, 1, "one more character")]).via("a one-letter label plus one")
+@example(recs=ONE_ROW, changes=[(0, 5, "NUL after")]).via("a NUL cut from a label")
+@example(recs=ONE_ROW, changes=[(0, 3, "= 'nan'")]).via("a non-finite t_ns")
+@example(recs=ONE_ROW, changes=[(0, 4, "= '1e400'")]).via("an overflowing phase_rad")
+@example(recs=ONE_ROW, changes=[(0, 0, "= '1_0'")]).via("an id only Python's int reads")
+@given(recs=records, changes=edits)
+def test_reader_equals_line_parser_on_edited_files(scratch, recs, changes):
+    path = scratch / "edited.csv"
+    write_records(path, recs)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    path.write_bytes((header + "".join(edited(lines, changes))).encode("utf-8", "surrogateescape"))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()[1:]  # the lines as read_records reads them
+    try:
+        expected = _parse_lines(lines, 2)
+    except RecordFormatError as error:
+        with pytest.raises(RecordFormatError) as refused:
+            read_records(path)
+        assert str(refused.value) == str(error)
+    else:
+        assert read_records(path).tobytes() == expected.tobytes()
 
 
 def rows(t_ns, phase_rad, cycle_id=None):
