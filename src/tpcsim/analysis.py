@@ -24,7 +24,7 @@ from math import pi, sin
 import numpy as np
 
 from .events import ARRIVAL_CLASSES, EARLY, ERASED, INVALID, LATE, PREP_NAMES, multiclick_cycles
-from .optics import PORT_NAMES, InterferometerConfig, port_offsets
+from .optics import PORT_NAMES, InterferometerConfig, port_offsets, window_spans
 
 DIAGONAL_LABELS = ("rho11_0H", "rho22_0V", "rho33_m1H", "rho44_m1V")
 CELL_SHAPE = (len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_NAMES), 2)  # [prep, class, port, click]
@@ -321,10 +321,7 @@ def estimate_background_fraction(tally: Tally, ifm: InterferometerConfig):
     n_erased = int(tally.cells[:, ERASED].sum())
     if n_erased == 0:
         raise AnalysisError("no path-erased events; background fraction undefined")
-    t_invalid = 2.0 * (ifm.delay_ns - 2.0 * ifm.window_ns)
-    t_window = 2.0 * ifm.window_ns
-    if t_invalid <= 0:
-        raise AnalysisError("window geometry leaves no inter-window region")
+    t_window, t_invalid, _ = window_spans(ifm)
     expected_bg = n_inv * t_window / t_invalid
     b = min(expected_bg / n_erased, 0.999)
     sigma = (np.sqrt(max(n_inv, 1)) * t_window / t_invalid) / n_erased

@@ -31,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, repeat
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .optics import (
     arm_weights,
     classify_arrival,
     port_offsets,
+    window_spans,
 )
 from .protocol import ProtocolConfig, build_sequence, pulse_times, step_kraus
 
@@ -65,13 +67,12 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 
-PORT_LETTERS = PORT_NAMES
 ARRIVAL_CLASSES = tuple(c.value for c in ArrivalClass)  # indexed by EARLY, ERASED, LATE, INVALID
 PREP_NAMES = ("minus", "plus")
 _CSV_LABELS = {
     name: np.array(labels, dtype=object)
     for name, labels in (
-        ("port", PORT_LETTERS),
+        ("port", PORT_NAMES),
         ("arrival_class", ARRIVAL_CLASSES),
         ("prep_sign", PREP_NAMES),
         ("readout_click", ("0", "1")),
@@ -212,7 +213,7 @@ class _CycleModel:
         self.arms = arm_weights(ifm)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
         self.bright_row = em.qubit_rotation(protocol_cfg.tomo_theta)[em.LVL_G0]
-        self.bg_span_ns = 2.0 * ifm.delay_ns + 2.0 * ifm.window_ns  # the background window of one port
+        self.bg_span_ns = window_spans(ifm)[2]  # the background window of one port
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * self.bg_span_ns * 1e-9
 
         prep_ops, block_ops, interblock_ops = _block_operators(params, protocol_cfg, ifm)
@@ -710,50 +711,33 @@ def _parse_table(lines: list[str]) -> np.ndarray:
 
 
 def _parse_lines(lines: list[str], first: int) -> np.ndarray:
-    rows = [line.strip() for line in lines]
-    linenos = range(first, first + len(rows))
-    if not all(rows):
-        linenos = [n for n, row in zip(linenos, rows) if row]
-        rows = [row for row in rows if row]
-    width = len(RECORD_COLUMNS)
-    commas = list(map(str.count, rows, repeat(",")))
-    if commas.count(width - 1) != len(commas):
-        k = next(k for k, n in enumerate(commas) if n != width - 1)
-        raise RecordFormatError(f"line {linenos[k]}: expected {width} fields, got {commas[k] + 1}")
-    fields = ",".join(rows).split(",") if rows else []
-    out = np.empty(len(rows), dtype=RECORD_DTYPE)
-    for k, name in enumerate(RECORD_COLUMNS):
-        out[name] = _parse_column(name, fields[k::width], linenos)
-    return out
+    """The non-blank lines as records; the first bad field of the first bad line raises RecordFormatError."""
+    rows = []
+    for lineno, line in enumerate(lines, first):
+        if row := line.strip():
+            fields = row.split(",")
+            if len(fields) != len(RECORD_COLUMNS):
+                raise RecordFormatError(f"line {lineno}: expected {len(RECORD_COLUMNS)} fields, got {len(fields)}")
+            rows.append(tuple(map(_parse_field, RECORD_COLUMNS, fields, repeat(lineno))))
+    return np.array(rows, dtype=RECORD_DTYPE)
 
 
-def _parse_column(name: str, column: list[str], linenos) -> np.ndarray:
-    """One column of text fields as its record dtype, checked against its vocabulary or range."""
-    dtype = RECORD_DTYPE[name]
+def _parse_field(name: str, text: str, lineno: int):
+    """One text field as its record dtype, checked against its column's vocabulary or range."""
     if name in CODES:
-        vocab = CODES[name]
-        values = np.fromiter(map(vocab.get, column, repeat(len(vocab))), dtype, len(column))
-        bad = values == len(vocab)
-        expected = "one of " + ", ".join(vocab)
+        if text in CODES[name]:
+            return CODES[name][text]
+        expected = "one of " + ", ".join(CODES[name])
     else:
-        parse = int if name == "cycle_id" else float
-        expected = "an integer" if name == "cycle_id" else "a finite number"
+        parse, expected = (int, "an integer") if name == "cycle_id" else (float, "a finite number")
         try:
-            values = np.fromiter(map(parse, column), dtype, len(column))
-            bad = ~np.isfinite(values)
+            value = RECORD_DTYPE[name].type(parse(text))  # an id outside int64 raises OverflowError
         except (ValueError, OverflowError):
-            bad = np.array([not _finite(parse, dtype, text) for text in column])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise RecordFormatError(f"line {linenos[k]}: {name} {column[k]!r} is not {expected}")
-    return values
-
-
-def _finite(parse, dtype: np.dtype, text: str) -> bool:
-    try:
-        return bool(np.isfinite(dtype.type(parse(text))))
-    except (ValueError, OverflowError):
-        return False
+            pass
+        else:
+            if isfinite(value):
+                return value
+    raise RecordFormatError(f"line {lineno}: {name} {text!r} is not {expected}")
 
 
 def multiclick_cycles(cycle_ids: np.ndarray, n_photons: int):

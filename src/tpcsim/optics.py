@@ -11,9 +11,9 @@ Four quadrature ports monitor the output. D/A analyze along (|H> +- |V>)/sqrt2;
 R/L add a fixed quadrature offset to the analyzer phase.
 
 This module holds the instrument's numbers only: its configuration, the arm
-weights, the port offsets and the arrival classification. It converts no
-state; the executor in ``protocol`` and the samplers in ``events`` apply the
-conversion.
+weights, the port offsets, the arrival windows and their classification. It
+converts no state; the executor in ``protocol`` and the samplers in ``events``
+apply the conversion.
 """
 from __future__ import annotations
 
@@ -94,6 +94,13 @@ def arm_weights(config: InterferometerConfig) -> tuple[tuple[float, float], tupl
         return (1.0, 0.0), (1.0, 0.0)
     s = config.split_ratio
     return (s, 1.0 - s), (1.0 - s, s)
+
+
+def window_spans(config: InterferometerConfig) -> tuple[float, float, float]:
+    """(width of one arrival window, time between the windows, background span) in ns: the three windows
+    are 2 w wide and d apart, and background spans from the early window's start to the late one's end."""
+    w, d = config.window_ns, config.delay_ns
+    return 2.0 * w, 2.0 * (d - 2.0 * w), 2.0 * d + 2.0 * w
 
 
 def classify_arrival(t, t_ref: float, config: InterferometerConfig) -> np.ndarray:

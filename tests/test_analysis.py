@@ -180,6 +180,11 @@ class TestEquatorialFit:
         with pytest.raises(AnalysisError, match="coverage"):
             fringe_fit(make_records(rows), AnalysisParams(p_readout_click=1.0), InterferometerConfig())
 
+    def test_insufficient_statistics_flagged_not_fatal(self):
+        recs, ifm = ideal_records(4_000)
+        params = AnalysisParams(p_readout_click=1.0, min_cell_count=10_000)
+        assert fringe_fit(recs, params, ifm).insufficient == ("erased_minus", "erased_plus")
+
     def test_missing_prep_rejected(self):
         rows = [(i, "D", "Erased", 0.0, 0.1 * i, "minus", 0) for i in range(100)]
         with pytest.raises(AnalysisError, match="plus"):
@@ -348,6 +353,12 @@ class TestPipeline:
         assert abs(sum(report.diagonals) - 1.0) < 1e-9
         assert abs(report.c_zz) <= 1.0 + 1e-9
         assert report.f_bound_raw > 0.95
+
+    def test_insufficient_cells_end_the_report_text(self):
+        recs, ifm = ideal_records(4_000)
+        report = analyze_records(recs, AnalysisParams(p_readout_click=1.0, min_cell_count=10_000), ifm)
+        last = report.to_text().splitlines()[-1]
+        assert last == "insufficient_statistics = revealing_early,revealing_late,erased_minus,erased_plus"
 
     def test_multiclick_cycles_rejected(self):
         rows = [

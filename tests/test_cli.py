@@ -152,6 +152,11 @@ class TestCliSimulateAnalyze:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--cycles", "0"])
         assert code == 2
 
+    def test_cycles_not_an_integer_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--cycles", "x"]) == 2
+        assert "--cycles: not an integer: 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551621"])
     def test_seed_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
         # such a seed would alias one inside [0, 2**64)

@@ -499,6 +499,8 @@ class TestRecordIO:
             "1.5,D,Erased,2.0,0.5,minus,1",
             "99999999999999999999,D,Erased,2.0,0.5,minus,1",
             "1,D,Er\udcffased,2.0,0.5,minus,1",  # byte 0xff, not UTF-8
+            "1,Q,Erased,2.0,0.5,minus,1\nx,D,Erased,2.0,0.5,minus,1",  # the first of two bad lines
+            "1,Q,Erased,2.0,0.5,minus,1\n1,D,Erased,2.0,0.5,minus,1,9",
         ],
     )
     def test_field_outside_its_vocabulary_or_range_names_line(self, tmp_path, line):

@@ -17,6 +17,7 @@ from tpcsim.optics import (
     POL_H,
     POL_V,
     classify_arrival,
+    window_spans,
 )
 from tpcsim.protocol import ProtocolConfig, ProtocolError, as_qubit_pair, build_sequence, run_ideal, run_noisy
 
@@ -97,6 +98,13 @@ class TestClassification:
     def test_window_edges_inclusive(self):
         cfg = InterferometerConfig(window_ns=20.0)
         assert classify_arrival(np.array([20.0, 20.5]), 0.0, cfg).tolist() == [ERASED, INVALID]
+
+    def test_window_spans_tile_the_background_span(self):
+        cfg = InterferometerConfig()
+        width, between, span = window_spans(cfg)
+        assert 3 * width + between == span
+        # the span runs from the early window's start to the late window's end
+        assert classify_arrival(np.array([-span / 2, span / 2]), 0.0, cfg).tolist() == [EARLY, LATE]
 
     def test_total_function_over_scan(self):
         cfg = InterferometerConfig()

@@ -20,7 +20,6 @@ from tpcsim.events import (
     ARRIVAL_CLASSES,
     EARLY,
     ERASED,
-    PORT_LETTERS,
     PREP_NAMES,
     RECORD_COLUMNS,
     RECORD_DTYPE,
@@ -36,7 +35,7 @@ from tpcsim.events import (
     simulate_cycles,
     write_records,
 )
-from tpcsim.optics import InterferometerConfig
+from tpcsim.optics import PORT_NAMES, InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
 
 from conftest import SerialPool, ideal_emitter
@@ -73,7 +72,7 @@ def test_shard_cuts_never_change_the_records(cycles, block_size, workers, phase_
 records = st.lists(
     st.tuples(
         st.integers(-(2**63), 2**63 - 1),
-        st.integers(0, len(PORT_LETTERS) - 1),
+        st.integers(0, len(PORT_NAMES) - 1),
         st.integers(0, len(ARRIVAL_CLASSES) - 1),
         st.floats(-1e15, 1e15),
         st.floats(-1e3, 1e3),
@@ -238,7 +237,7 @@ BIN_EDGES = sorted({k * 2.0 * pi / nb for nb in N_BINS for k in range(-2 * nb, 2
 tally_rows = st.lists(
     st.tuples(
         st.integers(0, 7),  # few cycle ids, so cycles of two and three clicks occur
-        st.integers(0, len(PORT_LETTERS) - 1),
+        st.integers(0, len(PORT_NAMES) - 1),
         st.integers(0, len(ARRIVAL_CLASSES) - 1),
         st.one_of(st.sampled_from(BIN_EDGES), st.floats(-30.0, 30.0)),
         st.integers(0, len(PREP_NAMES) - 1),
@@ -251,7 +250,7 @@ tally_rows = st.lists(
 WRAPS = (-0.0, 1e-300, -1e-300, -1.0, 2.0 * pi, -2.0 * pi, 3 * 2.0 * pi / 16)
 EVERY_CELL = [
     (100 + k, port, cls, WRAPS[k % len(WRAPS)], prep, k % 2)
-    for k, (port, cls, prep) in enumerate(product(range(len(PORT_LETTERS)), range(len(ARRIVAL_CLASSES)), range(len(PREP_NAMES))))
+    for k, (port, cls, prep) in enumerate(product(range(len(PORT_NAMES)), range(len(ARRIVAL_CLASSES)), range(len(PREP_NAMES))))
 ] + [(0, 0, ERASED, -1.0, 0, 1), (0, 1, EARLY, 2.0 * pi, 1, 0)] + [(1, 2, ERASED, -2.0 * pi, 1, 1)] * 3
 
 
@@ -260,7 +259,7 @@ def counted_by_hand(rows, n_bins, quadrature_offset):
     clicks = Counter(row[0] for row in rows)
     offsets = (0.0, pi, quadrature_offset, quadrature_offset + pi)  # D, A, R, L
     width = 2.0 * pi / n_bins
-    cells = np.zeros((len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_LETTERS), 2), dtype=np.int64)
+    cells = np.zeros((len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_NAMES), 2), dtype=np.int64)
     fringe = np.zeros((len(PREP_NAMES), n_bins, 2), dtype=np.int64)
     for cycle, port, cls, phase, prep, click in rows:
         if clicks[cycle] > 1:
