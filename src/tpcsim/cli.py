@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from . import analysis as an
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, BrokenProcessPool) as exc:  # a pool breaks when a worker dies
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

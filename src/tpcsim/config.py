@@ -35,14 +35,7 @@ class RunConfig:
     rates: RatesConfig = field(default_factory=RatesConfig)
 
     def sections(self) -> dict[str, object]:
-        return {
-            "emitter": self.emitter,
-            "interferometer": self.interferometer,
-            "protocol": self.protocol,
-            "detection": self.detection,
-            "analysis": self.analysis,
-            "rates": self.rates,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _parse_value(section: str, key: str, raw: str, default):

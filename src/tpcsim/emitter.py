@@ -237,5 +237,7 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
 
 def readout_click_probability(p_bright, params: EmitterParams, dark_click: float = 0.0):
     """Probability of a phonon-sideband readout click given the probability
-    ``p_bright`` (scalar or array) of the bright level |0>."""
-    return np.clip(params.p_readout_click * p_bright + dark_click, 0.0, 1.0)
+    ``p_bright`` (scalar or array) of the bright level |0>: ``p_readout_click``
+    on the bright level and ``dark_click`` on the dark one, the affine response
+    that ``AnalysisParams.invert_click_fraction`` inverts."""
+    return dark_click + (params.p_readout_click - dark_click) * p_bright

@@ -91,6 +91,7 @@ _OUTCOME_OCC = np.array([_OCC_00, _OCC_10, _OCC_00, _OCC_01, _OCC_11])
 _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
 _CHUNK = 8192  # rows per CSV write, parse or photon measurement step; bounds the objects alive at once
+_BLOCK_SIZE = 65536  # cycles per keyed RNG block; the record bytes depend on it
 
 
 class EventModelError(ValueError):
@@ -116,7 +117,6 @@ class DetectionParams:
     readout_dark_click: float = 0.0
     seed: int = 2024
     alternate_preps: bool = True
-    block_size: int = 65536
 
     def validate(self) -> None:
         if not 0.0 < self.zpl_efficiency <= 1.0:
@@ -125,8 +125,6 @@ class DetectionParams:
             raise EventModelError("background_rate_hz must be >= 0")
         if not 0.0 <= self.readout_dark_click <= 1.0:
             raise EventModelError("readout_dark_click must lie in [0, 1]")
-        if self.block_size < 1:
-            raise EventModelError("block_size must be >= 1")
         if not 0 <= self.seed < SEED_LIMIT:
             raise EventModelError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -176,10 +174,10 @@ def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm
 
 
 class _CycleModel:
-    """What every cycle shares: the validated configuration, pulse times,
-    detector thinning, arm weights, port offsets, the bright readout row of
-    the tomography rotation, the leaf table of the first photon and the Kraus
-    operators of every later photon.
+    """What every cycle shares: the validated configuration, the block size,
+    pulse times, detector thinning, arm weights, port offsets, the bright
+    readout row of the tomography rotation, the leaf table of the first photon
+    and the Kraus operators of every later photon.
 
     Every branch of the preparation and the first entangling block is
     enumerated once: per leaf, the normalized (spin, bin occupation) state,
@@ -205,6 +203,7 @@ class _CycleModel:
         params.validate()
         protocol_cfg.validate()
         ifm.validate()
+        self.block_size = _BLOCK_SIZE  # taken here, so that every worker cuts the same blocks
         self.ifm = ifm
         self.protocol_cfg = protocol_cfg
         self.params = params
@@ -308,7 +307,7 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
 
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.int64)
-    block = lo // detection.block_size
+    block = lo // model.block_size
     rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
     phase_true, next_offset = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
     draws = rng.random((9, m))
@@ -439,7 +438,8 @@ def _bright(spin, basis_x, bright_row):
     """Probability of the bright level for each normalized ``spin``: in the
     equatorial basis (after the tomography rotation, whose bright row is
     ``bright_row``) where ``basis_x``, in the polar basis elsewhere."""
-    return np.abs(np.where(basis_x, spin @ bright_row, spin[:, em.LVL_G0])) ** 2
+    # einsum, not a BLAS matrix-vector product, whose threads cost more than this product
+    return np.abs(np.where(basis_x, np.einsum("ij,j->i", spin, bright_row), spin[:, em.LVL_G0])) ** 2
 
 
 def _pair_clicks(rows, draws, arms, eta, t_class):
@@ -525,7 +525,7 @@ def _simulate_shard(model: _CycleModel, detection: DetectionParams, n_cycles: in
     """Records of the blocks first..stop-1 of an ``n_cycles`` run, run in order
     with the walk offset carried from block to block. The offset at ``first``
     comes from carrying the walk through the earlier blocks, which are full."""
-    size, period = detection.block_size, model.protocol_cfg.cycle_period_ns
+    size, period = model.block_size, model.protocol_cfg.cycle_period_ns
     offset = model.ifm.phase
     for block in range(first):
         _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period)
@@ -557,7 +557,7 @@ def simulate_cycles(
         raise EventModelError("n_cycles must be >= 1")
     detection.validate()
     model = _CycleModel(params, protocol_cfg, ifm, detection)
-    n_blocks = (n_cycles + detection.block_size - 1) // detection.block_size
+    n_blocks = (n_cycles + model.block_size - 1) // model.block_size
     workers = min(workers, n_blocks)  # a fork-started pool launches every worker at the first submit
     shard = partial(_simulate_shard, model, detection, n_cycles)
     if workers == 1:
@@ -756,27 +756,25 @@ def multiclick_cycles(cycle_ids: np.ndarray, n_photons: int):
     return mask, int(np.count_nonzero(over))
 
 
-def _sorted_multiclick(records: np.ndarray, n_photons: int):
-    ids = records["cycle_id"]
-    if ids.size and np.any(np.diff(ids) < 0):
-        raise EventModelError("records must be sorted by cycle_id")
-    return multiclick_cycles(ids, n_photons)
-
-
 def pair_coincidences(records: np.ndarray, n_photons: int = 1):
     """Pair each cycle's photon click(s) with its readout flag.
 
     Cycles carrying more clicks than the protocol emits photons lie outside
     the protocol subspace and are rejected (counted, not returned). Returns
     (pairs, n_rejected) with pairs as (ClickRecord, readout_click) tuples.
+    The records must be sorted by cycle_id.
     """
-    drop, rejected = _sorted_multiclick(records, n_photons)
+    if np.any(records["cycle_id"][1:] < records["cycle_id"][:-1]):
+        raise EventModelError("records must be sorted by cycle_id")
+    drop, rejected = multiclick_cycles(records["cycle_id"], n_photons)
     clicks = map(ClickRecord, *_columns(records[~drop], _RECORD_LABELS))
     return [(rec, rec.readout_click) for rec in clicks], rejected
 
 
 def summarize(records: np.ndarray, n_photons: int = 1) -> dict:
-    drop, rejected = _sorted_multiclick(records, n_photons)
+    """Counts of the records, in any order: all, heralded, readout clicks of
+    the cycles kept, and multi-click cycles rejected."""
+    drop, rejected = multiclick_cycles(records["cycle_id"], n_photons)
     return {
         "records": int(len(records)),
         "heralded": int(np.count_nonzero(records["arrival_class"] == ERASED)),

@@ -143,7 +143,6 @@ def pulse_times(steps: list[SequenceStep]) -> list[float]:
 
 _MEASUREMENT_STAGE = ("green_init", "pump_init", "tomography_rotation", "readout")
 _BIN_STATES = 4  # joint occupations of (bin1, bin2); index 0 is both empty
-_TIME_BINS = (SubsystemSpec("bin1", 2), SubsystemSpec("bin2", 2))
 
 
 def _swap_bins(m: np.ndarray) -> np.ndarray:
@@ -231,30 +230,26 @@ def _evolve(steps: list[SequenceStep], params: em.EmitterParams, ifm: Interferom
         raise ProtocolError("the step list ends between the two pulses of a photon")
 
 
-def _restrict(rho: np.ndarray, photons: int, spin_levels: int, keep_bins: bool) -> np.ndarray:
+def _restrict(rho: np.ndarray, photons: int, spin_levels: int) -> np.ndarray:
     """The part of ``rho`` on the first ``spin_levels`` spin levels, with the
-    bins kept, or dropped by taking their empty state."""
+    bins dropped by taking their empty state."""
     d, p = em.SPIN_DIM, 2**photons
-    t = rho.reshape(d, _BIN_STATES, p, d, _BIN_STATES, p)[:spin_levels, :, :, :spin_levels, :, :]
-    if not keep_bins:
-        t = t[:, :1, :, :, :1, :]
-    n = spin_levels * t.shape[1] * p
-    return t.reshape(n, n)
+    n = spin_levels * p
+    return rho.reshape(d, _BIN_STATES, p, d, _BIN_STATES, p)[:spin_levels, 0, :, :spin_levels, 0, :].reshape(n, n)
 
 
-def _subsystems(spin_levels: int, photons: int, keep_bins: bool) -> tuple[SubsystemSpec, ...]:
-    bins = _TIME_BINS if keep_bins else ()
-    return (SubsystemSpec(SPIN, spin_levels), *bins, *(SubsystemSpec(photon_label(k), 2) for k in range(1, photons + 1)))
+def _subsystems(spin_levels: int, photons: int) -> tuple[SubsystemSpec, ...]:
+    return (SubsystemSpec(SPIN, spin_levels), *(SubsystemSpec(photon_label(k), 2) for k in range(1, photons + 1)))
 
 
-def _ket(rho: np.ndarray, photons: int, keep_bins: bool) -> QuantumState:
+def _ket(rho: np.ndarray, photons: int) -> QuantumState:
     """The normalized pure qubit-spin state of a rank-one ``rho``, up to a global phase."""
-    m = _restrict(rho, photons, 2, keep_bins)
+    m = _restrict(rho, photons, 2)
     if m.trace().real <= 0:
         raise ProtocolError("zero heralding probability: no photon heralds in the path-erasing window")
     j = int(np.argmax(m.diagonal().real))
     psi = m[:, j] / np.sqrt(m[j, j].real * m.trace().real)
-    return QuantumState(_subsystems(2, photons, keep_bins), psi, "pure")
+    return QuantumState(_subsystems(2, photons), psi, "pure")
 
 
 _IDEAL_EMITTER = dict(
@@ -262,23 +257,17 @@ _IDEAL_EMITTER = dict(
 )
 
 
-def run_ideal(steps: list[SequenceStep], phi: float = 0.0, return_checkpoints: bool = False):
+def run_ideal(steps: list[SequenceStep], phi: float = 0.0) -> QuantumState:
     """Exact evolution with all imperfections switched off, as pure states.
 
     Runs the executor of ``run_noisy`` on an ideal emitter and a balanced
     interferometer at phase ``phi``, and keeps the spin's protocol qubit
     {|0>, |-1>}. Returns the heralded (spin, photon1..N) state (every photon
-    path-erased); with ``return_checkpoints`` also the named intermediate
-    states in order, each on (spin, bin1, bin2, photons so far).
+    path-erased).
     """
-    checkpoints = []
-    for name, rho, photons in _evolve(steps, em.EmitterParams(**_IDEAL_EMITTER), InterferometerConfig(phase=phi)):
-        if return_checkpoints:
-            checkpoints.append((name, _ket(rho, photons, keep_bins=True)))
-    final = _ket(rho, photons, keep_bins=False)
-    if return_checkpoints:
-        return final, checkpoints
-    return final
+    for _, rho, photons in _evolve(steps, em.EmitterParams(**_IDEAL_EMITTER), InterferometerConfig(phase=phi)):
+        pass
+    return _ket(rho, photons)
 
 
 def run_noisy(
@@ -296,7 +285,7 @@ def run_noisy(
     """
     for _, rho, photons in _evolve(steps, params, ifm):
         pass
-    return QuantumState(_subsystems(em.SPIN_DIM, photons, False), _restrict(rho, photons, em.SPIN_DIM, False), "mixed")
+    return QuantumState(_subsystems(em.SPIN_DIM, photons), _restrict(rho, photons, em.SPIN_DIM), "mixed")
 
 
 def as_qubit_pair(state: QuantumState, photon: str = "photon1") -> QuantumState:

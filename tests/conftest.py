@@ -7,9 +7,10 @@ from math import cos, sin
 import numpy as np
 
 from tpcsim import emitter as em
+from tpcsim.analysis import fidelity_bound
 from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
 from tpcsim.optics import POL_H, POL_V, PORT_NAMES, InterferometerConfig, OpticsModelError, port_offsets
-from tpcsim.protocol import ProtocolConfig, build_sequence, step_kraus
+from tpcsim.protocol import ProtocolConfig, as_qubit_pair, build_sequence, run_noisy, step_kraus
 from tpcsim.qsim import ALG_TOL, Operator, QsimError, QuantumState, SubsystemSpec, embedded_matrix
 
 PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
@@ -103,6 +104,23 @@ FIXTURE = dict(
     pi_pulse_error=0.01,
     p_readout_click=0.167,
 )
+
+
+def fixture_exact(ifm: InterferometerConfig) -> tuple[float, float, float]:
+    """Exact c_zz, c_xx and fidelity bound of the FIXTURE emitter behind
+    ``ifm``: the heralded states of both preparations, each weighted by its
+    heralding probability, as the analysis pools them."""
+    params = em.EmitterParams(**FIXTURE)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    diag_w, xx_w = [], []
+    for prep in ("minus", "plus"):
+        heralded = run_noisy(build_sequence(ProtocolConfig(prep_sign=prep), ifm), params, ifm)
+        pair = as_qubit_pair(heralded.normalized())
+        diag_w.append((heralded.trace(), np.real(np.diag(pair.data))))
+        xx_w.append(np.real(np.trace(pair.data @ np.kron(sx, sx))))
+    diag = sum(w * d for w, d in diag_w) / sum(w for w, _ in diag_w)
+    c_xx = 0.5 * (xx_w[0] - xx_w[1])
+    return diag[1] + diag[2] - diag[0] - diag[3], c_xx, fidelity_bound(tuple(diag), c_xx)
 
 
 def write_fixture_ini(path):

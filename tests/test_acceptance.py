@@ -13,20 +13,18 @@ import pytest
 
 from tpcsim.analysis import AnalysisParams, analyze_records, fidelity_bound
 from tpcsim.cli import main
-from tpcsim.emitter import EmitterParams
+from tpcsim.emitter import SPIN_DIM, EmitterParams
 from tpcsim.events import EARLY, ERASED, LATE, DetectionParams, pair_coincidences, read_records, simulate_cycles, summarize
 from tpcsim.optics import InterferometerConfig, classify_arrival, ArrivalClass
 from tpcsim.protocol import (
     ProtocolConfig,
-    as_qubit_pair,
+    _evolve,
     build_sequence,
     run_ideal,
-    run_noisy,
     stabilizer_check,
 )
-from tpcsim.qsim import Operator, expectation
 
-from conftest import FIXTURE, bell_target, fidelity_to, ideal_emitter, route, write_fixture_ini
+from conftest import bell_target, fidelity_to, fixture_exact, ideal_emitter, route, write_fixture_ini
 from test_protocol import brute_force_chain
 
 FIXTURE_TARGETS = dict(c_zz=0.837, c_xx=0.407, f_bound=0.647)
@@ -67,30 +65,26 @@ p_readout_click = 1.0
 def test_criterion_1_ideal_protocol_exactness():
     t0 = time.perf_counter()
     steps = build_sequence(ProtocolConfig(), InterferometerConfig())
-    final, checkpoints = run_ideal(steps, phi=0.0, return_checkpoints=True)
-    named = dict(checkpoints)
+    named = {name: rho for name, rho, _ in _evolve(steps, ideal_emitter(), InterferometerConfig())}
     tol = 1.0 - 1e-10
 
-    ok = fidelity_to(final, bell_target(0.0)) >= tol
+    ok = fidelity_to(run_ideal(steps, phi=0.0), bell_target(0.0)) >= tol
 
-    # checkpoints live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
-    prepared = named["prepared"]
-    psi0 = np.zeros(8, dtype=complex)
+    # the executor's states live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
+    psi0 = np.zeros(SPIN_DIM * 4, dtype=complex)
     psi0[0 * 4] = -1 / np.sqrt(2)
     psi0[1 * 4] = 1 / np.sqrt(2)
-    ok &= abs(np.vdot(psi0, prepared.data)) ** 2 >= tol
+    ok &= np.vdot(psi0, named["prepared"] @ psi0).real >= tol
 
-    after_a1 = named["after_pulse_1"]
-    psi_a1 = np.zeros(8, dtype=complex)
+    psi_a1 = np.zeros(SPIN_DIM * 4, dtype=complex)
     psi_a1[1 * 4 + 0 * 2] = 1 / np.sqrt(2)   # |-1, no photon>
     psi_a1[0 * 4 + 1 * 2] = -1 / np.sqrt(2)  # -|0, photon>
-    ok &= abs(np.vdot(psi_a1, after_a1.data)) ** 2 >= tol
+    ok &= np.vdot(psi_a1, named["after_pulse_1"] @ psi_a1).real >= tol
 
-    after_flip = named["after_flip_1"]
-    psi_flip = np.zeros(8, dtype=complex)
+    psi_flip = np.zeros(SPIN_DIM * 4, dtype=complex)
     psi_flip[0 * 4 + 0 * 2] = 1 / np.sqrt(2)
     psi_flip[1 * 4 + 1 * 2] = 1 / np.sqrt(2)
-    ok &= abs(np.vdot(psi_flip, after_flip.data)) ** 2 >= tol
+    ok &= np.vdot(psi_flip, named["after_flip_1"] @ psi_flip).real >= tol
 
     for phi in (0.4, np.pi / 3):
         ok &= fidelity_to(run_ideal(steps, phi=phi), bell_target(phi)) >= tol
@@ -163,25 +157,12 @@ def test_criterion_3_fidelity_bound_soundness():
 
 def test_criterion_4_pipeline_recovery_of_published_values(tmp_path):
     t0 = time.perf_counter()
-    params = EmitterParams(**FIXTURE)
     ifm = InterferometerConfig(
         phase_mode="scan", phase_readout_sigma=0.0, erasure_visibility=0.695814665779
     )
 
     # fixture verification: the exact heralded state carries the targets
-    diag_w, xx_w = [], []
-    for prep in ("minus", "plus"):
-        steps = build_sequence(ProtocolConfig(prep_sign=prep), ifm)
-        heralded = run_noisy(steps, params, ifm)
-        weight = heralded.trace()
-        pair = as_qubit_pair(heralded.normalized())
-        diag_w.append((weight, np.real(np.diag(pair.data))))
-        xx_w.append(expectation(pair, Operator(np.kron(SX, SX), ("spin", "photon1"))))
-    wsum = sum(w for w, _ in diag_w)
-    diag = sum(w * d for w, d in diag_w) / wsum
-    c_zz_exact = diag[1] + diag[2] - diag[0] - diag[3]
-    c_xx_exact = 0.5 * (xx_w[0] - xx_w[1])
-    f_exact = fidelity_bound(tuple(diag), c_xx_exact)
+    c_zz_exact, c_xx_exact, f_exact = fixture_exact(ifm)
     ok = abs(c_zz_exact - FIXTURE_TARGETS["c_zz"]) < 2e-5
     ok &= abs(c_xx_exact - FIXTURE_TARGETS["c_xx"]) < 2e-5
     ok &= abs(f_exact - FIXTURE_TARGETS["f_bound"]) < 2e-5

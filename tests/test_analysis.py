@@ -15,11 +15,12 @@ from tpcsim.analysis import (
     subtract_background,
     tally_records,
 )
+from tpcsim.emitter import EmitterParams
 from tpcsim.events import EARLY, ERASED, INVALID, LATE, RECORD_DTYPE, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig
 
-from conftest import ideal_emitter, make_records
+from conftest import FIXTURE, fixture_exact, ideal_emitter, make_records
 
 
 def ideal_records(n_cycles, seed=5, **ifm_overrides):
@@ -353,6 +354,18 @@ class TestPipeline:
         assert abs(sum(report.diagonals) - 1.0) < 1e-9
         assert abs(report.c_zz) <= 1.0 + 1e-9
         assert report.f_bound_raw > 0.95
+
+    def test_readout_dark_clicks_recover_the_exact_correlations(self):
+        # the sampler's dark clicks and the analysis's inversion are one readout
+        # rule, so the raw correlations and bound stay those of the exact state
+        ifm = InterferometerConfig(phase_mode="scan", phase_readout_sigma=0.0, erasure_visibility=0.695814665779)
+        det = DetectionParams(zpl_efficiency=1.0, readout_dark_click=0.03, seed=404)
+        recs = simulate_cycles(400_000, EmitterParams(**FIXTURE), ifm, ProtocolConfig(), det)
+        report = analyze_records(recs, AnalysisParams(p_readout_click=0.167, readout_dark_click=0.03), ifm)
+        c_zz, c_xx, f_bound = fixture_exact(ifm)
+        assert abs(report.c_zz - c_zz) <= 4.0 * report.c_zz_err
+        assert abs(report.c_xx - c_xx) <= 4.0 * report.c_xx_err
+        assert abs(report.f_bound_raw - f_bound) <= 4.0 * report.f_bound_raw_err
 
     def test_insufficient_cells_end_the_report_text(self):
         recs, ifm = ideal_records(4_000)

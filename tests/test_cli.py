@@ -14,6 +14,12 @@ from conftest import write_fixture_ini
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.ini")) + sorted((REPO / "perfbench" / "configs").glob("*.ini"))
 
+
+def _dying_shard(*args):
+    """A shard that kills the worker process it runs in."""
+    os._exit(3)
+
+
 IDEAL_CONFIG = """
 [emitter]
 p_cross = 0.0
@@ -99,6 +105,13 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "quadrature_offset" in err and "[analysis]" in err and "line 3" in err
 
+    def test_block_size_is_unknown(self, tmp_path, capsys):
+        # the RNG block size is fixed: the record bytes depend on it
+        path = tmp_path / "run.ini"
+        path.write_text("[detection]\nseed = 5\nblock_size = 1024\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "unknown key 'block_size' in section [detection] (line 3)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["long_arm_pol", "short_arm_pol"])
     def test_arm_polarization_is_unknown(self, tmp_path, capsys, key):
         # the long arm is always H and the short arm V; no key selects them
@@ -146,6 +159,16 @@ class TestCliSimulateAnalyze:
         assert main(["simulate", "--config", cfg, "--out", out1, "--cycles", "20000", "--seed", "7", "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2, "--cycles", "20000", "--seed", "7", "--workers", "8"]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a fork-started worker runs the patched shard and dies; the pool breaks
+        monkeypatch.setattr("tpcsim.events._simulate_shard", _dying_shard)
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--cycles", "131072", "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_zero_cycles_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tpcsim.analysis import AnalysisParams
 from tpcsim.emitter import (
     BIN_OCC,
     BIN_VAC,
@@ -246,9 +247,21 @@ class TestReadout:
         assert abs(readout_click_probability(0.5, EmitterParams()) - 0.0835) < 1e-12
 
     def test_dark_click_term(self):
+        # the dark level clicks with the dark-click probability and the bright
+        # level with p_readout_click, whatever the dark-click probability
         p = readout_click_probability(0.0, EmitterParams(), dark_click=0.01)
         assert abs(p - 0.01) < 1e-12
         assert readout_click_probability(1.0, EmitterParams(p_readout_click=1.0), dark_click=0.01) == 1.0
+        assert abs(readout_click_probability(1.0, EmitterParams(), dark_click=0.01) - 0.167) < 1e-12
+
+    def test_analysis_inverts_the_click_probability(self):
+        # the sampler's readout response and the analysis's inversion are one affine rule
+        q = np.linspace(0.0, 1.0, 101)
+        for p in (0.05, 0.167, 0.5, 1.0):
+            for d in (0.0, 0.001, 0.03, 0.5 * p, 0.99 * p):
+                f = readout_click_probability(q, EmitterParams(p_readout_click=p), dark_click=d)
+                back = AnalysisParams(p_readout_click=p, readout_dark_click=d).invert_click_fraction(f)
+                assert np.max(np.abs(back - q)) < 1e-12, (p, d)
 
     def test_works_on_composite_states(self):
         spin = basis_ket((SubsystemSpec("spin", SPIN_DIM),), (LVL_G0,))

@@ -72,18 +72,20 @@ def _walk_block_offsets(ifm, n_blocks, block_size, n_cycles, seed, period_ns):
 
 
 class TestDeterminism:
-    def test_same_seed_identical_records(self):
+    def test_same_seed_identical_records(self, monkeypatch):
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
         params = ideal_emitter()
         ifm = InterferometerConfig(phase_mode="walk")
-        det = DetectionParams(zpl_efficiency=1.0, seed=3, block_size=4096)
+        det = DetectionParams(zpl_efficiency=1.0, seed=3)
         a = simulate_cycles(10_000, params, ifm, ProtocolConfig(), det)
         b = simulate_cycles(10_000, params, ifm, ProtocolConfig(), det)
         assert np.array_equal(a, b)
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
         params = ideal_emitter()
         ifm = InterferometerConfig(phase_mode="walk")
-        det = DetectionParams(zpl_efficiency=1.0, seed=3, block_size=2048)
+        det = DetectionParams(zpl_efficiency=1.0, seed=3)
         for pcfg in (ProtocolConfig(), ProtocolConfig(n_photons=2, cycle_period_ns=2_000_000.0)):
             serial = simulate_cycles(12_000, params, ifm, pcfg, det, workers=1)
             parallel = simulate_cycles(12_000, params, ifm, pcfg, det, workers=4)
@@ -93,11 +95,12 @@ class TestDeterminism:
         # a fork-started pool launches all of its workers at the first submit
         monkeypatch.setattr(SerialPool, "sizes", [])
         monkeypatch.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 1000)
         args = (
             ideal_emitter(),
             InterferometerConfig(phase_mode="walk"),
             ProtocolConfig(),
-            DetectionParams(zpl_efficiency=0.5, seed=3, block_size=1000),
+            DetectionParams(zpl_efficiency=0.5, seed=3),
         )
         pooled = simulate_cycles(2_500, *args, workers=64)
         assert SerialPool.sizes == [3]
@@ -412,6 +415,17 @@ class TestCoincidencePairing:
         stats = summarize(recs)
         assert stats == {"records": 2, "heralded": 1, "coincidences": 1, "rejected_cycles": 0}
 
+    def test_summary_accepts_any_order(self):
+        # the two clicks of cycle 5 are apart, and that cycle is still rejected whole
+        recs = make_records(
+            [
+                (5, "D", "Erased", 100.0, 0.1, "minus", 1),
+                (1, "D", "Erased", 150.0, 0.1, "minus", 1),
+                (5, "A", "LateRevealing", 400.0, 0.1, "minus", 1),
+            ]
+        )
+        assert summarize(recs) == {"records": 3, "heralded": 2, "coincidences": 1, "rejected_cycles": 1}
+
 
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
@@ -541,13 +555,14 @@ class TestRecordIO:
             "951619daf302abf5ec02cf0d844bf08bc480781c98d4b5cd616d4d6d114af683"
         )
 
-    def test_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path):
+    def test_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
         # doubles, singles and background clicks of every class, Invalid included
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 1024)
         args = (
             noisy_emitter(),
             InterferometerConfig(phase_mode="walk"),
             ProtocolConfig(),
-            DetectionParams(zpl_efficiency=1.0, background_rate_hz=200_000.0, seed=61, block_size=1024),
+            DetectionParams(zpl_efficiency=1.0, background_rate_hz=200_000.0, seed=61),
         )
         for workers in (1, 2):
             recs = simulate_cycles(4_000, *args, workers=workers)
@@ -558,14 +573,15 @@ class TestRecordIO:
                 "3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"
             )
 
-    def test_thinned_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path):
+    def test_thinned_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
         # detection thinning 1/15 drops most cycles before they are sampled;
         # 12 full blocks and a partial one, background clicks of every class
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
         args = (
             replace(noisy_emitter(), zpl_fraction=0.03),
             InterferometerConfig(phase_mode="walk"),
             ProtocolConfig(),
-            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83, block_size=4096),
+            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83),
         )
         for workers in (1, 2):
             recs = simulate_cycles(50_000, *args, workers=workers)
@@ -576,14 +592,15 @@ class TestRecordIO:
                 "b0026897820298ae0012c2c28704df3a4c4c819d0652c34f8ad322b4194f7f02"
             )
 
-    def test_thinned_double_clicks_bytes_pinned(self, tmp_path):
+    def test_thinned_double_clicks_bytes_pinned(self, tmp_path, monkeypatch):
         # at thinning 0.3 a double-occupation cycle often keeps only its
         # second photon's click, and such a cycle must still be sampled
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
         args = (
             noisy_emitter(),
             InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
             ProtocolConfig(),
-            DetectionParams(zpl_efficiency=0.3, seed=97, block_size=2048),
+            DetectionParams(zpl_efficiency=0.3, seed=97),
         )
         recs = simulate_cycles(20_000, *args)
         assert np.count_nonzero(np.unique(recs["cycle_id"], return_counts=True)[1] == 2) > 0
@@ -593,12 +610,12 @@ class TestRecordIO:
             "34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"
         )
 
-    def test_default_sparse_efficiency_bytes_pinned(self, tmp_path):
+    def test_default_sparse_efficiency_bytes_pinned(self, tmp_path, monkeypatch):
         # the default config's efficiency: most of the 98 blocks have no
         # cycle that can leave a record, and the walk phase runs through them
-        det = DetectionParams(block_size=1024)
-        recs = simulate_cycles(100_000, EmitterParams(), InterferometerConfig(), ProtocolConfig(), det)
-        assert 0 < np.unique(recs["cycle_id"] // det.block_size).size < 10
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 1024)
+        recs = simulate_cycles(100_000, EmitterParams(), InterferometerConfig(), ProtocolConfig(), DetectionParams())
+        assert 0 < np.unique(recs["cycle_id"] // 1024).size < 10
         path = tmp_path / "sparse.csv"
         write_records(path, recs)
         assert sha256(path.read_bytes()).hexdigest() == (
@@ -612,13 +629,14 @@ class TestRecordIO:
         # 3 workers 1 + 2 + 2, so later shards skip ahead over 1 to 3 blocks
         ifm = InterferometerConfig(phase_mode="walk", phase=0.3, phase_drift_var_per_ns=drift)
         pcfg = ProtocolConfig()
-        det = DetectionParams(zpl_efficiency=0.01, seed=19, block_size=2048)
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
+        det = DetectionParams(zpl_efficiency=0.01, seed=19)
         n_cycles = 10_000
-        drawn = _walk_block_offsets(ifm, 5, det.block_size, n_cycles, det.seed, pcfg.cycle_period_ns)
+        drawn = _walk_block_offsets(ifm, 5, 2048, n_cycles, det.seed, pcfg.cycle_period_ns)
         starts, streams = {}, []
 
         def recording_block(model, detection, lo, hi, offset):
-            starts[lo // detection.block_size] = offset
+            starts[lo // model.block_size] = offset
             return _simulate_block(model, detection, lo, hi, offset)
 
         def recording_rng(seed, stream, block):
@@ -667,14 +685,15 @@ class TestRecordIO:
             (3, 12_000, 1_642, "e43e8dbe53bc55a666ddbc4f8672282e02d4b1d7560a1b5bf1c1bde074247f53"),
         ],
     )
-    def test_thinned_chain_bytes_pinned_for_any_worker_count(self, tmp_path, n_photons, cycles, n_records, digest):
+    def test_thinned_chain_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch, n_photons, cycles, n_records, digest):
         # at thinning 0.05 most cycles are dropped before they are sampled; a
         # cycle whose only surviving click is a later photon's must be kept
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
         args = (
             noisy_emitter(),
             InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
             ProtocolConfig(n_photons=n_photons),
-            DetectionParams(zpl_efficiency=0.05, seed=89, block_size=2048),
+            DetectionParams(zpl_efficiency=0.05, seed=89),
         )
         for workers in (1, 2):
             recs = simulate_cycles(cycles, *args, workers=workers)

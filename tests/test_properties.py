@@ -55,12 +55,13 @@ def test_shard_cuts_never_change_the_records(cycles, block_size, workers, phase_
         ideal_emitter(),
         InterferometerConfig(phase_mode=phase_mode, phase=0.3),
         ProtocolConfig(),
-        DetectionParams(zpl_efficiency=0.3, seed=11, block_size=block_size),
+        DetectionParams(zpl_efficiency=0.3, seed=11),
     )
-    one = simulate_cycles(cycles, *args)
-    # the pool maps in this process, so the test starts no process
     pools = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tpcsim.events._BLOCK_SIZE", block_size)
+        one = simulate_cycles(cycles, *args)
+        # the pool maps in this process, so the test starts no process
         mp.setattr(SerialPool, "sizes", pools)
         mp.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
         sharded = simulate_cycles(cycles, *args, workers=workers)

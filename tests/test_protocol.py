@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from tpcsim.emitter import LVL_G0, LVL_GM1
+from tpcsim.emitter import LVL_G0, LVL_GM1, SPIN_DIM
 from tpcsim.events import ERASED, DetectionParams, simulate_cycles
 from tpcsim.optics import InterferometerConfig, POL_H, POL_V
 from tpcsim.protocol import (
     ProtocolConfig,
     ProtocolError,
+    _evolve,
     as_qubit_pair,
     build_sequence,
     chain_generators,
@@ -119,30 +120,26 @@ class TestBuildSequence:
 
 class TestRunIdeal:
     def test_checkpoints_reproduce_published_states(self):
-        # checkpoints live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
+        # the executor's states live on (spin, bin1, bin2): amplitude index spin * 4 + bin1 * 2 + bin2
         steps = make_sequence(1)
-        final, checkpoints = run_ideal(steps, phi=0.0, return_checkpoints=True)
-        named = dict(checkpoints)
+        named = {name: rho for name, rho, _ in _evolve(steps, ideal_emitter(), InterferometerConfig())}
 
-        prepared = named["prepared"]
-        expected = np.zeros(8, dtype=complex)  # (|-1> - |0>)/sqrt2, bins empty
+        expected = np.zeros(SPIN_DIM * 4, dtype=complex)  # (|-1> - |0>)/sqrt2, bins empty
         expected[0 * 4] = -1 / np.sqrt(2)
         expected[1 * 4] = 1 / np.sqrt(2)
-        assert abs(abs(np.vdot(expected, prepared.data)) - 1.0) < 1e-10
+        assert abs(np.vdot(expected, named["prepared"] @ expected) - 1.0) < 1e-10
 
-        after_a1 = named["after_pulse_1"]
-        expected = np.zeros(8, dtype=complex)  # (|-1,vac> - |0,photon>)/sqrt2
+        expected = np.zeros(SPIN_DIM * 4, dtype=complex)  # (|-1,vac> - |0,photon>)/sqrt2
         expected[1 * 4 + 0 * 2] = 1 / np.sqrt(2)
         expected[0 * 4 + 1 * 2] = -1 / np.sqrt(2)
-        assert abs(abs(np.vdot(expected, after_a1.data)) - 1.0) < 1e-10
+        assert abs(np.vdot(expected, named["after_pulse_1"] @ expected) - 1.0) < 1e-10
 
-        after_flip = named["after_flip_1"]
-        expected = np.zeros(8, dtype=complex)  # (|0,vac> + |-1,photon>)/sqrt2
+        expected = np.zeros(SPIN_DIM * 4, dtype=complex)  # (|0,vac> + |-1,photon>)/sqrt2
         expected[0 * 4 + 0 * 2] = 1 / np.sqrt(2)
         expected[1 * 4 + 1 * 2] = 1 / np.sqrt(2)
-        assert abs(abs(np.vdot(expected, after_flip.data)) - 1.0) < 1e-10
+        assert abs(np.vdot(expected, named["after_flip_1"] @ expected) - 1.0) < 1e-10
 
-        assert fidelity_to(final, bell_target(0.0)) > 1.0 - 1e-10
+        assert fidelity_to(run_ideal(steps, phi=0.0), bell_target(0.0)) > 1.0 - 1e-10
 
     def test_minus_prep_gives_bell_plus(self):
         final = run_ideal(make_sequence(1, "minus"), phi=0.0)
