@@ -40,6 +40,7 @@ from . import emitter as em
 from .optics import (
     EARLY,
     ERASED,
+    GOLDEN_STEP,
     INVALID,
     LATE,
     PORT_NAMES,
@@ -287,7 +288,7 @@ def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, blo
     if ifm.phase_mode == "static":
         return np.full(ids.shape, ifm.phase), offset
     if ifm.phase_mode == "scan":
-        return np.mod(ifm.phase + ifm.scan_step_rad * ids, 2.0 * np.pi), offset
+        return np.mod(ifm.phase + GOLDEN_STEP * ids, 2.0 * np.pi), offset
     steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns)
     if steps is None:
         return np.full(ids.shape, offset), offset

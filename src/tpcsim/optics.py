@@ -26,7 +26,7 @@ import numpy as np
 POL_H = 0
 POL_V = 1
 
-GOLDEN_STEP = 2.0 * pi * 0.3819660112501051  # irrational fraction of a turn
+GOLDEN_STEP = 2.0 * pi * 0.3819660112501051  # scan-mode phase step per cycle, an irrational fraction of a turn
 
 
 class OpticsModelError(ValueError):
@@ -58,7 +58,6 @@ class InterferometerConfig:
     active_switch: bool = False
     phase_mode: str = "walk"  # walk | scan | static
     phase_drift_var_per_ns: float = 2.4e-9
-    scan_step_rad: float = GOLDEN_STEP
 
     def validate(self) -> None:
         if self.delay_ns <= 0:

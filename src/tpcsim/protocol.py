@@ -25,9 +25,15 @@ import numpy as np
 
 from . import emitter as em
 from .optics import POL_H, POL_V, InterferometerConfig, arm_weights
-from .qsim import Operator, QuantumState, SubsystemSpec, expectation, partial_trace
+from .qsim import Operator, QuantumState, SubsystemSpec, expectation
 
 SPIN = em.SPIN
+
+# fixed stage durations of one cycle, in ns
+GREEN_INIT_NS = 10_000.0
+PUMP_INIT_NS = 50_000.0
+MW_PULSE_NS = 50.0
+READOUT_PULSE_NS = 5_000.0
 
 
 class ProtocolError(ValueError):
@@ -49,10 +55,6 @@ class ProtocolConfig:
     tomo_theta: float = -np.pi / 2.0  # maps |+x> onto the bright readout level
     cycle_period_ns: float = 167_000.0
     chain_mode: str = "cluster"  # interleaving between blocks: cluster | ghz
-    green_init_ns: float = 10_000.0
-    pump_init_ns: float = 50_000.0
-    mw_pulse_ns: float = 50.0
-    readout_pulse_ns: float = 5_000.0
 
     def validate(self) -> None:
         if self.n_photons < 1:
@@ -61,9 +63,6 @@ class ProtocolConfig:
             raise ProtocolError(f"prep_sign must be plus or minus, got {self.prep_sign!r}")
         if self.chain_mode not in ("cluster", "ghz"):
             raise ProtocolError(f"chain_mode must be cluster or ghz, got {self.chain_mode!r}")
-        for name in ("green_init_ns", "pump_init_ns", "mw_pulse_ns", "readout_pulse_ns"):
-            if getattr(self, name) < 0:
-                raise ProtocolError(f"{name} must be >= 0")
 
     def interblock_theta(self) -> float:
         return np.pi / 2.0 if self.chain_mode == "cluster" else np.pi
@@ -88,12 +87,12 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
     ifm.validate()
     steps: list[SequenceStep] = []
     t = 0.0
-    steps.append(SequenceStep("green_init", t, duration_ns=config.green_init_ns))
-    t += config.green_init_ns
-    steps.append(SequenceStep("pump_init", t, duration_ns=config.pump_init_ns))
-    t += config.pump_init_ns
-    steps.append(SequenceStep("mw_rotation", t, theta=prep_theta(config.prep_sign), duration_ns=config.mw_pulse_ns))
-    t += config.mw_pulse_ns
+    steps.append(SequenceStep("green_init", t, duration_ns=GREEN_INIT_NS))
+    t += GREEN_INIT_NS
+    steps.append(SequenceStep("pump_init", t, duration_ns=PUMP_INIT_NS))
+    t += PUMP_INIT_NS
+    steps.append(SequenceStep("mw_rotation", t, theta=prep_theta(config.prep_sign), duration_ns=MW_PULSE_NS))
+    t += MW_PULSE_NS
 
     delay = ifm.delay_ns
     t0 = t
@@ -104,13 +103,13 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
         if j < n_pulses:
             theta = np.pi if j % 2 == 1 else config.interblock_theta()
             steps.append(
-                SequenceStep("mw_rotation", t_pulse + delay / 2.0, theta=theta, duration_ns=config.mw_pulse_ns)
+                SequenceStep("mw_rotation", t_pulse + delay / 2.0, theta=theta, duration_ns=MW_PULSE_NS)
             )
     t_end = t0 + (n_pulses - 1) * delay + delay / 2.0
     steps.append(
-        SequenceStep("tomography_rotation", t_end, theta=config.tomo_theta, duration_ns=config.mw_pulse_ns)
+        SequenceStep("tomography_rotation", t_end, theta=config.tomo_theta, duration_ns=MW_PULSE_NS)
     )
-    steps.append(SequenceStep("readout", t_end + config.mw_pulse_ns, duration_ns=config.readout_pulse_ns))
+    steps.append(SequenceStep("readout", t_end + MW_PULSE_NS, duration_ns=READOUT_PULSE_NS))
 
     total = steps[-1].time_ns + steps[-1].duration_ns
     if config.cycle_period_ns < total:
@@ -288,17 +287,17 @@ def run_noisy(
     return QuantumState(_subsystems(em.SPIN_DIM, photons), _restrict(rho, photons, em.SPIN_DIM), "mixed")
 
 
-def as_qubit_pair(state: QuantumState, photon: str = "photon1") -> QuantumState:
-    """Reduce a heralded (spin x photon) state to the measured two-qubit form.
+def as_qubit_pair(state: QuantumState) -> QuantumState:
+    """Reduce a heralded (spin, photon1) state to the measured two-qubit form.
 
     Spin population outside {|0>, |-1>} neither responds to microwave pulses
     nor produces readout clicks, so the measurement lumps it into the dark
     (|-1>) row while its photon block is retained; the |0>..|-1> coherence
     block passes through unchanged.
     """
+    if state.labels != (SPIN, photon_label(1)):
+        raise ProtocolError(f"as_qubit_pair needs a (spin, photon1) state, got {state.labels}")
     rho = state.to_density()
-    if rho.labels != (SPIN, photon):
-        rho = partial_trace(rho, [SPIN, photon])
     d_spin = rho.subsystems[0].dim
     if d_spin == 2:
         return rho
@@ -312,8 +311,7 @@ def as_qubit_pair(state: QuantumState, photon: str = "photon1") -> QuantumState:
     for lvl in range(d_spin):
         if lvl not in (g0, gm1):
             out[1, :, 1, :] += t[lvl, :, lvl, :]
-    subs = (SubsystemSpec(SPIN, 2), SubsystemSpec(photon, 2))
-    return QuantumState(subs, out.reshape(4, 4), "mixed")
+    return QuantumState(_subsystems(2, 1), out.reshape(4, 4), "mixed")
 
 
 # -- chain stabilizers ---------------------------------------------------------
@@ -342,8 +340,7 @@ def chain_generators(n: int, chain_mode: str = "cluster", prep_sign: str = "minu
     _EMISSION_PUSH and appends its own spin-photon correlation generator.
     Returns n + 1 tuples (sign, spin letter, photon letters) in emission order.
     """
-    if n < 1:
-        raise ProtocolError("n must be >= 1")
+    ProtocolConfig(n_photons=n, prep_sign=prep_sign, chain_mode=chain_mode).validate()
     first = _HALF_TURN if prep_sign == "minus" else _NEG_HALF_TURN
     inter = _HALF_TURN if chain_mode == "cluster" else _FULL_TURN
 
@@ -386,17 +383,16 @@ def stabilizer_check(
 ) -> list[float]:
     """Expectation of each chain stabilizer generator on ``state``.
 
-    ``state`` must carry the spin and photon1..photonN. For spin dimensions
-    above 2 the Pauli letters act on the {|0>, |-1>} qubit block.
+    ``state`` must carry the spin and photon1..photonN, in that order. For
+    spin dimensions above 2 the Pauli letters act on the {|0>, |-1>} qubit
+    block.
     """
-    labels = [SPIN] + [photon_label(k) for k in range(1, n + 1)]
-    for label in labels:
-        state.index_of(label)
-    spin_dim = state.subsystems[state.index_of(SPIN)].dim
+    labels = (SPIN, *(photon_label(k) for k in range(1, n + 1)))
+    spin_dim = state.subsystems[0].dim
     values = []
     for sign, spin_letter, photon_letters in chain_generators(n, chain_mode, prep_sign):
         mat = sign * _embedded_pauli(spin_letter, spin_dim)
         for letter in photon_letters:
             mat = np.kron(mat, _PAULI[letter])
-        values.append(expectation(state, Operator(mat, tuple(labels))))
+        values.append(expectation(state, Operator(mat, labels)))
     return values

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules, and the reference state algebra that
-the tests check the program against: basis states, products, operator and
-channel application on labelled states, fidelities, the interferometer's
-routing table and analyzer ports, and the target Bell state."""
+the tests check the program against: basis states, products, the embedding of
+an operator on some of a state's subsystems, operator and channel application,
+partial traces, fidelities, the interferometer's routing table and analyzer
+ports, and the target Bell state. The program's own ``qsim`` reads states only
+through observables on the whole layout."""
 from math import cos, sin
 
 import numpy as np
@@ -11,8 +13,9 @@ from tpcsim.analysis import fidelity_bound
 from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
 from tpcsim.optics import POL_H, POL_V, PORT_NAMES, InterferometerConfig, OpticsModelError, port_offsets
 from tpcsim.protocol import ProtocolConfig, as_qubit_pair, build_sequence, run_noisy, step_kraus
-from tpcsim.qsim import ALG_TOL, Operator, QsimError, QuantumState, SubsystemSpec, embedded_matrix
+from tpcsim.qsim import Operator, QsimError, QuantumState, SubsystemSpec
 
+ALG_TOL = 1e-10  # tolerance for algebraic identities (norms, hermiticity)
 PSD_EIG_FLOOR = -1e-8  # eigenvalue floor accepted by positivity checks
 LABELLED_COLUMNS = ("port", "arrival_class", "prep_sign")
 
@@ -182,6 +185,63 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     return QuantumState(subs, np.kron(a.data, b.data), "mixed")
 
 
+def _target_axes(state: QuantumState, targets) -> list[int]:
+    for label in targets:
+        if label not in state.labels:
+            raise QsimError(f"no subsystem labelled {label!r} in {state.labels}")
+    return [state.labels.index(label) for label in targets]
+
+
+def _apply_left(matrix: np.ndarray, axes: list[int], target_dims, array: np.ndarray) -> np.ndarray:
+    """Contract a square ``matrix`` onto the given axes of a tensor.
+
+    ``matrix`` has shape (prod(target_dims), prod(target_dims)); axes beyond
+    the subsystem axes of ``array`` act as batch dimensions and pass through.
+    """
+    full_dims = list(array.shape)
+    others = [i for i in range(len(full_dims)) if i not in axes]
+    perm = list(axes) + others
+    tensor_ = np.transpose(array, perm)
+    lead = int(np.prod([full_dims[i] for i in axes]))
+    tensor_ = tensor_.reshape(lead, -1)
+    tensor_ = matrix @ tensor_
+    tensor_ = tensor_.reshape(list(target_dims) + [full_dims[i] for i in others])
+    return np.transpose(tensor_, np.argsort(perm))
+
+
+def embedded_matrix(op: Operator, state: QuantumState) -> np.ndarray:
+    """Dense full-space matrix of ``op`` acting on ``state``'s layout."""
+    axes = _target_axes(state, op.targets)
+    dims = [s.dim for s in state.subsystems]
+    t_dims = [dims[a] for a in axes]
+    if int(np.prod(t_dims)) != op.matrix.shape[0]:
+        raise QsimError(f"operator dim {op.matrix.shape[0]} does not match targets {op.targets} with dims {t_dims}")
+    d = int(np.prod(dims))
+    eye = np.eye(d, dtype=complex).reshape(dims + [d])
+    out = _apply_left(op.matrix, axes, t_dims, eye)
+    return out.reshape(d, d)
+
+
+def partial_trace(state: QuantumState, keep) -> QuantumState:
+    """Reduced density matrix over ``keep`` labels (in state order)."""
+    keep = list(keep)
+    if not keep:
+        raise QsimError("partial_trace needs a non-empty keep list")
+    keep_idx = sorted(_target_axes(state, keep))
+    rho = state.to_density()
+    n = len(state.subsystems)
+    dims = [s.dim for s in state.subsystems]
+    tensor_rho = rho.data.reshape(dims + dims)
+    traced = [i for i in range(n) if i not in keep_idx]
+    for count, axis in enumerate(sorted(traced)):
+        ax = axis - count  # axes shift down as earlier ones are traced out
+        cur_n = n - count
+        tensor_rho = np.trace(tensor_rho, axis1=ax, axis2=ax + cur_n)
+    kept_specs = tuple(state.subsystems[i] for i in keep_idx)
+    d = int(np.prod([s.dim for s in kept_specs]))
+    return QuantumState(kept_specs, tensor_rho.reshape(d, d), "mixed")
+
+
 def apply(state: QuantumState, op: Operator) -> QuantumState:
     """Apply an operator: U|psi> for pure states, U rho U^dag for mixed."""
     m = embedded_matrix(op, state)
@@ -202,7 +262,7 @@ def apply_kraus(state: QuantumState, kraus: list[Operator], *, require_tp: bool 
     if any(k.targets != targets for k in kraus):
         raise QsimError("all Kraus operators must share the same targets")
     total = sum(k.matrix.conj().T @ k.matrix for k in kraus)
-    eye = np.eye(kraus[0].dim)
+    eye = np.eye(kraus[0].matrix.shape[0])
     if require_tp:
         if not np.allclose(total, eye, atol=1e-9):
             raise QsimError("Kraus set is not trace-preserving within tolerance")

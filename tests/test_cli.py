@@ -105,12 +105,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "quadrature_offset" in err and "[analysis]" in err and "line 3" in err
 
-    def test_block_size_is_unknown(self, tmp_path, capsys):
-        # the RNG block size is fixed: the record bytes depend on it
+    @pytest.mark.parametrize(
+        "section,key",
+        [("detection", "block_size")]
+        + [("protocol", key) for key in ("green_init_ns", "pump_init_ns", "mw_pulse_ns", "readout_pulse_ns")]
+        + [("interferometer", "scan_step_rad")],
+    )
+    def test_retired_key_is_unknown(self, tmp_path, capsys, section, key):
+        # fixed in the model: the RNG block size (the record bytes depend on it),
+        # the stage durations of one cycle and the golden-ratio scan step
+        first = {"detection": "seed = 5", "protocol": "n_photons = 1", "interferometer": "delay_ns = 262.0"}[section]
         path = tmp_path / "run.ini"
-        path.write_text("[detection]\nseed = 5\nblock_size = 1024\n")
+        path.write_text(f"[{section}]\n{first}\n{key} = 1024\n")
         assert main(["validate", "--config", str(path)]) == 2
-        assert "unknown key 'block_size' in section [detection] (line 3)" in capsys.readouterr().err
+        assert f"unknown key '{key}' in section [{section}] (line 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["long_arm_pol", "short_arm_pol"])
     def test_arm_polarization_is_unknown(self, tmp_path, capsys, key):

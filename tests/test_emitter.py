@@ -18,9 +18,9 @@ from tpcsim.emitter import (
     mw_rotation_kraus,
     readout_click_probability,
 )
-from tpcsim.qsim import SubsystemSpec, partial_trace
+from tpcsim.qsim import SubsystemSpec
 
-from conftest import basis_ket, channel, first_bin, pulse_kraus, tensor, with_empty_bins
+from conftest import basis_ket, channel, first_bin, partial_trace, pulse_kraus, tensor, with_empty_bins
 
 
 def ideal_params(**overrides):

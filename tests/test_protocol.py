@@ -276,6 +276,12 @@ class TestQubitReduction:
         assert abs(pair.data[1 * 2 + POL_H, 1 * 2 + POL_H].real - 0.6) < 1e-12
         assert abs(pair.trace() - 1.0) < 1e-12
 
+    def test_two_photon_state_refused(self):
+        # the measured pair is the spin and the one photon of a single-photon run
+        heralded = run_noisy(make_sequence(2), ideal_emitter(), InterferometerConfig()).normalized()
+        with pytest.raises(ProtocolError, match="photon1"):
+            as_qubit_pair(heralded)
+
 
 class TestStabilizers:
     def test_single_photon_generators_are_bell_stabilizers(self):
@@ -300,6 +306,13 @@ class TestStabilizers:
         state = run_ideal(make_sequence(1, prep_sign="plus"), phi=0.0)
         values = stabilizer_check(state, 1, prep_sign="plus")
         assert np.allclose(values, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("chain_mode,prep_sign", [("Cluster", "minus"), ("cluster", "Minus"), ("linear", "plus")])
+    def test_unknown_mode_or_sign_refused(self, chain_mode, prep_sign):
+        # the vocabulary of ProtocolConfig: a misspelt mode or sign is not read as ghz or plus
+        state = run_ideal(make_sequence(2), phi=0.0)
+        with pytest.raises(ProtocolError, match="must be"):
+            stabilizer_check(state, 2, chain_mode, prep_sign)
 
     def test_maximally_mixed_state_scores_zero(self):
         subs = (SubsystemSpec("spin", 2), SubsystemSpec("photon1", 2))

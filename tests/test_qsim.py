@@ -1,20 +1,13 @@
-"""State-engine tests: the labelled states and observables of the program, and
-the reference state algebra (constructors, products, channels) in conftest."""
+"""State-engine tests: the labelled states of the program and its expectation
+value, which reads an observable on the whole layout only, and the reference
+state algebra in conftest (constructors, products, the embedding of an
+operator on some subsystems, channels, partial traces)."""
 import numpy as np
 import pytest
 
-from tpcsim.qsim import (
-    ALG_TOL,
-    Operator,
-    QsimError,
-    QuantumState,
-    SubsystemSpec,
-    embedded_matrix,
-    expectation,
-    partial_trace,
-)
+from tpcsim.qsim import Operator, QsimError, QuantumState, SubsystemSpec, expectation
 
-from conftest import apply, apply_kraus, basis_ket, check_valid, pure_state, ry, tensor
+from conftest import ALG_TOL, apply, apply_kraus, basis_ket, check_valid, embedded_matrix, partial_trace, pure_state, ry, tensor
 
 SPIN2 = SubsystemSpec("spin", 2)
 POL = SubsystemSpec("pol", 2)
@@ -250,12 +243,19 @@ class TestExpectation:
     def test_identity_on_unit_trace(self):
         rng = np.random.default_rng(15)
         state = random_pure((SPIN2, POL), rng).to_density()
-        obs = Operator(np.eye(2), ("pol",))
+        obs = Operator(np.eye(4), ("spin", "pol"))
         assert abs(expectation(state, obs) - 1.0) < ALG_TOL
 
     def test_non_hermitian_rejected(self):
-        obs = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), ("spin",))
+        obs = Operator(np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(2)), ("spin", "pol"))
         with pytest.raises(QsimError):
+            expectation(bell_psi_plus(), obs)
+
+    @pytest.mark.parametrize("targets", [("pol",), ("pol", "spin")], ids=["subset", "reordered"])
+    def test_targets_other_than_the_layout_rejected(self, targets):
+        # an observable reads the whole layout in order; embedding is the tests' reference algebra
+        obs = Operator(np.eye(2 ** len(targets)), targets)
+        with pytest.raises(QsimError, match="not the state's subsystems"):
             expectation(bell_psi_plus(), obs)
 
 
