@@ -15,9 +15,13 @@ Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
 are sharded across workers: each worker runs one contiguous run of blocks in
 order, carrying the walk phase from block to block, and first carries it
-through the phase steps of the blocks before its run. A block takes all of its
-draws up front, for any chain length, then samples only the cycles with a
-surviving thinning draw of some photon or a background click. The per-cycle
+through the phase steps of the blocks before its run. A block draws the
+thinning uniforms, readout normals and background clicks of every cycle, and
+every uniform of its later photons, then samples only the cycles with a
+surviving thinning draw of some photon or a background click. The first
+photon's non-thinning uniforms are read at those cycles alone, by Philox
+counter when they are few, so the other cycles' draws are never made; the
+records are those of drawing every number. The per-cycle
 tomography basis follows the arrival class of the cycle's earliest surviving
 photon click (path-erased -> equatorial readout, path-revealed -> polar
 readout); a cycle without one reads out in the polar basis when its last
@@ -93,6 +97,12 @@ _LEAF_PRUNE = 1e-12
 _MAX_LEAVES = 20_000
 _CHUNK = 8192  # rows per CSV write, parse or photon measurement step; bounds the objects alive at once
 _BLOCK_SIZE = 65536  # cycles per keyed RNG block; the record bytes depend on it
+# A block with fewer active cycles than 1/_COUNTER_SHARE of it reads photon 1's
+# seven other uniforms by counter, at about 0.2 us a value; drawing its whole
+# table takes about 3 ms a 65,536-cycle block (x86-64, 2 vCPUs), so the counter
+# wins below about 1 active cycle in 30, and the cutoff keeps a margin of 2.
+_COUNTER_SHARE = 64
+_COUNTER_ROWS = np.array([0, 1, 2, 3, 6, 7, 8])  # photon 1's rows other than thinning
 
 
 class EventModelError(ValueError):
@@ -262,44 +272,101 @@ _CYCLE_STREAM, _PHASE_STREAM = 1, 2  # the per-cycle draws and the phase-walk st
 SEED_LIMIT = 2**64  # a seed is one 64-bit word of the Philox key
 
 
-def _keyed_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Counter-based generator for one (stream, block) pair of a run.
+def _stream_key(seed: int, stream: int, block: int) -> tuple[int, int]:
+    """The two 64-bit Philox key words of one (stream, block) pair of a run."""
+    return seed, (stream << 48) | block
+
+
+def _keyed_rng(seed: int, stream: int, block: int, position: int = 0) -> np.random.Generator:
+    """Counter-based generator for one (stream, block) pair of a run, placed
+    at raw output ``position`` of its stream.
 
     Streams and blocks map to disjoint Philox keys, so any sharding of blocks
-    across workers reproduces the identical draws.
+    across workers reproduces the identical draws. Philox makes four outputs
+    per counter value: the generator starts at counter position // 4 and
+    discards the outputs before ``position`` in that group.
     """
-    key = np.array([np.uint64(seed), np.uint64((stream << 48) | block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([np.uint64(word) for word in _stream_key(seed, stream, block)], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=position // 4)
+    if position % 4:
+        bitgen.random_raw(position % 4)
+    return np.random.Generator(bitgen)
 
 
-def _walk_steps(ifm: InterferometerConfig, seed: int, block: int, m: int, offset: float, period_ns: float):
-    """Phase steps of the random walk over a block's ``m`` cycles, and the
-    walk's offset after them; no steps (None) and nothing drawn when the phase
-    does not walk."""
+# Philox4x64-10 as numpy's Philox computes it (Salmon et al., SC'11): the round
+# multipliers and the key increments. Every operand is a uint64, because numpy
+# 1.x promotes a uint64 mixed with a Python int to float64.
+_PHILOX_MUL = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a, b):
+    """High and low words of each 128-bit product a * b of uint64s, the high word from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    return a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), a * b
+
+
+def _philox_uniforms(seed: int, stream: int, block: int, positions: np.ndarray) -> np.ndarray:
+    """The uniform that ``Generator.random`` makes from each raw output
+    ``positions`` of a keyed stream, without the outputs before it.
+
+    numpy's Philox steps its counter before each call of the rounds and hands
+    out the four words in order, so output p is word p % 4 of counter p // 4 + 1.
+    """
+    positions = positions.astype(np.uint64)
+    zero = np.zeros_like(positions)
+    x0, x1, x2, x3 = (positions >> np.uint64(2)) + np.uint64(1), zero, zero, zero
+    key = _stream_key(seed, stream, block)
+    with np.errstate(over="ignore"):
+        for r in range(_PHILOX_ROUNDS):
+            k0, k1 = (np.uint64((k + r * bump) % 2**64) for k, bump in zip(key, _PHILOX_BUMP))
+            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    out = np.choose((positions & np.uint64(3)).astype(np.intp), (x0, x1, x2, x3))
+    return (out >> np.uint64(11)) * 2.0**-53  # Generator.random's 53-bit mantissa
+
+
+def _walk_steps(ifm: InterferometerConfig, seed: int, block: int, m: int, offset: float, period_ns: float, out=None):
+    """Phase steps of the random walk over a block's ``m`` cycles, in ``out``
+    if given, and the walk's offset after them; no steps (None) and nothing
+    drawn when the phase does not walk."""
     sigma = np.sqrt(ifm.phase_drift_var_per_ns * period_ns)
     if ifm.phase_mode != "walk" or sigma == 0:
         return None, offset
-    normals = _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(m)
-    return sigma * normals, offset + sigma * normals.sum()
+    steps = _keyed_rng(seed, _PHASE_STREAM, block).standard_normal(m, out=out)
+    next_offset = offset + sigma * steps.sum()
+    steps *= sigma
+    return steps, next_offset
 
 
-def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float):
-    """True phase of each cycle of a block, and the walk's offset for the next block."""
+def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float, out):
+    """True phase of each cycle of a block, written to ``out``, and the walk's offset for the next block."""
     if ifm.phase_mode == "static":
-        return np.full(ids.shape, ifm.phase), offset
+        out.fill(ifm.phase)
+        return out, offset
     if ifm.phase_mode == "scan":
-        return np.mod(ifm.phase + GOLDEN_STEP * ids, 2.0 * np.pi), offset
-    steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns)
+        return np.mod(ifm.phase + GOLDEN_STEP * ids, 2.0 * np.pi, out=out), offset
+    steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns, out)
     if steps is None:
-        return np.full(ids.shape, offset), offset
-    return offset + np.cumsum(steps), next_offset
+        out.fill(offset)
+        return out, offset
+    np.cumsum(steps, out=steps)
+    steps += offset
+    return steps, next_offset
 
 
 # -- block simulation --------------------------------------------------------------
 
 
-def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float):
-    """Records of the cycles lo..hi-1, and the walk offset of the next block."""
+def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float, scratch: np.ndarray):
+    """Records of the cycles lo..hi-1, and the walk offset of the next block;
+    the block's true phases, readout normals and thinning uniforms are drawn
+    into ``scratch``, 4 * (hi - lo) floats that the block owns until it returns."""
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
@@ -308,24 +375,32 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
 
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.int64)
-    block = lo // model.block_size
-    rng = _keyed_rng(detection.seed, _CYCLE_STREAM, block)
-    phase_true, next_offset = _block_true_phase(ifm, ids, detection.seed, block, walk_offset, pcfg.cycle_period_ns)
-    draws = rng.random((9, m))
-    phase_read = phase_true + rng.standard_normal(m) * ifm.phase_readout_sigma
-    n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.zeros(m, dtype=np.int64)
+    block, seed = lo // model.block_size, detection.seed
+    per_cycle = scratch[: 4 * m].reshape(4, m)
+    phase_true, next_offset = _block_true_phase(ifm, ids, seed, block, walk_offset, pcfg.cycle_period_ns, per_cycle[0])
+    # the cycle stream opens with photon 1's (9, m) uniforms, row by row: its
+    # thinning rows 4 and 5 are drawn for every cycle, and the draws after the
+    # table, from the readout normals on, by a generator placed at its end
+    u_thin = _keyed_rng(seed, _CYCLE_STREAM, block, 4 * m).random(out=per_cycle[2:])
+    rng = _keyed_rng(seed, _CYCLE_STREAM, block, 9 * m)
+    normals = rng.standard_normal(out=per_cycle[1])
+    # without background, a read-only zero count: the active rows take a copy
+    n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.broadcast_to(np.int64(0), m)
     u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
     n_ops = len(model.later_ops)
     later = rng.random((pcfg.n_photons - 1, n_ops + 8, m))  # per later photon: a Kraus uniform per op, then 8 photon uniforms
-    # every draw is taken; only a cycle with a surviving thinning draw of some
-    # photon or a background click can leave a record, so only those are sampled on
+    # only a cycle with a surviving thinning draw of some photon or a
+    # background click can leave a record, so only those are sampled on
     active = n_bg > 0
-    for u_thin in (draws[4], draws[5], *later[:, n_ops + 4], *later[:, n_ops + 5]):
-        active |= u_thin < eta
+    for u in (*u_thin, *later[:, n_ops + 4], *later[:, n_ops + 5]):
+        active |= u < eta
+    rows = slice(None)
     if not active.all():
         rows = np.flatnonzero(active)
-        ids, phase_true, phase_read, n_bg, draws, later = (a[..., rows] for a in (ids, phase_true, phase_read, n_bg, draws, later))
-        m = rows.size
+        ids, phase_true, normals, n_bg, u_thin, later = (a[..., rows] for a in (ids, phase_true, normals, n_bg, u_thin, later))
+    draws = _first_photon_draws(seed, block, m, rows, u_thin)
+    m = ids.size
+    phase_read = phase_true + normals * ifm.phase_readout_sigma
     u_leaf, u_ro = draws[0], draws[8]
     prep_idx = _prep_codes(ids, pcfg, detection)
 
@@ -398,6 +473,22 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     owners = np.repeat(np.arange(m), n_bg)
     sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)))
     return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click), next_offset
+
+
+def _first_photon_draws(seed: int, block: int, m: int, rows, u_thin: np.ndarray) -> np.ndarray:
+    """Photon 1's nine uniforms at the columns ``rows`` of the (9, m) table
+    that opens a block's cycle stream, given its thinning rows 4 and 5 there.
+
+    Below one column in _COUNTER_SHARE the other seven rows are read by
+    Philox counter at those columns alone. Otherwise the whole table is drawn,
+    thinning rows again: with every cycle active that takes no gathered copy.
+    """
+    if u_thin.shape[1] >= m // _COUNTER_SHARE:
+        return _keyed_rng(seed, _CYCLE_STREAM, block).random((9, m))[:, rows]
+    draws = np.empty((9, u_thin.shape[1]))
+    draws[4:6] = u_thin
+    draws[_COUNTER_ROWS] = _philox_uniforms(seed, _CYCLE_STREAM, block, _COUNTER_ROWS[:, None] * m + rows)
+    return draws
 
 
 def _outcome_weights(states, arms):
@@ -530,9 +621,15 @@ def _simulate_shard(model: _CycleModel, detection: DetectionParams, n_cycles: in
     offset = model.ifm.phase
     for block in range(first):
         _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period)
+    # the per-cycle rows of every block of the shard, the first one the
+    # largest, go to this one buffer: block-sized arrays made afresh per block
+    # are handed back to the OS at its end and faulted in again by the next
+    # (about 740 page faults a block with glibc's malloc, a fifth of a sparse
+    # block's time)
+    scratch = np.empty(4 * min(size, n_cycles - first * size))
     parts = []
     for lo in range(first * size, min(n_cycles, stop * size), size):
-        part, offset = _simulate_block(model, detection, lo, min(n_cycles, lo + size), offset)
+        part, offset = _simulate_block(model, detection, lo, min(n_cycles, lo + size), offset, scratch)
         parts.append(part)
     return np.concatenate(parts)
 

@@ -21,12 +21,14 @@ from tpcsim.events import (
     RECORD_COLUMNS,
     RECORD_DTYPE,
     _CHUNK,
+    _CYCLE_STREAM,
     _PHASE_STREAM,
     DetectionParams,
     EventModelError,
     RecordFormatError,
     _CycleModel,
     _keyed_rng,
+    _philox_uniforms,
     _simulate_block,
     pair_coincidences,
     read_records,
@@ -91,6 +93,18 @@ class TestDeterminism:
             parallel = simulate_cycles(12_000, params, ifm, pcfg, det, workers=4)
             assert np.array_equal(serial, parallel)
 
+    def test_a_shard_may_start_at_a_short_last_block(self, monkeypatch):
+        # 2 workers cut the 2 blocks 1 + 1: the second shard carries the walk
+        # through a full block, then runs the last block of 100 cycles
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
+        args = (
+            ideal_emitter(),
+            InterferometerConfig(phase_mode="walk"),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=0.5, seed=3),
+        )
+        assert np.array_equal(simulate_cycles(4_196, *args, workers=2), simulate_cycles(4_196, *args, workers=1))
+
     def test_pool_holds_no_more_workers_than_blocks(self, monkeypatch):
         # a fork-started pool launches all of its workers at the first submit
         monkeypatch.setattr(SerialPool, "sizes", [])
@@ -112,6 +126,32 @@ class TestDeterminism:
         a = simulate_cycles(5_000, params, ifm, ProtocolConfig(), DetectionParams(zpl_efficiency=1.0, seed=1))
         b = simulate_cycles(5_000, params, ifm, ProtocolConfig(), DetectionParams(zpl_efficiency=1.0, seed=2))
         assert not np.array_equal(a, b)
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize(
+        "seed,stream,block",
+        [(2024, _CYCLE_STREAM, 0), (2**64 - 1, _CYCLE_STREAM, 2**48 - 1), (5, _PHASE_STREAM, (0xFFFF << 48) | 12_345)],
+    )
+    def test_counter_reader_equals_the_drawn_stream(self, seed, stream, block):
+        # an odd block size starts the rows of a block's (9, m) table at every
+        # residue mod 4, inside a counter's group of four outputs
+        m = 1_001
+        positions = np.arange(9 * m + 4)
+        drawn = _keyed_rng(seed, stream, block).random(positions.size)
+        assert np.array_equal(_philox_uniforms(seed, stream, block, positions), drawn)
+        assert np.array_equal(_philox_uniforms(seed, stream, block, positions[::-1]), drawn[::-1])
+        table = positions[: 9 * m].reshape(9, m)
+        assert np.array_equal(_philox_uniforms(seed, stream, block, table), drawn[: 9 * m].reshape(9, m))
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3, 4, 5, 4 * 1_001 + 1, 9 * 1_001, 9 * 1_001 + 3])
+    def test_placed_generator_continues_the_fresh_stream(self, position):
+        fresh = _keyed_rng(2**64 - 1, _CYCLE_STREAM, 7)
+        fresh.bit_generator.random_raw(position)
+        placed = _keyed_rng(2**64 - 1, _CYCLE_STREAM, 7, position)
+        for name, args in (("random", (5,)), ("standard_normal", (7,)), ("poisson", (0.3, 9)), ("random", ((2, 3),))):
+            assert np.array_equal(getattr(placed, name)(*args), getattr(fresh, name)(*args)), name
+        assert np.array_equal(placed.bit_generator.random_raw(6), fresh.bit_generator.random_raw(6))
 
 
 class TestRoutingStatistics:
@@ -622,6 +662,52 @@ class TestRecordIO:
             "bbf0dfb787eda2ca63b8b6512e8ccad107c806836df00664272ae380aa62ce27"
         )
 
+    def test_counter_path_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
+        # thinning 2e-3 and background clicks leave about 1 cycle in 120
+        # active, so every block, the last of 2,657 cycles too, reads photon
+        # 1's other uniforms by counter; the Poisson counts follow the readout
+        # normals in the stream, and double-occupation cycles read the arm rows
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
+        reads = []
+        monkeypatch.setattr("tpcsim.events._philox_uniforms", lambda *args: reads.append(args) or _philox_uniforms(*args))
+        args = (
+            noisy_emitter(),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=2_000.0, seed=83),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(60_001, *args, workers=workers)
+            assert len(recs) == 387
+            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "8bf54b3acb647f3e0b23b9cf7390bf24653ba1513f79c2854e96e06aa85d969a"
+            )
+        assert [block for _, _, block, _ in reads] == list(range(15))  # the pool's workers read in their own processes
+
+    def test_counter_and_bulk_reads_give_the_same_records(self, monkeypatch):
+        # about 1 cycle in 5 is active: the counter reads every block at
+        # share 1, and no block at share 2**62, where the tables are drawn whole
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
+        reads = []
+        monkeypatch.setattr("tpcsim.events._philox_uniforms", lambda *args: reads.append(args) or _philox_uniforms(*args))
+        args = (
+            replace(noisy_emitter(), zpl_fraction=0.03),
+            InterferometerConfig(phase_mode="walk"),
+            ProtocolConfig(),
+            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83),
+        )
+        runs = {}
+        for share in (1, 2**62):
+            monkeypatch.setattr("tpcsim.events._COUNTER_SHARE", share)
+            reads.clear()
+            runs[share] = simulate_cycles(20_001, *args)
+            assert len(reads) == (5 if share == 1 else 0)
+        assert len(runs[1]) > 1_000
+        assert np.array_equal(runs[1], runs[2**62])
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("drift", [2.4e-9, 0.0])
     def test_every_block_starts_from_the_drawn_walk_offset(self, monkeypatch, drift, workers):
@@ -635,13 +721,13 @@ class TestRecordIO:
         drawn = _walk_block_offsets(ifm, 5, 2048, n_cycles, det.seed, pcfg.cycle_period_ns)
         starts, streams = {}, []
 
-        def recording_block(model, detection, lo, hi, offset):
+        def recording_block(model, detection, lo, hi, offset, scratch):
             starts[lo // model.block_size] = offset
-            return _simulate_block(model, detection, lo, hi, offset)
+            return _simulate_block(model, detection, lo, hi, offset, scratch)
 
-        def recording_rng(seed, stream, block):
+        def recording_rng(seed, stream, block, position=0):
             streams.append(stream)
-            return _keyed_rng(seed, stream, block)
+            return _keyed_rng(seed, stream, block, position)
 
         monkeypatch.setattr("tpcsim.events._simulate_block", recording_block)
         monkeypatch.setattr("tpcsim.events._keyed_rng", recording_rng)
