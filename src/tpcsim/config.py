@@ -3,7 +3,8 @@
 One typed section per subsystem; every key has a default, and defaults equal
 the published values where one exists. Unknown sections or keys are rejected
 with the offending name (and line where available), keeping parameter-sweep
-files honest.
+files honest. ``[DEFAULT]`` is an unknown section like any other: it sets no
+defaults for the other sections.
 """
 from __future__ import annotations
 
@@ -78,7 +79,8 @@ def _where(text: str, section: str, key: str) -> str:
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no header names the empty default section, so [DEFAULT] is an ordinary, unknown one
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -12,6 +12,7 @@ other module refers to these index constants, never to raw integers:
     5: |+1_e>   excited, m_s = +1
     6: MS       metastable shelf (loss within one cycle)
 
+The protocol qubit is the pair ``QUBIT`` = (|0>, |-1>).
 Time-bin modes are two-level occupation subsystems (0: vacuum, 1: one photon).
 Channels are lists of plain Kraus matrices: on the seven spin levels for a
 microwave rotation, on (spin, time bin) for an optical pulse.
@@ -31,6 +32,7 @@ LVL_EM1 = 4
 LVL_EP1 = 5
 LVL_MS = 6
 SPIN_DIM = 7
+QUBIT = [LVL_G0, LVL_GM1]  # the protocol qubit's levels, in its basis order (a list, to index arrays)
 SPIN = "spin"
 
 BIN_VAC = 0
@@ -118,10 +120,6 @@ def _ket(i: int) -> np.ndarray:
     return v
 
 
-def _proj(i: int) -> np.ndarray:
-    return np.outer(_ket(i), _ket(i).conj())
-
-
 def _flip(to: int, frm: int) -> np.ndarray:
     return np.outer(_ket(to), _ket(frm).conj())
 
@@ -154,8 +152,8 @@ def mw_rotation_kraus(theta: float, params: EmitterParams) -> list[np.ndarray]:
     w = params.nuclear_pol
     ops = [np.sqrt(w) * u]
     if w < 1.0:
-        rest = np.eye(SPIN_DIM, dtype=complex) - _proj(LVL_G0) - _proj(LVL_GM1)
-        for pi in (_proj(LVL_G0), _proj(LVL_GM1), rest):
+        rest = np.eye(SPIN_DIM, dtype=complex) - _flip(LVL_G0, LVL_G0) - _flip(LVL_GM1, LVL_GM1)
+        for pi in (_flip(LVL_G0, LVL_G0), _flip(LVL_GM1, LVL_GM1), rest):
             ops.append(np.sqrt(1.0 - w) * (pi @ u))
     return ops
 
@@ -187,48 +185,30 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
     occ_keep = np.zeros((2, 2), dtype=complex)
     occ_keep[BIN_OCC, BIN_OCC] = 1.0
 
-    def on_vac(spin_m: np.ndarray) -> np.ndarray:
-        return np.kron(spin_m, vac_keep)
-
-    def emitting(spin_m: np.ndarray) -> np.ndarray:
-        return np.kron(spin_m, emit)
-
-    ops: list[np.ndarray] = []
-
     # coherent main branch: emission + unexcited amplitude + undisturbed levels
-    main = np.sqrt(pe * (1.0 - pf) * zpl) * emitting(_proj(LVL_G0))
-    main += np.sqrt(1.0 - pe) * on_vac(_proj(LVL_G0))
-    main += np.sqrt(1.0 - pc) * on_vac(_proj(LVL_GM1) + _proj(LVL_GP1))
-    inert = _proj(LVL_MS) + _proj(LVL_E0) + _proj(LVL_EM1) + _proj(LVL_EP1)
-    main += on_vac(inert)
-    ops.append(main)
+    main = np.sqrt(pe * (1.0 - pf) * zpl) * np.kron(_flip(LVL_G0, LVL_G0), emit)
+    main += np.sqrt(1.0 - pe) * np.kron(_flip(LVL_G0, LVL_G0), vac_keep)
+    main += np.sqrt(1.0 - pc) * np.kron(_flip(LVL_GM1, LVL_GM1) + _flip(LVL_GP1, LVL_GP1), vac_keep)
+    inert = sum(_flip(lvl, lvl) for lvl in (LVL_MS, LVL_E0, LVL_EM1, LVL_EP1))
+    main += np.kron(inert, vac_keep)
 
-    # phonon-sideband decay of the resonant branch: photon lost, spin back in |0>
-    if pe * (1.0 - pf) * (1.0 - zpl) > 0:
-        ops.append(np.sqrt(pe * (1.0 - pf) * (1.0 - zpl)) * on_vac(_proj(LVL_G0)))
-
-    # excited-state mixing of the resonant branch
-    if pe * pf > 0:
-        for dst in (LVL_GM1, LVL_GP1):
-            amp = pe * pf * (1.0 - psh) / 2.0
-            if amp * zpl > 0:
-                ops.append(np.sqrt(amp * zpl) * emitting(_flip(dst, LVL_G0)))
-            if amp * (1.0 - zpl) > 0:
-                ops.append(np.sqrt(amp * (1.0 - zpl)) * on_vac(_flip(dst, LVL_G0)))
-        if pe * pf * psh > 0:
-            ops.append(np.sqrt(pe * pf * psh) * on_vac(_flip(LVL_MS, LVL_G0)))
-
-    # off-resonant cross excitation of |+-1>
-    if pc > 0:
-        for src in (LVL_GM1, LVL_GP1):
-            back = pc * (1.0 - psh) * (1.0 - pf)
-            if back > 0:
-                ops.append(np.sqrt(back) * on_vac(_proj(src)))
-            flip = pc * (1.0 - psh) * pf
-            if flip > 0:
-                ops.append(np.sqrt(flip) * on_vac(_flip(LVL_G0, src)))
-            if pc * psh > 0:
-                ops.append(np.sqrt(pc * psh) * on_vac(_flip(LVL_MS, src)))
+    # incoherent branches as (weight, spin level after, level before, emits a
+    # zero-phonon photon): phonon-sideband decay of the resonant branch, its
+    # excited-state mixing into |-1> and |+1> and its shelving, then the cross
+    # excitation of |-1> and of |+1>, decaying back, into |0> or to the shelf
+    mix = pe * pf * (1.0 - psh) / 2.0
+    branches = [(pe * (1.0 - pf) * (1.0 - zpl), LVL_G0, LVL_G0, False)]
+    for dst in (LVL_GM1, LVL_GP1):
+        branches += [(mix * zpl, dst, LVL_G0, True), (mix * (1.0 - zpl), dst, LVL_G0, False)]
+    branches.append((pe * pf * psh, LVL_MS, LVL_G0, False))
+    for src in (LVL_GM1, LVL_GP1):
+        branches += [
+            (pc * (1.0 - psh) * (1.0 - pf), src, src, False),
+            (pc * (1.0 - psh) * pf, LVL_G0, src, False),
+            (pc * psh, LVL_MS, src, False),
+        ]
+    # a branch of weight 0 gets no matrix (weights are never negative)
+    ops = [main] + [np.sqrt(w) * np.kron(_flip(to, frm), emit if emits else vac_keep) for w, to, frm, emits in branches if w]
 
     # occupied-bin subspace is inert (never reached when the bin is fresh)
     ops.append(np.kron(np.eye(SPIN_DIM, dtype=complex), occ_keep))

@@ -57,36 +57,28 @@ from .optics import (
 )
 from .protocol import ProtocolConfig, build_sequence, pulse_times, step_kraus
 
-RECORD_COLUMNS = ("cycle_id", "port", "arrival_class", "t_ns", "phase_rad", "prep_sign", "readout_click")
-# In memory, the three label columns hold uint8 codes that index the label
-# tables below; the labels themselves appear only in CSV files and ClickRecords.
-RECORD_DTYPE = np.dtype(
-    [
-        ("cycle_id", np.int64),
-        ("port", np.uint8),
-        ("arrival_class", np.uint8),
-        ("t_ns", np.float64),
-        ("phase_rad", np.float64),
-        ("prep_sign", np.uint8),
-        ("readout_click", np.uint8),
-    ]
-)
-
 ARRIVAL_CLASSES = tuple(c.value for c in ArrivalClass)  # indexed by EARLY, ERASED, LATE, INVALID
 PREP_NAMES = ("minus", "plus")
-_CSV_LABELS = {
-    name: np.array(labels, dtype=object)
-    for name, labels in (
-        ("port", PORT_NAMES),
-        ("arrival_class", ARRIVAL_CLASSES),
-        ("prep_sign", PREP_NAMES),
-        ("readout_click", ("0", "1")),
-    )
-}
+# The record format, one column a row: its in-memory type, then its CSV labels
+# or its CSV decimals. In memory, the four label columns hold uint8 codes that
+# index their labels; the labels appear only in CSV files and ClickRecords.
+_FORMAT = (
+    ("cycle_id", np.int64, None),
+    ("port", np.uint8, PORT_NAMES),
+    ("arrival_class", np.uint8, ARRIVAL_CLASSES),
+    ("t_ns", np.float64, 3),
+    ("phase_rad", np.float64, 9),
+    ("prep_sign", np.uint8, PREP_NAMES),
+    ("readout_click", np.uint8, ("0", "1")),
+)
+RECORD_COLUMNS = tuple(name for name, _, _ in _FORMAT)
+RECORD_DTYPE = np.dtype([(name, kind) for name, kind, _ in _FORMAT])
+_CSV_LABELS = {name: np.array(csv, dtype=object) for name, _, csv in _FORMAT if isinstance(csv, tuple)}
+_DECIMALS = {name: csv for name, _, csv in _FORMAT if isinstance(csv, int)}
+_ROW_FORMAT = (",".join(f"{{:.{_DECIMALS[name]}f}}" if name in _DECIMALS else "{}" for name in RECORD_COLUMNS) + "\n").format
 _RECORD_LABELS = dict(_CSV_LABELS, readout_click=np.array([False, True], dtype=object))
 # closed vocabulary of each coded CSV column: label -> code
 CODES = {name: {label: code for code, label in enumerate(labels)} for name, labels in _CSV_LABELS.items()}
-_ROW_FORMAT = "{},{},{},{:.3f},{:.9f},{},{}\n".format
 
 # bin occupations on the last axis of a (spin, occupation) state: 2 * bin1 + bin2
 _OCC_00, _OCC_01, _OCC_10, _OCC_11 = range(4)
@@ -346,13 +338,10 @@ def _walk_steps(ifm: InterferometerConfig, seed: int, block: int, m: int, offset
 
 def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float, out):
     """True phase of each cycle of a block, written to ``out``, and the walk's offset for the next block."""
-    if ifm.phase_mode == "static":
-        out.fill(ifm.phase)
-        return out, offset
     if ifm.phase_mode == "scan":
         return np.mod(ifm.phase + GOLDEN_STEP * ids, 2.0 * np.pi, out=out), offset
     steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns, out)
-    if steps is None:
+    if steps is None:  # a phase that does not walk keeps its starting offset, ifm.phase
         out.fill(offset)
         return out, offset
     np.cumsum(steps, out=steps)
@@ -653,6 +642,8 @@ def simulate_cycles(
     """
     if n_cycles < 1:
         raise EventModelError("n_cycles must be >= 1")
+    if workers < 1:
+        raise EventModelError(f"workers must be >= 1, got {workers}")
     detection.validate()
     model = _CycleModel(params, protocol_cfg, ifm, detection)
     n_blocks = (n_cycles + model.block_size - 1) // model.block_size
@@ -677,7 +668,6 @@ def _columns(records: np.ndarray, labels: dict) -> list[list]:
 # The writer builds a chunk's rows in one uint8 buffer, each field in the width
 # of its widest value and padded with NULs, which are deleted before writing.
 # Digits come four at a time from _QUADS, the ASCII of "0000".."9999" as uint32.
-_DECIMALS = {"t_ns": 3, "phase_rad": 9}
 _EXACT_BELOW = 2.0**52  # a chunk with |x * 10**d| at or above this is formatted by _ROW_FORMAT
 _QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
 _POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)

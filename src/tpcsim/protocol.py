@@ -229,12 +229,12 @@ def _evolve(steps: list[SequenceStep], params: em.EmitterParams, ifm: Interferom
         raise ProtocolError("the step list ends between the two pulses of a photon")
 
 
-def _restrict(rho: np.ndarray, photons: int, spin_levels: int) -> np.ndarray:
-    """The part of ``rho`` on the first ``spin_levels`` spin levels, with the
-    bins dropped by taking their empty state."""
+def _restrict(rho: np.ndarray, photons: int, levels: list[int]) -> np.ndarray:
+    """The part of ``rho`` on the spin ``levels``, with the bins dropped by
+    taking their empty state."""
     d, p = em.SPIN_DIM, 2**photons
-    n = spin_levels * p
-    return rho.reshape(d, _BIN_STATES, p, d, _BIN_STATES, p)[:spin_levels, 0, :, :spin_levels, 0, :].reshape(n, n)
+    n = len(levels) * p
+    return rho.reshape(d, _BIN_STATES, p, d, _BIN_STATES, p)[np.ix_(levels, [0], range(p), levels, [0], range(p))].reshape(n, n)
 
 
 def _subsystems(spin_levels: int, photons: int) -> tuple[SubsystemSpec, ...]:
@@ -243,7 +243,7 @@ def _subsystems(spin_levels: int, photons: int) -> tuple[SubsystemSpec, ...]:
 
 def _ket(rho: np.ndarray, photons: int) -> QuantumState:
     """The normalized pure qubit-spin state of a rank-one ``rho``, up to a global phase."""
-    m = _restrict(rho, photons, 2)
+    m = _restrict(rho, photons, em.QUBIT)
     if m.trace().real <= 0:
         raise ProtocolError("zero heralding probability: no photon heralds in the path-erasing window")
     j = int(np.argmax(m.diagonal().real))
@@ -284,33 +284,25 @@ def run_noisy(
     """
     for _, rho, photons in _evolve(steps, params, ifm):
         pass
-    return QuantumState(_subsystems(em.SPIN_DIM, photons), _restrict(rho, photons, em.SPIN_DIM), "mixed")
+    return QuantumState(_subsystems(em.SPIN_DIM, photons), _restrict(rho, photons, list(range(em.SPIN_DIM))), "mixed")
 
 
 def as_qubit_pair(state: QuantumState) -> QuantumState:
     """Reduce a heralded (spin, photon1) state to the measured two-qubit form.
 
-    Spin population outside {|0>, |-1>} neither responds to microwave pulses
-    nor produces readout clicks, so the measurement lumps it into the dark
-    (|-1>) row while its photon block is retained; the |0>..|-1> coherence
-    block passes through unchanged.
+    Spin population outside the qubit ``em.QUBIT`` neither responds to
+    microwave pulses nor produces readout clicks, so the measurement lumps it
+    into the dark (|-1>) row while its photon block is retained; the qubit
+    block passes through unchanged, and so does a two-level state.
     """
     if state.labels != (SPIN, photon_label(1)):
         raise ProtocolError(f"as_qubit_pair needs a (spin, photon1) state, got {state.labels}")
-    rho = state.to_density()
-    d_spin = rho.subsystems[0].dim
-    if d_spin == 2:
-        return rho
-    t = rho.data.reshape(d_spin, 2, d_spin, 2)
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    g0, gm1 = em.LVL_G0, em.LVL_GM1
-    out[0, :, 0, :] = t[g0, :, g0, :]
-    out[0, :, 1, :] = t[g0, :, gm1, :]
-    out[1, :, 0, :] = t[gm1, :, g0, :]
-    out[1, :, 1, :] = t[gm1, :, gm1, :]
-    for lvl in range(d_spin):
-        if lvl not in (g0, gm1):
-            out[1, :, 1, :] += t[lvl, :, lvl, :]
+    t = state.to_density().data.reshape(state.subsystems[0].dim, 2, -1, 2)
+    out = t[np.ix_(em.QUBIT, range(2), em.QUBIT, range(2))]
+    dark = em.QUBIT.index(em.LVL_GM1)
+    for lvl in range(t.shape[0]):
+        if lvl not in em.QUBIT:
+            out[dark, :, dark, :] += t[lvl, :, lvl, :]
     return QuantumState(_subsystems(2, 1), out.reshape(4, 4), "mixed")
 
 
@@ -368,10 +360,8 @@ def chain_generators(n: int, chain_mode: str = "cluster", prep_sign: str = "minu
 def _embedded_pauli(letter: str, dim: int) -> np.ndarray:
     if letter == "I":
         return np.eye(dim, dtype=complex)
-    if dim == 2:
-        return _PAULI[letter]
     m = np.zeros((dim, dim), dtype=complex)
-    m[:2, :2] = _PAULI[letter]
+    m[np.ix_(em.QUBIT, em.QUBIT)] = _PAULI[letter]
     return m
 
 
@@ -383,9 +373,8 @@ def stabilizer_check(
 ) -> list[float]:
     """Expectation of each chain stabilizer generator on ``state``.
 
-    ``state`` must carry the spin and photon1..photonN, in that order. For
-    spin dimensions above 2 the Pauli letters act on the {|0>, |-1>} qubit
-    block.
+    ``state`` must carry the spin and photon1..photonN, in that order. The
+    spin's Pauli letters act on its ``em.QUBIT`` block.
     """
     labels = (SPIN, *(photon_label(k) for k in range(1, n + 1)))
     spin_dim = state.subsystems[0].dim

@@ -85,6 +85,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[lasers\]"):
             parse_config_text("[lasers]\npower = 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nseed = 7\n",
+            "[DEFAULT]\nseed = 7\n[detection]\nzpl_efficiency = 1.0\n",
+            "[emitter]\nzpl_fraction = 0.5\n[DEFAULT]\nzpl_efficiency = 1.0\n",
+        ],
+        ids=["alone", "before-a-section", "after-a-section"],
+    )
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        # configparser would read [DEFAULT] as defaults of every other section
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     def test_bad_value_type_reported(self):
         with pytest.raises(ConfigError, match="init_fidelity"):
             parse_config_text("[emitter]\ninit_fidelity = high\n")

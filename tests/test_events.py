@@ -9,7 +9,7 @@ import pytest
 
 from tpcsim import events
 from tpcsim.cli import main
-from tpcsim.emitter import EmitterParams
+from tpcsim.emitter import EmitterParams, optical_pulse_kraus
 from tpcsim.events import (
     ARRIVAL_CLASSES,
     CODES,
@@ -789,7 +789,36 @@ class TestRecordIO:
             assert sha256(path.read_bytes()).hexdigest() == digest
 
 
+    def test_chain_with_every_pulse_branch_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
+        # at zpl_fraction < 1 every incoherent branch of the optical pulse
+        # weighs more than 0, and the later photon's Kraus sampling picks
+        # among them in their listed order
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
+        args = (
+            replace(noisy_emitter(), zpl_fraction=0.3),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(n_photons=2),
+            DetectionParams(zpl_efficiency=0.3, seed=101),
+        )
+        assert len(optical_pulse_kraus(args[0])) == 14  # main, 12 incoherent branches, occupied bin
+        for workers in (1, 2):
+            recs = simulate_cycles(6_000, *args, workers=workers)
+            assert len(recs) == 3_472
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "c9f681fdda8618137d6eff58db244b898f83b0e4f61e92528faaad48b3056136"
+            )
+
+
 class TestValidation:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_refused_before_compiling(self, monkeypatch, workers):
+        monkeypatch.setattr("tpcsim.events._CycleModel", None)  # compiling would raise TypeError
+        args = (ideal_emitter(), InterferometerConfig(), ProtocolConfig(), DetectionParams())
+        with pytest.raises(EventModelError, match=f"workers must be >= 1, got {workers}"):
+            simulate_cycles(100, *args, workers=workers)
+
     def test_bad_efficiency_rejected(self):
         with pytest.raises(EventModelError):
             DetectionParams(zpl_efficiency=0.0).validate()

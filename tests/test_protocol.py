@@ -185,6 +185,10 @@ class TestRunNoisy:
         pair = as_qubit_pair(normalized)
         fid = np.real(target.data.conj() @ pair.data @ target.data)
         assert fid > 1.0 - 1e-10
+        # a two-level spin is already the qubit pair
+        ideal_pair = as_qubit_pair(target)
+        assert ideal_pair.labels == target.labels
+        assert np.array_equal(ideal_pair.data, target.to_density().data)
 
     def test_init_mixture_oracle(self):
         # branch mixing by hand: |-1> (w=f) heralds into the target Bell state,
