@@ -15,11 +15,14 @@ bright-state click probability before any probability is formed.
 
 The estimators read counts only: ``tally_records`` drops the multi-click
 cycles and counts the rest once into the ``Tally`` that they all share.
+Every error is first-order propagation from the independent inputs (w_h,
+p0_e, p0_l, c_xx, b), correlations between the diagonals included: one matrix
+holds the error components of (rho11, rho22, rho33, rho44, c_xx) over them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import pi, sin
+from math import pi, sin, sqrt
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .events import ARRIVAL_CLASSES, EARLY, ERASED, INVALID, LATE, PREP_NAMES, m
 from .optics import PORT_NAMES, InterferometerConfig, port_offsets, window_spans
 
 DIAGONAL_LABELS = ("rho11_0H", "rho22_0V", "rho33_m1H", "rho44_m1V")
+_ZZ, _XX = (-1.0, 1.0, 1.0, -1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0)  # of (rho11..rho44, c_xx)
 CELL_SHAPE = (len(PREP_NAMES), len(ARRIVAL_CLASSES), len(PORT_NAMES), 2)  # [prep, class, port, click]
 
 
@@ -93,6 +97,7 @@ class CorrelationReport:
     significance_raw: float
     insufficient_cells: tuple[str, ...] = ()
     curves: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    components: np.ndarray = field(default=None, repr=False)  # [(rho11..rho44, c_xx), (w_h, p0_e, p0_l, c_xx, b)]
     # the corrected half, set by subtract_background
     background_fraction: float = field(init=False)
     background_fraction_err: float = field(init=False)
@@ -170,6 +175,7 @@ class DiagonalResult:
     errors: tuple[float, float, float, float]
     c_zz: float
     c_zz_err: float
+    components: np.ndarray  # [diagonal, input]: over (w_h, p0_e, p0_l)
     stats: dict[str, float]
     insufficient: tuple[str, ...]
 
@@ -181,10 +187,7 @@ def diagonal_tomography(tally: Tally, params: AnalysisParams) -> DiagonalResult:
     n_e, n_l = int(counts[EARLY].sum()), int(counts[LATE].sum())
     if n_e == 0 or n_l == 0:
         raise AnalysisError("diagonal tomography needs both path-revealing arrival classes")
-    insufficient = []
-    for name, n in (("early", n_e), ("late", n_l)):
-        if n < params.min_cell_count:
-            insufficient.append(f"revealing_{name}")
+    insufficient = tuple(f"revealing_{name}" for name, n in (("early", n_e), ("late", n_l)) if n < params.min_cell_count)
 
     k_e, k_l = int(counts[EARLY, 1]), int(counts[LATE, 1])
     p0_e = params.invert_click_fraction(k_e / n_e)
@@ -195,30 +198,17 @@ def diagonal_tomography(tally: Tally, params: AnalysisParams) -> DiagonalResult:
     w_h = n_e / (n_e + n_l)
     s_wh = binomial_sigma(w_h, n_e + n_l)
 
-    rho11 = w_h * p0_e
-    rho33 = w_h * (1.0 - p0_e)
-    rho22 = (1.0 - w_h) * p0_l
-    rho44 = (1.0 - w_h) * (1.0 - p0_l)
+    rho11, rho33 = w_h * p0_e, w_h * (1.0 - p0_e)
+    rho22, rho44 = (1.0 - w_h) * p0_l, (1.0 - w_h) * (1.0 - p0_l)
 
-    e11 = np.hypot(p0_e * s_wh, w_h * s_e)
-    e33 = np.hypot((1.0 - p0_e) * s_wh, w_h * s_e)
-    e22 = np.hypot(p0_l * s_wh, (1.0 - w_h) * s_l)
-    e44 = np.hypot((1.0 - p0_l) * s_wh, (1.0 - w_h) * s_l)
+    # the Jacobian of the diagonals over (w_h, p0_e, p0_l), each column times its sigma
+    jacobian = [[p0_e, w_h, 0.0], [-p0_l, 0.0, 1.0 - w_h], [1.0 - p0_e, -w_h, 0.0], [p0_l - 1.0, 0.0, w_h - 1.0]]
+    components = np.array(jacobian) * (s_wh, s_e, s_l)
 
     c_zz = rho22 + rho33 - rho11 - rho44
-    dc_dwh = -(2.0 * p0_l - 1.0) - (2.0 * p0_e - 1.0)
-    c_err = float(
-        np.sqrt((dc_dwh * s_wh) ** 2 + (2.0 * (1.0 - w_h) * s_l) ** 2 + (2.0 * w_h * s_e) ** 2)
-    )
     stats = {"n_early": n_e, "n_late": n_l, "w_h": w_h, "s_wh": s_wh, "p0_e": p0_e, "p0_l": p0_l, "s_e": s_e, "s_l": s_l}
-    return DiagonalResult(
-        (rho11, rho22, rho33, rho44),
-        (float(e11), float(e22), float(e33), float(e44)),
-        float(c_zz),
-        c_err,
-        stats,
-        tuple(insufficient),
-    )
+    errors, c_zz_err = tuple(_error(row, components) for row in np.eye(4)), _error(_ZZ[:4], components)
+    return DiagonalResult((rho11, rho22, rho33, rho44), errors, float(c_zz), c_zz_err, components, stats, insufficient)
 
 
 # -- equatorial fringe fit --------------------------------------------------------
@@ -332,29 +322,25 @@ def subtract_background(report: CorrelationReport, background_fraction: float, b
     """Corrected report under uniform, spin-uncorrelated background.
 
     Correlations divide by (1 - b); diagonals shed a uniform weight b/4 per
-    cell and renormalize.
+    cell and renormalize. So q becomes (q - q_b) / (1 - b), q_b = 1/4 for a
+    diagonal and 0 for c_xx, and its error components are q's over (1 - b)
+    plus (q - q_b) b_err / (1 - b)^2 in the b column.
     """
     b = background_fraction + 0.0  # -0.0 reads as 0.0
     if not 0.0 <= b < 1.0:
         raise AnalysisError(f"background fraction must lie in [0, 1), got {b}")
     scale = 1.0 / (1.0 - b)
-
-    def corr(c, s):
-        err = np.hypot(s * scale, c * background_err * scale**2)
-        return c * scale, float(err)
+    components = report.components * scale
+    values = np.array([*report.diagonals, report.c_xx])
+    components[:, 4] = (values - (0.25, 0.25, 0.25, 0.25, 0.0)) * background_err * scale**2
 
     out = replace(report)  # the init=False corrected half is set below
     out.background_fraction, out.background_fraction_err = b, background_err
-    out.c_zz_corrected, out.c_zz_corrected_err = corr(report.c_zz, report.c_zz_err)
-    out.c_xx_corrected, out.c_xx_corrected_err = corr(report.c_xx, report.c_xx_err)
+    out.c_zz_corrected, out.c_zz_corrected_err = report.c_zz * scale, _error(_ZZ, components)
+    out.c_xx_corrected, out.c_xx_corrected_err = report.c_xx * scale, _error(_XX, components)
     diag = tuple((d - b / 4.0) * scale for d in report.diagonals)
-    diag_err = tuple(
-        float(np.hypot(e * scale, abs(d - 0.25) * background_err * scale**2))
-        for d, e in zip(report.diagonals, report.diagonal_errors)
-    )
-    f_corr, f_corr_err = _bound_with_error(diag, diag_err, out.c_xx_corrected, out.c_xx_corrected_err)
-    out.f_bound_corrected, out.f_bound_corrected_err = f_corr, f_corr_err
-    out.significance_corrected = significance(f_corr, f_corr_err)
+    out.f_bound_corrected, out.f_bound_corrected_err = _bound_with_error(diag, out.c_xx_corrected, components)
+    out.significance_corrected = significance(out.f_bound_corrected, out.f_bound_corrected_err)
     return out
 
 
@@ -372,24 +358,24 @@ def fidelity_bound(diagonals, c_xx: float) -> float:
     return 0.5 * (rho22 + rho33 - 2.0 * np.sqrt(max(rho11, 0.0) * max(rho44, 0.0)) + c_xx)
 
 
-def _bound_with_error(diagonals, diagonal_errors, c_xx, c_xx_err):
-    rho11, rho22, rho33, rho44 = (max(d, 0.0) for d in diagonals)
-    f = fidelity_bound(diagonals, c_xx)
-    product = rho11 * rho44
-    if product > 1e-12:
-        d11 = -0.5 * np.sqrt(rho44 / rho11)
-        d44 = -0.5 * np.sqrt(rho11 / rho44)
+def _bound_with_error(diagonals, c_xx, components):
+    """The bound and its error: its gradient over (rho11..rho44, c_xx) applied
+    to the error components of those quantities."""
+    rho11, _, _, rho44 = (max(d, 0.0) for d in diagonals)
+    if rho11 * rho44 > 1e-12:
+        d11, d44 = -0.5 * np.sqrt(rho44 / rho11), -0.5 * np.sqrt(rho11 / rho44)
     else:
-        d11 = d44 = 0.0  # sqrt term is quadratically small in the populations
-    e11, e22, e33, e44 = diagonal_errors
-    var = (
-        (0.5 * e22) ** 2
-        + (0.5 * e33) ** 2
-        + (d11 * e11) ** 2
-        + (d44 * e44) ** 2
-        + (0.5 * c_xx_err) ** 2
-    )
-    return float(f), float(np.sqrt(var))
+        # the bound is not differentiable at a zero diagonal (the sqrt term's slope
+        # diverges): the report leaves that term out rather than print an infinite error
+        d11 = d44 = 0.0
+    return float(fidelity_bound(diagonals, c_xx)), _error((d11, 0.5, 0.5, d44, 0.5), components)
+
+
+def _error(functional, components) -> float:
+    """Quadrature norm of a functional of the rows of ``components`` over its columns, summed
+    in Python: in order on every platform, so appended zeros leave the result bit for bit."""
+    terms = [sum(w * c for w, c in zip(functional, column)) for column in components.T.tolist()]
+    return sqrt(sum(t * t for t in terms))
 
 
 def significance(f_bound: float, f_err: float) -> float:
@@ -421,7 +407,10 @@ def analyze_records(
         raise AnalysisError("no usable records")
     diag = diagonal_tomography(tally, params)
     eq = fit_equatorial(tally, params)
-    f_raw, f_raw_err = _bound_with_error(diag.diagonals, diag.errors, eq.c_xx, eq.c_xx_err)
+    components = np.zeros((5, 5))
+    components[:4, :3] = diag.components
+    components[4, 3] = eq.c_xx_err
+    f_raw, f_raw_err = _bound_with_error(diag.diagonals, eq.c_xx, components)
 
     report = CorrelationReport(
         n_records=tally.n_records,
@@ -436,8 +425,9 @@ def analyze_records(
         f_bound_raw=f_raw,
         f_bound_raw_err=f_raw_err,
         significance_raw=significance(f_raw, f_raw_err),
-        insufficient_cells=tuple(diag.insufficient) + tuple(eq.insufficient),
+        insufficient_cells=diag.insufficient + eq.insufficient,
         curves=eq.curves,
+        components=components,
     )
     b, b_err = 0.0, 0.0
     if auto_background:

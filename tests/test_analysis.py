@@ -400,3 +400,80 @@ class TestPipeline:
         rows += [(200 + i, "DARL"[i % 4], "Erased", 0.0, 0.05 * i, present, i % 2) for i in range(400)]
         with pytest.raises(AnalysisError, match=f"missing path-erased events for preparation '{missing}'"):
             analyze_records(make_records(rows), AnalysisParams(), InterferometerConfig())
+
+
+# the criterion-4 fixture at 40,000 cycles: the records of perfbench's dense leg
+# at its default seed, as `tpcsim simulate --config perfbench/configs/dense.ini` writes them
+@pytest.fixture(scope="module")
+def dense_fixture():
+    ifm = InterferometerConfig(phase_mode="scan", phase_readout_sigma=0.0, erasure_visibility=0.695814665779)
+    det = DetectionParams(zpl_efficiency=1.0, seed=404)
+    recs = simulate_cycles(40_000, EmitterParams(**FIXTURE), ifm, ProtocolConfig(), det)
+    return recs, ifm, AnalysisParams(p_readout_click=0.167)
+
+
+def bound_of_inputs(w_h, p0_e, p0_l, c_xx, b=0.0):
+    """The fidelity bound, background-corrected by ``b``, as a function of the
+    independent inputs of the analysis."""
+    diagonals = (w_h * p0_e, (1.0 - w_h) * p0_l, w_h * (1.0 - p0_e), (1.0 - w_h) * (1.0 - p0_l))
+    return fidelity_bound(tuple((d - b / 4.0) / (1.0 - b) for d in diagonals), c_xx / (1.0 - b))
+
+
+def propagated_error(f, x, sigmas, rel_step=1e-4):
+    """First-order error of ``f`` at ``x``: central differences, one input at a
+    time, each step a small fraction of that input's sigma."""
+    var = 0.0
+    for i, sigma in enumerate(sigmas):
+        step = np.zeros(len(x))
+        step[i] = rel_step * sigma
+        var += ((f(*(np.asarray(x) + step)) - f(*(np.asarray(x) - step))) / (2.0 * rel_step)) ** 2
+    return float(np.sqrt(var))
+
+
+# every `name = value +- error` line of the dense report with background 0.2;
+# the two f_bound errors count the inputs that the four diagonals share
+DENSE_REPORT_PINS = {
+    "rho11_0H": (0.004789, 0.001256),
+    "rho22_0V": (0.436154, 0.011364),
+    "rho33_m1H": (0.480227, 0.003825),
+    "rho44_m1V": (0.078829, 0.010950),
+    "c_zz": (0.832763, 0.022040),
+    "c_xx": (0.368208, 0.032933),
+    "fit_minus_amplitude": (0.349884, 0.045021),
+    "fit_plus_amplitude": (0.386533, 0.048077),
+    "background_fraction": (0.200000, 0.000000),
+    "c_zz_corrected": (1.040954, 0.027550),
+    "c_xx_corrected": (0.460260, 0.041166),
+    "f_bound_raw": (0.622864, 0.018104),
+    "f_bound_corrected": (0.740369, 0.021705),
+}
+
+
+class TestErrorPropagation:
+    def test_bound_error_counts_shared_inputs(self, dense_fixture):
+        # all four diagonals come from w_h, p0_e and p0_l, so the bound's error
+        # is propagated through those inputs, not through the diagonals' errors
+        recs, ifm, params = dense_fixture
+        report = analyze_records(recs, params, ifm)
+        stats = diagonal_tomography(tally_records(recs, params, ifm), params).stats
+        inputs = [stats["w_h"], stats["p0_e"], stats["p0_l"], report.c_xx]
+        sigmas = [stats["s_wh"], stats["s_e"], stats["s_l"], report.c_xx_err]
+        expect = propagated_error(bound_of_inputs, inputs, sigmas)
+        assert report.f_bound_raw_err == pytest.approx(expect, rel=1e-6)
+
+        corrected = subtract_background(report, 0.2, 0.01)
+        expect = propagated_error(bound_of_inputs, inputs + [0.2], sigmas + [0.01])
+        assert corrected.f_bound_corrected_err == pytest.approx(expect, rel=1e-6)
+
+    def test_dense_report_pins(self, dense_fixture):
+        recs, ifm, params = dense_fixture
+        got = {}
+        for line in analyze_records(recs, params, ifm, background=0.2).to_text().splitlines():
+            name, _, rest = line.partition(" = ")
+            if " +- " in rest:
+                value, err = rest.split(" +- ")
+                got[name] = (float(value), float(err))
+        assert got.keys() == DENSE_REPORT_PINS.keys()
+        for name, pair in DENSE_REPORT_PINS.items():
+            # two units of the last printed digit, as perfbench/pins.json
+            assert got[name] == pytest.approx(pair, abs=2e-6), name
