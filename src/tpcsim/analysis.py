@@ -314,7 +314,8 @@ def estimate_background_fraction(tally: Tally, ifm: InterferometerConfig):
     t_window, t_invalid, _ = window_spans(ifm)
     expected_bg = n_inv * t_window / t_invalid
     b = min(expected_bg / n_erased, 0.999)
-    sigma = (np.sqrt(max(n_inv, 1)) * t_window / t_invalid) / n_erased
+    # b sqrt(1/n_inv + 1/n_erased), first order in both Poisson counts (GUM 5.1); max keeps it > 0 at n_inv = 0
+    sigma = (t_window / t_invalid) / n_erased * np.sqrt(max(n_inv, 1) * (1 + n_inv / n_erased))
     return float(b), float(sigma)
 
 

@@ -270,6 +270,25 @@ class TestBackground:
             assert abs(raw.c_xx - (1 - b)) <= 3 * raw.c_xx_err + 0.02
             assert abs(report.c_xx_corrected - 1.0) <= 4 * report.c_xx_corrected_err + 0.03
 
+    def test_reported_error_is_the_spread_of_the_estimate(self):
+        # criterion 5's set-up at b = 0.3, injected through the detection
+        # model: over 100 seeds the sd of b_hat is the mean reported error
+        # within [0.8, 1.25] (the sd's own spread is about 1 / sqrt(200) = 0.07).
+        # The ratio needs no target, so the kept fraction, a little below the
+        # injected one (multi-click rejection drops some background), does
+        # not enter it. An error that counts n_inv's noise alone reads about 2.
+        b, eta = 0.3, 0.02
+        rate_hz = b / (1.0 - b) * 0.5 * eta / (4.0 * 2.0 * 20.0 * 1e-9)
+        ifm = InterferometerConfig(phase_mode="scan", phase_readout_sigma=0.0)
+        params = AnalysisParams(p_readout_click=1.0)
+        estimates = []
+        for seed in range(1, 101):
+            det = DetectionParams(zpl_efficiency=eta, background_rate_hz=rate_hz, seed=seed)
+            recs = simulate_cycles(100_000, ideal_emitter(p_readout_click=1.0), ifm, ProtocolConfig(), det)
+            estimates.append(estimate_background_fraction(tally_records(recs, params, ifm), ifm))
+        b_hat, sigma = np.array(estimates).T
+        assert 0.8 <= np.std(b_hat, ddof=1) / sigma.mean() <= 1.25
+
     def test_invalid_fraction_rejected(self):
         recs, ifm = ideal_records(5_000)
         report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm)

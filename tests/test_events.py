@@ -3,12 +3,14 @@ background uniformity, record I/O, and coincidence pairing."""
 import warnings
 from dataclasses import replace
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tpcsim import events
 from tpcsim.cli import main
+from tpcsim.config import load_config
 from tpcsim.emitter import EmitterParams, optical_pulse_kraus
 from tpcsim.events import (
     ARRIVAL_CLASSES,
@@ -26,6 +28,7 @@ from tpcsim.events import (
     DetectionParams,
     EventModelError,
     RecordFormatError,
+    _block_operators,
     _CycleModel,
     _keyed_rng,
     _philox_uniforms,
@@ -318,6 +321,35 @@ class TestBornConsistency:
         for name in RECORD_COLUMNS:
             if name != "readout_click":
                 assert np.array_equal(chain[first][name], single[name]), name
+
+    @pytest.mark.parametrize("config", ["noisy every-branch", "chain_n2.ini"])
+    def test_later_steps_keep_every_level_they_reach(self, config):
+        # each later step is kept on the rows that some operator reaches from
+        # the support that the step before left, starting with both bins empty;
+        # every dropped row is exactly zero there, so no product loses a term
+        if config == "chain_n2.ini":
+            cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+            args = (cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
+        else:
+            params = replace(noisy_emitter(), zpl_fraction=0.3)
+            args = (params, ProtocolConfig(n_photons=2), InterferometerConfig(phase_mode="walk", erasure_visibility=0.8), DetectionParams())
+        model = _CycleModel(*args)
+        _, block_ops, interblock_ops = _block_operators(*args[:3])
+        supports = model.later_supports
+        assert np.array_equal(supports[0], np.arange(0, 28, 4))
+        assert len(supports) == len(model.later_ops) + 1 == 5
+        for full, kept, cols, rows in zip([interblock_ops, *block_ops], model.later_ops, supports, supports[1:]):
+            dropped = np.setdiff1d(np.arange(28), rows)
+            assert len(kept) == len(full)
+            for op, small in zip(full, kept):
+                assert not op[np.ix_(dropped, cols)].any()
+                assert np.array_equal(small, op[np.ix_(rows, cols)])
+        if config == "chain_n2.ini":
+            assert [len(rows) for rows in supports[1:]] == [7, 7, 9, 9]
+
+    def test_single_photon_model_compiles_no_later_operators(self):
+        model = _CycleModel(noisy_emitter(), ProtocolConfig(), InterferometerConfig(), DetectionParams())
+        assert model.later_ops == []
 
     def test_two_photon_herald_probability(self):
         n = 20_000
@@ -808,6 +840,25 @@ class TestRecordIO:
             write_records(path, recs)
             assert sha256(path.read_bytes()).hexdigest() == (
                 "c9f681fdda8618137d6eff58db244b898f83b0e4f61e92528faaad48b3056136"
+            )
+
+    def test_three_photon_chain_with_every_pulse_branch_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
+        # as above with a third photon: two later photons each pick among every
+        # incoherent branch, and 6,000 cycles are three blocks, cut 1 + 2 at two workers
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
+        args = (
+            replace(noisy_emitter(), zpl_fraction=0.3),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
+            ProtocolConfig(n_photons=3),
+            DetectionParams(zpl_efficiency=0.3, seed=101),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(6_000, *args, workers=workers)
+            assert len(recs) == 4_995
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "d659945dde06bf46885f0d7ad42e29e10c2a34caf1ba4de2bbd54ef3bd3a29cd"
             )
 
 
