@@ -253,11 +253,14 @@ def _fit_one_prep(counts: np.ndarray, params: AnalysisParams):
 
     # finite bin width attenuates the harmonic by sinc(width / 2)
     atten = sin(width / 2.0) / (width / 2.0)
-    amplitude = 2.0 * float(np.hypot(a, b)) / atten
+    r = np.hypot(a, b)
+    amplitude = 2.0 * float(r) / atten
     phase0 = float(np.arctan2(b, a))
-    denom = max(np.hypot(a, b), 1e-30)
-    grad = np.array([0.0, 2.0 * a / denom, 2.0 * b / denom]) / atten
-    amp_err = float(np.sqrt(grad @ cov @ grad))
+    if r:
+        grad = np.array([0.0, 2.0 * a / r, 2.0 * b / r]) / atten
+        amp_err = float(np.sqrt(grad @ cov @ grad))
+    else:  # no gradient at a zero harmonic: the rms error of its two coefficients
+        amp_err = 2.0 / atten * float(np.sqrt((cov[1, 1] + cov[2, 2]) / 2.0))
 
     curve = np.stack([x, y, sigma, n_f], axis=1)
     return FitCurve(amplitude, amp_err, phase0, float(c0), int(n_b.sum())), curve
@@ -291,7 +294,7 @@ def fit_equatorial(tally: Tally, params: AnalysisParams) -> EquatorialResult:
 
     rel = fits["minus"].phase0 - fits["plus"].phase0
     sign = -np.sign(np.cos(rel)) if abs(np.cos(rel)) > 1e-12 else 1.0
-    c_xx = float(sign * 0.5 * (fits["minus"].amplitude + fits["plus"].amplitude))
+    c_xx = float(sign * 0.5 * (fits["minus"].amplitude + fits["plus"].amplitude)) + 0.0  # never -0.0
     c_xx_err = float(0.5 * np.hypot(fits["minus"].amplitude_err, fits["plus"].amplitude_err))
     return EquatorialResult(c_xx, c_xx_err, fits, curves, tuple(insufficient))
 

@@ -15,7 +15,7 @@ other module refers to these index constants, never to raw integers:
 The protocol qubit is the pair ``QUBIT`` = (|0>, |-1>).
 Time-bin modes are two-level occupation subsystems (0: vacuum, 1: one photon).
 Channels are lists of plain Kraus matrices: on the seven spin levels for a
-microwave rotation, on (spin, time bin) for an optical pulse.
+microwave rotation, on (spin, fresh time bin) for an optical pulse.
 """
 from __future__ import annotations
 
@@ -170,7 +170,8 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
     the same time bin (the line filter does not resolve the fine-structure
     detuning) but carries the flipped spin. Off-resonant cross excitation of
     |+-1> is followed by shelving / spin-flip / photon-loss branching only;
-    its decay photons are never routed into the protocol mode.
+    its decay photons are never routed into the protocol mode. A pulse always
+    writes an empty bin, so sum K^dag K = I_spin (x) |vac><vac|: no operator acts on an occupied one.
     """
     pc = params.resolved_p_cross()
     pe = 1.0 - params.pi_pulse_error
@@ -182,8 +183,6 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
     vac_keep[BIN_VAC, BIN_VAC] = 1.0
     emit = np.zeros((2, 2), dtype=complex)
     emit[BIN_OCC, BIN_VAC] = 1.0
-    occ_keep = np.zeros((2, 2), dtype=complex)
-    occ_keep[BIN_OCC, BIN_OCC] = 1.0
 
     # coherent main branch: emission + unexcited amplitude + undisturbed levels
     main = np.sqrt(pe * (1.0 - pf) * zpl) * np.kron(_flip(LVL_G0, LVL_G0), emit)
@@ -208,11 +207,7 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
             (pc * psh, LVL_MS, src, False),
         ]
     # a branch of weight 0 gets no matrix (weights are never negative)
-    ops = [main] + [np.sqrt(w) * np.kron(_flip(to, frm), emit if emits else vac_keep) for w, to, frm, emits in branches if w]
-
-    # occupied-bin subspace is inert (never reached when the bin is fresh)
-    ops.append(np.kron(np.eye(SPIN_DIM, dtype=complex), occ_keep))
-    return ops
+    return [main] + [np.sqrt(w) * np.kron(_flip(to, frm), emit if emits else vac_keep) for w, to, frm, emits in branches if w]
 
 
 def readout_click_probability(p_bright, params: EmitterParams, dark_click: float = 0.0):

@@ -86,7 +86,6 @@ _OCC_00, _OCC_01, _OCC_10, _OCC_11 = range(4)
 # 4 double) leaves the spin in; an erased photon's spin comes from the collapse
 _OUTCOME_OCC = np.array([_OCC_00, _OCC_10, _OCC_00, _OCC_01, _OCC_11])
 _LEAF_PRUNE = 1e-12
-_MAX_LEAVES = 20_000
 _CHUNK = 8192  # rows per CSV write, parse or photon measurement step; bounds the objects alive at once
 _BLOCK_SIZE = 65536  # cycles per keyed RNG block; the record bytes depend on it
 # A block with fewer active cycles than 1/_COUNTER_SHARE of it reads photon 1's
@@ -195,7 +194,7 @@ class _CycleModel:
     (spin, bin1, bin2). Compiled once per model, each later step keeps only
     the levels it can reach, the rows nonzero (!= 0) on the support that the
     step before left, from both bins empty (7, 7, 9 and 9 of 28 on an ideal
-    chain): the dropped entries are exact zeros, and the bytes are unchanged.
+    chain, one operator each, as a pulse writes a fresh bin): the dropped entries are exact zeros.
     """
 
     def __init__(
@@ -258,8 +257,6 @@ class _CycleModel:
             children = np.stack([vecs @ k.T for k in reversed(ops)], axis=1)
             p = _sq_norms(children)
             keep = p * w[:, None] > _LEAF_PRUNE
-            if np.count_nonzero(keep) > _MAX_LEAVES:
-                raise EventModelError("trajectory tree too large; reduce channel branching")
             vecs = children[keep] / np.sqrt(p[keep])[:, None]
             w = (w[:, None] * p)[keep]
         return _normalized(vecs).reshape(-1, em.SPIN_DIM, 4), w

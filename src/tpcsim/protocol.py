@@ -116,9 +116,6 @@ def build_sequence(config: ProtocolConfig, ifm: InterferometerConfig) -> list[Se
         raise ProtocolError(
             f"cycle_period_ns {config.cycle_period_ns} shorter than sequence duration {total}"
         )
-    times = [s.time_ns for s in steps]
-    if times != sorted(times):
-        raise ProtocolError("sequence steps are not time-ordered")
     return steps
 
 
@@ -358,8 +355,7 @@ def chain_generators(n: int, chain_mode: str = "cluster", prep_sign: str = "minu
 
 
 def _embedded_pauli(letter: str, dim: int) -> np.ndarray:
-    if letter == "I":
-        return np.eye(dim, dtype=complex)
+    """A spin Pauli letter (X or Z, never I: see chain_generators) on the ``em.QUBIT`` block."""
     m = np.zeros((dim, dim), dtype=complex)
     m[np.ix_(em.QUBIT, em.QUBIT)] = _PAULI[letter]
     return m

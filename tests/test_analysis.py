@@ -186,6 +186,34 @@ class TestEquatorialFit:
         params = AnalysisParams(p_readout_click=1.0, min_cell_count=10_000)
         assert fringe_fit(recs, params, ifm).insufficient == ("erased_minus", "erased_plus")
 
+    def test_prep_without_readout_clicks_keeps_an_amplitude_error(self):
+        # a preparation with no readout click fits a harmonic of exactly 0,
+        # where the amplitude has no gradient; its error is the rms error of
+        # the two harmonic coefficients, not 0
+        rng = np.random.default_rng(21)
+        phases = rng.uniform(0, 2 * np.pi, 4_000)
+        clicks = rng.random(4_000) < (1 + np.cos(phases)) / 2
+        rows = [
+            (2 * i + p, "D", "Erased", 0.0, phi, prep, int(click and prep == "minus"))
+            for i, (phi, click) in enumerate(zip(phases, clicks))
+            for p, prep in enumerate(("minus", "plus"))
+        ]
+        params = AnalysisParams(p_readout_click=1.0)
+        result = fringe_fit(make_records(rows), params, InterferometerConfig())
+        fit = result.fits["plus"]
+        assert fit.amplitude == 0.0
+        x, _, sigma, _ = result.curves["plus"].T
+        design = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=1)
+        cov = np.linalg.inv(design.T @ (design / sigma[:, None] ** 2))
+        half = np.pi / params.n_phase_bins
+        expected = 2.0 / (np.sin(half) / half) * np.sqrt((cov[1, 1] + cov[2, 2]) / 2)
+        assert fit.amplitude_err == pytest.approx(expected, rel=1e-12) and expected > 1e-3
+        assert result.c_xx_err > 0.5 * result.fits["minus"].amplitude_err
+        # with no readout click at all, c_xx is 0 with an error, and never -0.0
+        silent = make_records([(i, port, cls, t, phi, prep, 0) for i, port, cls, t, phi, prep, _ in rows])
+        result = fringe_fit(silent, params, InterferometerConfig())
+        assert result.c_xx == 0.0 and not np.signbit(result.c_xx) and result.c_xx_err > 1e-3
+
     def test_missing_prep_rejected(self):
         rows = [(i, "D", "Erased", 0.0, 0.1 * i, "minus", 0) for i in range(100)]
         with pytest.raises(AnalysisError, match="plus"):

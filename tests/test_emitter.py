@@ -50,10 +50,19 @@ def optical_pi_pulse(spin, params):
     return first_bin(channel(pulse_kraus(params, 1), with_empty_bins(spin)))
 
 
-def kraus_is_trace_preserving(kraus):
-    dim = kraus[0].shape[0]
+def kraus_is_trace_preserving(kraus, domain=None):
+    """sum K^dag K is the projector ``domain`` (the identity when None)."""
     total = sum(k.conj().T @ k for k in kraus)
-    return np.allclose(total, np.eye(dim), atol=1e-10)
+    return np.allclose(total, np.eye(len(total)) if domain is None else domain, atol=1e-10)
+
+
+def fresh_bin_projector(pulse_index):
+    """I_spin x |vac><vac| on the bin that optical pulse ``pulse_index`` writes
+    (1: bin 1, 2: bin 2), x I on the other bin, on (spin, bin1, bin2): a pulse
+    writes an empty bin, so its set is trace-preserving on that domain only."""
+    vac = np.diag([1.0, 0.0])
+    bins = np.kron(vac, np.eye(2)) if pulse_index == 1 else np.kron(np.eye(2), vac)
+    return np.kron(np.eye(SPIN_DIM), bins)
 
 
 class TestParams:
@@ -144,8 +153,23 @@ class TestBranchChannels:
 
     def test_channels_trace_preserving(self):
         params = ideal_params(p_shelve=0.3, p_spin_flip=0.4)
-        assert kraus_is_trace_preserving(pulse_kraus(params, 1))
-        assert kraus_is_trace_preserving(pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3), 2))
+        assert kraus_is_trace_preserving(pulse_kraus(params, 1), fresh_bin_projector(1))
+        assert kraus_is_trace_preserving(pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3), 2), fresh_bin_projector(2))
+
+    @pytest.mark.parametrize("pulse_index", [1, 2])
+    def test_fresh_bin_trace_check_bites(self, pulse_index):
+        # every branch of weight > 0 is needed for the sum, and an operator on
+        # the occupied target bin, which no state reaches, breaks it: with it
+        # the set would be trace-preserving on the whole space instead
+        kraus = pulse_kraus(ideal_params(p_cross=0.2, p_shelve=0.3, p_spin_flip=0.4, zpl_fraction=0.5), pulse_index)
+        fresh = fresh_bin_projector(pulse_index)
+        assert kraus_is_trace_preserving(kraus, fresh)
+        assert not kraus_is_trace_preserving(kraus, fresh_bin_projector(3 - pulse_index))
+        for k in range(len(kraus)):
+            assert not kraus_is_trace_preserving(kraus[:k] + kraus[k + 1 :], fresh)
+        occupied = np.eye(28) - fresh
+        assert not kraus_is_trace_preserving(kraus + [occupied], fresh)
+        assert kraus_is_trace_preserving(kraus + [occupied])
 
     def test_spin_flip_moves_population_across_excited_manifold(self):
         # the resonant excitation decays back to |0> or, mixed, to |-1> and |+1>
@@ -171,7 +195,7 @@ class TestOpticalPulse:
                                 pi_pulse_error=eps,
                                 p_cross=pc,
                             )
-                            assert kraus_is_trace_preserving(pulse_kraus(params, 1))
+                            assert kraus_is_trace_preserving(pulse_kraus(params, 1), fresh_bin_projector(1))
 
     def test_ideal_pulse_entangles_photon_number(self):
         # psi0 (x) |vac> -> (|-1,0> - |0,1>)/sqrt2

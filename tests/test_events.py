@@ -347,6 +347,14 @@ class TestBornConsistency:
         if config == "chain_n2.ini":
             assert [len(rows) for rows in supports[1:]] == [7, 7, 9, 9]
 
+    @pytest.mark.parametrize("config", ["chain_n2.ini", "chain_n3.ini"])
+    def test_ideal_chain_later_steps_hold_one_operator(self, config):
+        # an ideal rotation and an ideal pulse on a fresh bin are one Kraus
+        # matrix each, so the sampler takes no branch draw on any later step
+        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+        model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
+        assert [len(ops) for ops in model.later_ops] == [1, 1, 1, 1]
+
     def test_single_photon_model_compiles_no_later_operators(self):
         model = _CycleModel(noisy_emitter(), ProtocolConfig(), InterferometerConfig(), DetectionParams())
         assert model.later_ops == []
@@ -832,7 +840,7 @@ class TestRecordIO:
             ProtocolConfig(n_photons=2),
             DetectionParams(zpl_efficiency=0.3, seed=101),
         )
-        assert len(optical_pulse_kraus(args[0])) == 14  # main, 12 incoherent branches, occupied bin
+        assert len(optical_pulse_kraus(args[0])) == 13  # main and 12 incoherent branches
         for workers in (1, 2):
             recs = simulate_cycles(6_000, *args, workers=workers)
             assert len(recs) == 3_472

@@ -95,6 +95,15 @@ class TestBuildSequence:
         tomo = [s for s in steps if s.kind == "tomography_rotation"]
         assert tomo[0].theta == 0.0
 
+    def test_step_times_never_decrease(self):
+        # the comb and the stage durations order the steps by construction
+        for n in (1, 2, 3, 4):
+            for delay in (50.0, 262.0, 1000.0):
+                for period in (1e6, 3e6):
+                    steps = build_sequence(ProtocolConfig(n_photons=n, cycle_period_ns=period), InterferometerConfig(delay_ns=delay))
+                    times = [s.time_ns for s in steps]
+                    assert all(b >= a for a, b in zip(times, times[1:]))
+
     def test_period_too_short_rejected(self):
         cfg = ProtocolConfig(cycle_period_ns=100.0)
         with pytest.raises(ProtocolError):
@@ -317,6 +326,14 @@ class TestStabilizers:
         state = run_ideal(make_sequence(2), phi=0.0)
         with pytest.raises(ProtocolError, match="must be"):
             stabilizer_check(state, 2, chain_mode, prep_sign)
+
+    def test_spin_letters_are_x_or_z(self):
+        # the only spin letters stabilizer_check embeds on the qubit block
+        for n in range(1, 9):
+            for chain_mode in ("cluster", "ghz"):
+                for prep_sign in ("minus", "plus"):
+                    letters = {spin for _, spin, _ in chain_generators(n, chain_mode, prep_sign)}
+                    assert letters <= {"X", "Z"}, (n, chain_mode, prep_sign)
 
     def test_maximally_mixed_state_scores_zero(self):
         subs = (SubsystemSpec("spin", 2), SubsystemSpec("photon1", 2))
