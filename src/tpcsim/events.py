@@ -55,7 +55,7 @@ from .optics import (
     port_offsets,
     window_spans,
 )
-from .protocol import ProtocolConfig, build_sequence, pulse_times, step_kraus
+from .protocol import ProtocolConfig, SequenceStep, build_sequence, prep_theta, pulse_times, step_kraus
 
 ARRIVAL_CLASSES = tuple(c.value for c in ArrivalClass)  # indexed by EARLY, ERASED, LATE, INVALID
 PREP_NAMES = ("minus", "plus")
@@ -163,16 +163,16 @@ def _prep_codes(ids: np.ndarray, protocol_cfg: ProtocolConfig, detection: Detect
     return np.full(ids.shape, PREP_NAMES.index(protocol_cfg.prep_sign), dtype=np.int64)
 
 
-def _block_operators(params: em.EmitterParams, protocol_cfg: ProtocolConfig, ifm: InterferometerConfig):
-    """Kraus matrices of the step list on the (spin, bin1, bin2) layout: the
-    preparation (one set per prep code), the first entangling block (pulse,
-    flip, pulse) and the rotation between blocks (empty for one photon)."""
-    schedules = [
-        [ops for _, ops in step_kraus(build_sequence(replace(protocol_cfg, prep_sign=name), ifm), params)]
-        for name in PREP_NAMES
-    ]
-    steps = schedules[0]
-    return [s[0] for s in schedules], steps[1:4], steps[4] if len(steps) > 4 else []
+def _block_operators(steps: list[SequenceStep], params: em.EmitterParams):
+    """Kraus matrices on the (spin, bin1, bin2) layout of the preparation (one
+    set per prep code), the first entangling block (pulse, flip, pulse) and the
+    rotation between blocks (empty for one photon). Every later block repeats
+    the first, so ``step_kraus`` runs on these steps of ``steps`` alone, the
+    preparation at each sign's angle: one pulse set and at most four rotations."""
+    prep, *kept = [s for s in steps if s.kind in ("mw_rotation", "optical_pulse")][:5]
+    preps = [replace(prep, theta=prep_theta(name)) for name in PREP_NAMES]
+    ops = [ops for _, ops in step_kraus(preps + kept, params)]
+    return ops[:2], ops[2:5], ops[5] if len(ops) > 5 else []
 
 
 class _CycleModel:
@@ -212,7 +212,8 @@ class _CycleModel:
         self.ifm = ifm
         self.protocol_cfg = protocol_cfg
         self.params = params
-        self.pulse_times = pulse_times(build_sequence(protocol_cfg, ifm))
+        steps = build_sequence(protocol_cfg, ifm)
+        self.pulse_times = pulse_times(steps)
         self.eta_det = detection.detector_thinning(params.zpl_fraction)
         self.arms = arm_weights(ifm)
         self.port_offsets = port_offsets(ifm.quadrature_offset)
@@ -220,7 +221,7 @@ class _CycleModel:
         self.bg_span_ns = window_spans(ifm)[2]  # the background window of one port
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * self.bg_span_ns * 1e-9
 
-        prep_ops, block_ops, interblock_ops = _block_operators(params, protocol_cfg, ifm)
+        prep_ops, block_ops, interblock_ops = _block_operators(steps, params)
         self.later_ops, self.later_supports = [], [np.arange(0, em.SPIN_DIM * 4, 4)]
         for ops in [interblock_ops, *block_ops] if interblock_ops else []:
             cols = self.later_supports[-1]
@@ -616,15 +617,15 @@ def _simulate_shard(model: _CycleModel, detection: DetectionParams, n_cycles: in
     with the walk offset carried from block to block. The offset at ``first``
     comes from carrying the walk through the earlier blocks, which are full."""
     size, period = model.block_size, model.protocol_cfg.cycle_period_ns
+    # the per-cycle rows of every block of the shard, the first one the
+    # largest, and the walk steps of each earlier block go to this one buffer:
+    # block-sized arrays made afresh per block are handed back to the OS at
+    # its end and faulted in again by the next (about 740 page faults a block
+    # with glibc's malloc, a fifth of a sparse block's time)
+    scratch = np.empty(max(4 * min(size, n_cycles - first * size), size if first else 0))
     offset = model.ifm.phase
     for block in range(first):
-        _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period)
-    # the per-cycle rows of every block of the shard, the first one the
-    # largest, go to this one buffer: block-sized arrays made afresh per block
-    # are handed back to the OS at its end and faulted in again by the next
-    # (about 740 page faults a block with glibc's malloc, a fifth of a sparse
-    # block's time)
-    scratch = np.empty(4 * min(size, n_cycles - first * size))
+        _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period, scratch[:size])
     parts = []
     for lo in range(first * size, min(n_cycles, stop * size), size):
         part, offset = _simulate_block(model, detection, lo, min(n_cycles, lo + size), offset, scratch)

@@ -152,16 +152,17 @@ def step_kraus(steps: list[SequenceStep], params: em.EmitterParams) -> list[tupl
 
     Every matrix acts on the (spin, bin1, bin2) layout that the executor and
     the samplers share: a rotation acts on the spin alone, and an optical pulse
-    writes into bin 1 when its pulse index is odd and into bin 2 when it is
-    even. Initialization, tomography rotation and readout carry no operator.
+    writes into bin 1 when its index among the pulses of ``steps`` is odd and
+    into bin 2 when it is even, every pulse from the one set built per call.
+    Initialization, tomography rotation and readout carry no operator.
     """
-    on_bin1 = [np.kron(k, np.eye(2)) for k in em.optical_pulse_kraus(params)]
+    on_bin1 = [em.kron(k, np.eye(2)) for k in em.optical_pulse_kraus(params)]
     pulse_ops = (on_bin1, [_swap_bins(m) for m in on_bin1])
     out = []
     pulses = 0
     for step in steps:
         if step.kind == "mw_rotation":
-            out.append((step, [np.kron(k, np.eye(_BIN_STATES)) for k in em.mw_rotation_kraus(step.theta, params)]))
+            out.append((step, [em.kron(k, np.eye(_BIN_STATES)) for k in em.mw_rotation_kraus(step.theta, params)]))
         elif step.kind == "optical_pulse":
             out.append((step, pulse_ops[pulses % 2]))
             pulses += 1
@@ -207,7 +208,7 @@ def _evolve(steps: list[SequenceStep], params: em.EmitterParams, ifm: Interferom
     """
     params.validate()
     ifm.validate()
-    rho = np.kron(em.initialize_spin(params), np.diag([1.0, 0.0, 0.0, 0.0]))  # both bins empty
+    rho = em.kron(em.initialize_spin(params), np.diag([1.0, 0.0, 0.0, 0.0]))  # both bins empty
     yield "initialized", rho, 0
     photons = pulses = rotations = 0
     for step, ops in step_kraus(steps, params):
@@ -378,6 +379,6 @@ def stabilizer_check(
     for sign, spin_letter, photon_letters in chain_generators(n, chain_mode, prep_sign):
         mat = sign * _embedded_pauli(spin_letter, spin_dim)
         for letter in photon_letters:
-            mat = np.kron(mat, _PAULI[letter])
+            mat = em.kron(mat, _PAULI[letter])
         values.append(expectation(state, Operator(mat, labels)))
     return values

@@ -1,6 +1,9 @@
 """Emitter model tests: initialization, pulse channel, branching imperfections."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tpcsim.analysis import AnalysisParams
 from tpcsim.emitter import (
@@ -14,6 +17,7 @@ from tpcsim.emitter import (
     EmitterModelError,
     EmitterParams,
     initialize_spin,
+    kron,
     lorentzian_cross_excitation,
     mw_rotation_kraus,
     readout_click_probability,
@@ -293,3 +297,24 @@ class TestReadout:
         p_bright = partial_trace(joint, ["spin"]).data[LVL_G0, LVL_G0].real
         p = readout_click_probability(np.array([p_bright, 0.0]), EmitterParams())
         assert np.allclose(p, [0.167, 0.0], atol=1e-12)
+
+
+# real or complex matrices of 1 to 5 rows and columns, many of whose entries are
+# +0 or -0; no product of two entries overflows
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e100, 1e100))
+_MATRICES = st.one_of(
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_ENTRY),
+    arrays(np.complex128, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=st.builds(complex, _ENTRY, _ENTRY)),
+)
+
+
+class TestKron:
+    @settings(max_examples=300, deadline=None, database=None)
+    @example(a=np.array([[-0.0 + 1j, 2.0 - 0.0j]]), b=np.array([[-1.0, 0.0], [-0.0, 3.0]]))
+    @given(a=_MATRICES, b=_MATRICES)
+    def test_equals_numpy_kron_bit_for_bit(self, a, b):
+        # the same single product per entry, signed zeros and mixed real and complex factors included
+        expected = np.kron(a, b)
+        got = kron(a, b)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpcsim import events
+from tpcsim import emitter, events
 from tpcsim.cli import main
 from tpcsim.config import load_config
 from tpcsim.emitter import EmitterParams, optical_pulse_kraus
@@ -40,7 +40,7 @@ from tpcsim.events import (
     write_records,
 )
 from tpcsim.optics import InterferometerConfig
-from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy
+from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy, step_kraus
 
 from conftest import FIXTURE, SerialPool, apply, embedded_matrix, hardware_port_states, ideal_emitter, make_records
 from conftest import partial_trace, projector_onto, ry, write_fixture_ini
@@ -334,7 +334,7 @@ class TestBornConsistency:
             params = replace(noisy_emitter(), zpl_fraction=0.3)
             args = (params, ProtocolConfig(n_photons=2), InterferometerConfig(phase_mode="walk", erasure_visibility=0.8), DetectionParams())
         model = _CycleModel(*args)
-        _, block_ops, interblock_ops = _block_operators(*args[:3])
+        _, block_ops, interblock_ops = _block_operators(build_sequence(*args[1:3]), args[0])
         supports = model.later_supports
         assert np.array_equal(supports[0], np.arange(0, 28, 4))
         assert len(supports) == len(model.later_ops) + 1 == 5
@@ -354,6 +354,48 @@ class TestBornConsistency:
         cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
         model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
         assert [len(ops) for ops in model.later_ops] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("emitter_kind", ["ideal", "noisy"])
+    @pytest.mark.parametrize("chain_mode", ["cluster", "ghz"])
+    @pytest.mark.parametrize("n_photons", [1, 2, 3, 4])
+    def test_block_operators_are_the_schedule_steps(self, n_photons, chain_mode, emitter_kind):
+        # the sets compiled from one block equal, entry for entry, the steps of
+        # the whole schedule of either sign: its preparation, every entangling
+        # block and every rotation between blocks
+        params = ideal_emitter() if emitter_kind == "ideal" else replace(noisy_emitter(), zpl_fraction=0.3)
+        ifm = InterferometerConfig()
+        pcfg = ProtocolConfig(n_photons=n_photons, chain_mode=chain_mode, cycle_period_ns=2e6)
+        prep_ops, block_ops, interblock_ops = _block_operators(build_sequence(pcfg, ifm), params)
+        assert len(prep_ops) == len(PREP_NAMES) and len(block_ops) == 3
+
+        def same(a, b):
+            return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+        for p, name in enumerate(PREP_NAMES):
+            full = [ops for _, ops in step_kraus(build_sequence(replace(pcfg, prep_sign=name), ifm), params)]
+            assert len(full) == 4 * n_photons
+            assert same(prep_ops[p], full[0])
+            for k in range(n_photons):
+                assert all(same(kept, step) for kept, step in zip(block_ops, full[1 + 4 * k : 4 + 4 * k])), k
+                if k:
+                    assert same(interblock_ops, full[4 * k])
+        assert (interblock_ops == []) == (n_photons == 1)
+
+    @pytest.mark.parametrize("n_photons", [1, 2, 3, 6])
+    def test_compile_builds_one_pulse_set_and_at_most_four_rotations(self, monkeypatch, n_photons):
+        calls = {"optical_pulse_kraus": 0, "mw_rotation_kraus": 0}
+        for name in calls:
+            original = getattr(emitter, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(emitter, name, counted)
+        pcfg = ProtocolConfig(n_photons=n_photons, cycle_period_ns=2e6)
+        _CycleModel(replace(noisy_emitter(), zpl_fraction=0.3), pcfg, InterferometerConfig(), DetectionParams())
+        assert calls["optical_pulse_kraus"] == 1
+        assert calls["mw_rotation_kraus"] == (3 if n_photons == 1 else 4)
 
     def test_single_photon_model_compiles_no_later_operators(self):
         model = _CycleModel(noisy_emitter(), ProtocolConfig(), InterferometerConfig(), DetectionParams())
@@ -828,6 +870,22 @@ class TestRecordIO:
             write_records(path, recs)
             assert sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "config,cycles,digest",
+        [
+            ("chain_n2.ini", 1_500, "ef30fa03babfa6c13b58b45f2f23f2f0b46e953d2e675b010bba9616f6bc8d0b"),
+            ("chain_n3.ini", 250, "6e63d9106b0873815298080a9dcbf537bff9660619a475bae91a1282935e1e07"),
+        ],
+    )
+    def test_benchmark_chain_bytes_pinned(self, tmp_path, config, cycles, digest, workers):
+        # the records of the benchmark's chain legs, as its command line makes
+        # them; each leg is one block, so two workers run it in one process
+        ini = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
+        out = tmp_path / "chain.csv"
+        args = ["simulate", "--config", str(ini), "--cycles", str(cycles), "--seed", "800", "--workers", str(workers)]
+        assert main([*args, "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()).hexdigest() == digest
 
     def test_chain_with_every_pulse_branch_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
         # at zpl_fraction < 1 every incoherent branch of the optical pulse
