@@ -33,7 +33,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, repeat
 from math import isfinite
 from typing import NamedTuple
@@ -682,8 +682,13 @@ _EXACT_BELOW = 2.0**52  # a chunk with |x * 10**d| at or above this is formatted
 _QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
 _POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
 _LABEL_BYTES = {name: np.array(labels, "S").view(np.uint8).reshape(len(labels), -1) for name, labels in _CSV_LABELS.items()}
-# The columns as np.loadtxt reads them: a label column one byte wider than its longest label cuts a longer field to no label
-_TABLE_DTYPE = np.dtype([(n, f"S{_LABEL_BYTES[n].shape[1] + 1}" if n in CODES else RECORD_DTYPE[n]) for n in RECORD_COLUMNS])
+# The columns as np.loadtxt reads them. A label column is the fewest 8-byte words that hold one byte more than its
+# longest label, so a field and a label, both NUL-padded, are equal exactly when their uint64 words are, and a
+# longer field, cut to the full width, fills every byte and matches no label.
+_TABLE_DTYPE = np.dtype(
+    [(n, f"S{_LABEL_BYTES[n].shape[1] // 8 * 8 + 8}" if n in CODES else RECORD_DTYPE[n]) for n in RECORD_COLUMNS]
+)
+_LABEL_WORDS = {n: np.array(labels, _TABLE_DTYPE[n]).view(np.uint64).reshape(len(labels), -1) for n, labels in _CSV_LABELS.items()}
 
 
 def _check_writable(records: np.ndarray) -> None:
@@ -798,8 +803,12 @@ def _parse_table(lines: list[str]) -> np.ndarray:
     for name in RECORD_COLUMNS:
         column = table[name]
         if name in CODES:
-            hits = column[:, None] == _CSV_LABELS[name].astype("S")
-            column, valid = hits.argmax(axis=1), hits.any(axis=1)
+            words = column.view(np.dtype((np.uint64, (column.itemsize // 8,)))).T
+            column, valid = np.zeros(len(table), np.uint8), np.zeros(len(table), bool)
+            for code, label in enumerate(_LABEL_WORDS[name]):
+                hit = reduce(np.logical_and, map(np.equal, words, label))
+                np.putmask(column, hit, code)
+                valid |= hit
         else:
             valid = np.isfinite(column)
         if not valid.all():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tpcsim.cli import main
+from tpcsim.cli import build_parser, main
 from tpcsim.config import ConfigError, RunConfig, dump_config, load_config, parse_config_text, validate_config
 
 from conftest import write_fixture_ini
@@ -203,6 +203,22 @@ class TestCliSimulateAnalyze:
         cfg = self.write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--cycles", "x"]) == 2
         assert "--cycles: not an integer: 'x'" in capsys.readouterr().err
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        ok = ["simulate", "--config", cfg, "--out", str(out), "--cycles", "20000"]
+        bad = ["simulate", "--config", cfg, "--out", str(out), "--seed", "7", "--cycles", "0"]
+        assert main(ok) == 0
+        first = capsys.readouterr(), out.read_bytes()
+        assert main(bad) == 2
+        err = capsys.readouterr().err
+        assert "--cycles: value must be >= 1" in err
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(bad)
+        assert usage.value.code == 2 and capsys.readouterr().err == err
+        assert main(ok) == 0
+        assert (capsys.readouterr(), out.read_bytes()) == first
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551621"])
     def test_seed_outside_64_bits_exits_two(self, tmp_path, capsys, seed):

@@ -24,13 +24,16 @@ from tpcsim.events import (
     RECORD_DTYPE,
     _CHUNK,
     _CYCLE_STREAM,
+    _LABEL_WORDS,
     _PHASE_STREAM,
+    _TABLE_DTYPE,
     DetectionParams,
     EventModelError,
     RecordFormatError,
     _block_operators,
     _CycleModel,
     _keyed_rng,
+    _parse_table,
     _philox_uniforms,
     _simulate_block,
     pair_coincidences,
@@ -621,6 +624,18 @@ class TestRecordIO:
         monkeypatch.setattr(events, "_parse_lines", lambda lines, first: firsts.append(first) or parse_lines(lines, first))
         assert read_records(path).tobytes() == recs.tobytes()
         assert firsts == [_CHUNK + 2]
+
+    def test_label_columns_are_whole_words_wider_than_their_labels(self):
+        # a field equals a label exactly when their NUL-padded words do, and a cut field fills its words
+        base = "0,D,Erased,1.0,0.5,minus,1".split(",")
+        for name, codes in CODES.items():
+            width, longest = _TABLE_DTYPE[name].itemsize, max(len(label.encode()) for label in codes)
+            assert width % 8 == 0 and longest < width <= longest + 8
+            lines = []
+            for label, code in codes.items():
+                assert _LABEL_WORDS[name][code].tobytes() == label.encode().ljust(width, b"\0")
+                lines.append(",".join(label if col == name else f for col, f in zip(RECORD_COLUMNS, base)) + "\n")
+            assert _parse_table(lines)[name].tolist() == list(codes.values())
 
     @pytest.mark.parametrize(
         "line",

@@ -111,9 +111,14 @@ FIELD_EDITS = {
     "space before": lambda f: " " + f,
     "space after": lambda f: f + " ",
     "one more character": lambda f: f + "X",
+    "two more characters": lambda f: f + "XX",
+    "three more characters": lambda f: f + "XXX",
+    "seven more characters": lambda f: f + "X" * 7,  # fills an 8-byte word after a one-letter label
+    "swapped case": str.swapcase,
     "NUL after": lambda f: f + "\0",
     "lone surrogate": lambda f: f[:1] + "\udcff" + f[1:],
     **{f"= {v!r}": (lambda f, v=v: v) for v in ("nan", "inf", "1e400", "1_0", "\u0663", "5.0", "+5", str(2**63), "")},
+    **{f"= {v!r}": (lambda f, v=v: v) for v in ("Erased", "Early")},  # another column's label, a strict prefix
 }
 LINE_EDITS = {
     "blanked": lambda line: "\n",
@@ -149,6 +154,12 @@ def edited(lines, changes):
 @example(recs=ONE_ROW, changes=[(0, 0, "blanked")]).via("numpy finds no rows")
 @example(recs=ONE_ROW, changes=[(0, 2, "one more character")]).via("the longest label plus one")
 @example(recs=ONE_ROW, changes=[(0, 1, "one more character")]).via("a one-letter label plus one")
+@example(recs=ONE_ROW, changes=[(0, 2, "two more characters")]).via("the longest label plus two: 16 bytes")
+@example(recs=ONE_ROW, changes=[(0, 2, "three more characters")]).via("the longest label plus three, cut to 16 bytes")
+@example(recs=ONE_ROW, changes=[(0, 1, "seven more characters")]).via("a one-letter label filling its word")
+@example(recs=ONE_ROW, changes=[(0, 1, "= 'Erased'")]).via("another column's label")
+@example(recs=ONE_ROW, changes=[(0, 2, "= 'Early'")]).via("a strict prefix of a label")
+@example(recs=ONE_ROW, changes=[(0, 2, "swapped case")]).via("a label in another case")
 @example(recs=ONE_ROW, changes=[(0, 5, "NUL after")]).via("a NUL cut from a label")
 @example(recs=ONE_ROW, changes=[(0, 3, "= 'nan'")]).via("a non-finite t_ns")
 @example(recs=ONE_ROW, changes=[(0, 4, "= '1e400'")]).via("an overflowing phase_rad")
