@@ -171,8 +171,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, BrokenProcessPool) as exc:  # a pool breaks when a worker dies
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, BrokenProcessPool, MemoryError) as exc:  # a pool breaks when a worker dies
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

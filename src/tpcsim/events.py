@@ -9,7 +9,7 @@ measurement left. Every photon is measured by one rule: its two time bins give
 the outcome (none, early, erased, late or double), an erased photon collapses
 the spin onto its analyzer port's superposition of the bins, and clicks are
 thinned by the detection efficiency. Poisson background clicks are added, and
-the phonon-sideband readout click is sampled from the final spin.
+the readout click is drawn from the last photon's per-state amplitudes.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
@@ -183,18 +183,20 @@ class _CycleModel:
 
     Every branch of the preparation and the first entangling block is
     enumerated once: per leaf, the normalized (spin, bin occupation) state,
-    its weight (cumulative per prep) and the cumulative photon-outcome
-    weights. Each leaf is doubled with the late-bin amplitude's sign flipped,
-    weighted by the erasure visibility. Drawing a leaf per cycle replaces
-    sampling the first block's Kraus branches cycle by cycle (about 25x slower
-    on the default config). A chain repeats the block once per photon, with a
+    its weight (cumulative per prep), the cumulative photon-outcome weights
+    and the ``leaf_terms`` that its photon's port and readout read.
+    Each leaf is doubled with the late-bin amplitude's sign flipped, weighted
+    by the erasure visibility. Drawing a leaf per cycle replaces sampling the
+    first block's Kraus branches cycle by cycle (about 25x slower on the
+    default config). A chain repeats the block once per photon, with a
     rotation between blocks; the sampler applies ``later_ops`` (that rotation,
     then the block) branch by branch to the spin that the previous photon's
-    measurement left, so a cycle's live state never grows beyond
-    (spin, bin1, bin2). Compiled once per model, each later step keeps only
-    the levels it can reach, the rows nonzero (!= 0) on the support that the
-    step before left, from both bins empty (7, 7, 9 and 9 of 28 on an ideal
-    chain, one operator each, as a pulse writes a fresh bin): the dropped entries are exact zeros.
+    measurement left, so a cycle's live state never grows beyond (spin, bin1,
+    bin2). Compiled once per model, each later step keeps only the levels it
+    can reach, the rows nonzero (!= 0) on the support that the step before
+    left, from both bins empty (7, 7, 9 and 9 of 28 on an ideal chain, one
+    operator each, as a pulse writes a fresh bin): the dropped entries are
+    exact zeros.
     """
 
     def __init__(
@@ -243,7 +245,8 @@ class _CycleModel:
             self.leaf_cum.append(np.cumsum(cw[keep] / cw[keep].sum()))
             self.prep_offset.append(self.prep_offset[-1] + int(keep.sum()))
         self.leaves = np.concatenate(leaves)
-        self.outcome_cum = np.cumsum(_outcome_weights(self.leaves, self.arms), axis=1)
+        self.leaf_terms = _state_terms(self.leaves, self)
+        self.outcome_cum = np.cumsum(_outcome_weights(self.leaf_terms[2], self.arms), axis=1)
 
     @staticmethod
     def _expand(init_pops, chains):
@@ -406,16 +409,16 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
         seg = np.minimum(seg, len(model.leaf_cum[p]) - 1)
         li[msk] = model.prep_offset[p] + seg
     # photon 1's state is its cycle's leaf
-    states, state_rows = model.leaves, li
+    states, state_rows, terms = model.leaves, li, model.leaf_terms
     outcome = _pick(model.outcome_cum[li], draws[1])
 
     sources = []
-    basis_x = np.zeros(m, dtype=bool)
+    basis = np.zeros(m, dtype=np.intp)  # of the readout: 0 polar, 1 equatorial
     undecided = np.ones(m, dtype=bool)  # no surviving photon click yet
     ro_click = np.zeros(m, dtype=bool)
     for k in range(pcfg.n_photons):
         if k:
-            states = None  # free the measured photon's state before the next one's
+            states = terms = None  # free the measured photon's state before the next one's
             # the rotation between blocks and the entangling block, one Born-weighted Kraus
             # branch each on the levels it can reach, from the spin that the last measurement left
             state = spin
@@ -424,9 +427,10 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             states, state_rows = np.zeros((m, em.SPIN_DIM, 4), dtype=complex), np.arange(m)
             states.reshape(m, em.SPIN_DIM * 4)[:, model.later_supports[-1]] = state
             draws = later[k - 1, n_ops:]
-            outcome = _pick(np.cumsum(_outcome_weights(states, model.arms), axis=1), draws[0])
             # the late-bin amplitude's sign flips at rate (1 - visibility) / 2
             states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
+            terms = _state_terms(states, model)
+            outcome = _pick(np.cumsum(_outcome_weights(terms[2], model.arms), axis=1), draws[0])
         # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon's clicks
         u_thin1, u_port1 = draws[4], draws[6]
         t_erased = model.pulse_times[2 * k + 1]
@@ -440,13 +444,13 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
         # never arrives after its second
         for rows, cls in ((det, det_cls), *(src[:2] for src in pair_sources)):
             first = undecided[rows]
-            basis_x[rows[first]] = cls[first] == ERASED
+            basis[rows[first]] = cls[first] == ERASED
             undecided[rows] = False
         last = k == pcfg.n_photons - 1
         if last:
             # no surviving photon click: polar for a revealing last photon,
             # equatorial for none, erased or double (outcomes 0, 2, 4)
-            basis_x[undecided] = outcome[undecided] % 2 == 0
+            basis[undecided] = outcome[undecided] % 2 == 0
             # only the cycles that own a record have a port or a readout to write
             measured = np.flatnonzero(~undecided | (n_bg > 0))
         else:
@@ -454,12 +458,12 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             spin = np.empty((m, em.SPIN_DIM), dtype=complex)
         port = np.zeros(m, dtype=np.int64)
         for chunk in np.split(measured, range(_CHUNK, measured.size, _CHUNK)):
-            port[chunk], chunk_spin = _measure(states, state_rows[chunk], outcome[chunk], phase_true[chunk], u_port1[chunk], model)
+            args = (states, terms, state_rows[chunk], outcome[chunk], phase_true[chunk], u_port1[chunk], model)
             if last:
-                p_bright = _bright(chunk_spin, basis_x[chunk], model.bright_row)
+                port[chunk], p_bright = _measure(*args, basis[chunk])
                 ro_click[chunk] = u_ro[chunk] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
             else:
-                spin[chunk] = chunk_spin
+                port[chunk], spin[chunk] = _measure(*args)
         # (cycle index, class, time in cycle, port) in insertion order: first
         # and second photons of double cycles, then single detections
         sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]
@@ -486,47 +490,56 @@ def _first_photon_draws(seed: int, block: int, m: int, rows, u_thin: np.ndarray)
     return draws
 
 
-def _outcome_weights(states, arms):
+def _outcome_weights(sq, arms):
     """Weights of the photon outcomes 0 none, 1 early, 2 erased, 3 late and
-    4 double of each (spin, occupation) state on the last two axes of
-    ``states``, for the arm weights ``arms``."""
+    4 double of each (spin, occupation) state whose occupations' squared
+    norms are ``sq``, for the arm weights ``arms``."""
     (erase1, reveal1), (erase2, reveal2) = arms
-    p00, p01, p10, p11 = np.moveaxis(_sq_norms(np.swapaxes(states, -1, -2)), -1, 0)
+    p00, p01, p10, p11 = sq.T
     return np.stack([p00, reveal1 * p10, erase1 * p10 + erase2 * p01, reveal2 * p01, p11], axis=-1)
 
 
-def _measure(states, rows, outcome, phase, u_port, model):
-    """Analyzer port and normalized post-measurement spin of the photon in
-    each ``states[rows]``, given its outcome.
+def _state_terms(states, model):
+    """Per (spin, occupation) state: zeta and the base weight of an erased
+    photon's port weights, each occupation's squared norm (which give the
+    outcome weights), and each occupation's readout amplitude <r|spin>, on
+    axis 1 for r the polar row (LVL_G0) and the equatorial row (bright_row)."""
+    (erase1, _), (erase2, _) = model.arms
+    sq = _sq_norms(np.swapaxes(states, 1, 2))
+    zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", states[:, :, _OCC_01].conj(), states[:, :, _OCC_10])
+    base = erase1 * sq[:, _OCC_10] + erase2 * sq[:, _OCC_01]
+    return zeta, base, sq, np.stack([states[:, em.LVL_G0], model.bright_row @ states], axis=1)
+
+
+def _measure(states, terms, rows, outcome, phase, u_port, model, basis=None):
+    """Analyzer port of the photon in each ``states[rows]``, given its outcome
+    and its state's ``terms`` (_state_terms), and the normalized spin that it
+    leaves; or, given the readout ``basis`` of each (0 polar, 1 equatorial),
+    the spin's probability of the bright level in that basis.
 
     A revealing or double photon takes a uniform port. An erased photon picks
     a port with the weights base + 2|zeta| cos(phase + offset + arg zeta),
     zeta = sqrt(e1 e2) <chi01|chi10>, and the spin collapses onto that port's
-    superposition of the two bins.
+    superposition of the two bins, whose squared norm is that port's weight.
+    The bright probability |<r|spin>|^2 / norm (0 at norm 0) reads the terms
+    alone, so only a photon that a later photon follows makes a spin vector.
     """
     (erase1, _), (erase2, _) = model.arms
     port = _quarter(u_port)
-    spin = states[rows, :, _OUTCOME_OCC[outcome]]
     er = np.flatnonzero(outcome == 2)
-    early, late = states[rows[er], :, _OCC_10], states[rows[er], :, _OCC_01]
-    zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", late.conj(), early)
-    base = erase1 * _sq_norms(early) + erase2 * _sq_norms(late)
+    zeta, base = terms[0][rows[er]], terms[1][rows[er]]
     args = phase[er, None] + model.port_offsets
     weights = base[:, None] + 2.0 * np.abs(zeta)[:, None] * np.cos(args + np.angle(zeta)[:, None])
     port[er] = _pick(np.cumsum(np.maximum(weights, 0.0), axis=1), u_port[er])
-    early *= np.sqrt(erase1) * np.exp(1j * phase[er])[:, None]
-    late *= np.sqrt(erase2)
-    late *= np.exp(-1j * model.port_offsets[port[er]])[:, None]
-    spin[er] = early + late
-    return port, _normalized(spin)
-
-
-def _bright(spin, basis_x, bright_row):
-    """Probability of the bright level for each normalized ``spin``: in the
-    equatorial basis (after the tomography rotation, whose bright row is
-    ``bright_row``) where ``basis_x``, in the polar basis elsewhere."""
-    # einsum, not a BLAS matrix-vector product, whose threads cost more than this product
-    return np.abs(np.where(basis_x, np.einsum("ij,j->i", spin, bright_row), spin[:, em.LVL_G0])) ** 2
+    occ, early_phase, late_phase = _OUTCOME_OCC[outcome], np.exp(1j * phase[er]), np.exp(-1j * model.port_offsets[port[er]])
+    if basis is None:
+        spin, early, late = states[rows, :, occ], states[rows[er], :, _OCC_10], states[rows[er], :, _OCC_01]
+        spin[er] = early * (np.sqrt(erase1) * early_phase)[:, None] + late * np.sqrt(erase2) * late_phase[:, None]
+        return port, _normalized(spin)
+    proj, norm, amps = terms[3][rows, basis, occ], terms[2][rows, occ], terms[3][rows[er], basis[er]]
+    proj[er] = amps[:, _OCC_10] * np.sqrt(erase1) * early_phase + amps[:, _OCC_01] * np.sqrt(erase2) * late_phase
+    norm[er] = weights[np.arange(er.size), port[er]]
+    return port, np.divide(np.abs(proj) ** 2, norm, out=np.zeros(rows.size), where=norm > 0)
 
 
 def _pair_clicks(rows, draws, arms, eta, t_class):

@@ -2,15 +2,16 @@
 the tests check the program against: basis states, products, the embedding of
 an operator on some of a state's subsystems, operator and channel application,
 partial traces, fidelities, the interferometer's routing table and analyzer
-ports, and the target Bell state. The program's own ``qsim`` reads states only
-through observables on the whole layout."""
+ports, the target Bell state, and the readout of a collapsed spin. The
+program's own ``qsim`` reads states only through observables on the whole
+layout."""
 from math import cos, sin
 
 import numpy as np
 
 from tpcsim import emitter as em
 from tpcsim.analysis import fidelity_bound
-from tpcsim.events import CODES, RECORD_COLUMNS, RECORD_DTYPE
+from tpcsim.events import _OCC_01, _OCC_10, _OUTCOME_OCC, CODES, RECORD_COLUMNS, RECORD_DTYPE
 from tpcsim.optics import POL_H, POL_V, PORT_NAMES, InterferometerConfig, OpticsModelError, port_offsets
 from tpcsim.protocol import ProtocolConfig, as_qubit_pair, build_sequence, run_noisy, step_kraus
 from tpcsim.qsim import Operator, QsimError, QuantumState, SubsystemSpec
@@ -377,3 +378,19 @@ def first_bin(rho) -> np.ndarray:
     """The (spin, bin1) density matrix of a (spin, bin1, bin2) one whose bin 2 is empty."""
     d = em.SPIN_DIM
     return rho.reshape(d, 2, 2, d, 2, 2)[:, :, 0, :, :, 0].reshape(2 * d, 2 * d)
+
+
+def collapsed_bright(states, outcome, phase, port, basis, model) -> np.ndarray:
+    """Bright probability of the spin that the photon in each (spin, occupation)
+    state of ``states`` leaves, by collapsing it: the spin of its outcome's
+    occupation, or for an erased photon (outcome 2) its ``port``'s
+    superposition of the two bins, normalized (a zero spin stays zero) and read
+    in its readout ``basis``: 0 polar, 1 equatorial."""
+    (erase1, _), (erase2, _) = model.arms
+    spin = states[np.arange(len(states)), :, _OUTCOME_OCC[outcome]]
+    early = states[:, :, _OCC_10] * (np.sqrt(erase1) * np.exp(1j * phase))[:, None]
+    late = states[:, :, _OCC_01] * (np.sqrt(erase2) * np.exp(-1j * model.port_offsets[port]))[:, None]
+    spin = np.where((outcome == 2)[:, None], early + late, spin)
+    norm = np.linalg.norm(spin, axis=1)
+    spin /= np.where(norm > 0, norm, 1.0)[:, None]
+    return np.abs(np.where(basis == 1, spin @ model.bright_row, spin[:, em.LVL_G0])) ** 2

@@ -1,13 +1,17 @@
 """Config parsing and CLI behavior: round trips, diagnostics, exit codes."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tpcsim.analysis import AnalysisParams
 from tpcsim.cli import build_parser, main
 from tpcsim.config import ConfigError, RunConfig, dump_config, load_config, parse_config_text, validate_config
+from tpcsim.optics import InterferometerConfig
 
 from conftest import write_fixture_ini
 
@@ -193,6 +197,16 @@ class TestCliSimulateAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 2.34 GiB for an array")])
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, exc):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr("tpcsim.cli.cmd_validate", exhausted)
+        assert main(["validate"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {str(exc) or 'MemoryError'}\n" and "Traceback" not in err
 
     def test_zero_cycles_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -390,6 +404,34 @@ class TestCliRatesValidate:
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err and "finite" in err and "line 3" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section,others,key,accepted,refused,message",
+        [
+            ("analysis", {}, "n_phase_bins", 4, 3, "n_phase_bins must be >= 4"),
+            # a zero click span would divide by zero when click fractions are inverted
+            ("analysis", {"p_readout_click": 0.167}, "readout_dark_click", float(np.nextafter(0.167, 0)), 0.167,
+             "readout_dark_click must lie in [0, p_readout_click)"),
+            ("interferometer", {"delay_ns": 262.0}, "window_ns", float(np.nextafter(131.0, 0)), 131.0,
+             "window_ns must lie in (0, delay_ns / 2)"),
+            ("interferometer", {}, "erasure_visibility", 0.0, -float(np.nextafter(0, 1)), "erasure_visibility must lie in [0, 1]"),
+        ],
+        ids=["n_phase_bins", "readout_dark_click", "window_ns", "erasure_visibility"],
+    )
+    def test_boundary_is_pinned(self, tmp_path, capsys, section, others, key, accepted, refused, message):
+        # the last value accepted and the first refused, by the section's
+        # validate() and by `tpcsim validate` on a config file (exit 2)
+        section_type = {"analysis": AnalysisParams, "interferometer": InterferometerConfig}[section]
+        section_type(**others, **{key: accepted}).validate()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            section_type(**others, **{key: refused}).validate()
+        path = tmp_path / "run.ini"
+        for value, code in ((accepted, 0), (refused, 2)):
+            path.write_text(f"[{section}]\n" + "".join(f"{k} = {v!r}\n" for k, v in {**others, key: value}.items()))
+            assert main(["validate", "--config", str(path)]) == code
+            out = capsys.readouterr().out
+            assert (f"[{section}] FAIL: {message}" if code else f"[{section}] pass") in out
+            assert ("FAIL" in out) == (code == 2), out
 
     def test_zero_linewidth_is_named(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

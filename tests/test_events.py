@@ -31,8 +31,12 @@ from tpcsim.events import (
     EventModelError,
     RecordFormatError,
     _block_operators,
+    _OCC_01,
+    _OCC_10,
+    _OUTCOME_OCC,
     _CycleModel,
     _keyed_rng,
+    _measure,
     _parse_table,
     _philox_uniforms,
     _simulate_block,
@@ -45,7 +49,7 @@ from tpcsim.events import (
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy, step_kraus
 
-from conftest import FIXTURE, SerialPool, apply, embedded_matrix, hardware_port_states, ideal_emitter, make_records
+from conftest import FIXTURE, SerialPool, apply, collapsed_bright, embedded_matrix, hardware_port_states, ideal_emitter, make_records
 from conftest import partial_trace, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
@@ -303,6 +307,51 @@ class TestBornConsistency:
         late = np.arange(len(exact)) % 4 == 1  # (bin1, bin2) = (0, 1)
         exact = np.where(late[:, None] != late[None, :], visibility * exact, exact)
         assert np.abs(rho - exact).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "config,source", [("perfbench/configs/dense.ini", "leaves"), ("configs/example.ini", "leaves"), ("perfbench/configs/dense.ini", "random")]
+    )
+    def test_last_photon_readout_equals_the_collapsed_spin(self, config, source):
+        # every state and outcome, both bases and six phases, an erased photon
+        # at each port that it can take: the bright probability read from the
+        # state's terms equals that of the collapsed, normalized spin. A leaf's
+        # early and late spins are orthogonal (zeta = 0, every port weighs the
+        # base weight), so random states, with no occupation 11 in half of
+        # them, check the port weights' interference term as well
+        cfg = load_config(Path(__file__).resolve().parents[1] / config)
+        model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
+        states, terms = model.leaves, model.leaf_terms
+        if source == "random":
+            rng = np.random.default_rng(31)
+            states = rng.standard_normal((400, 7, 4)) + 1j * rng.standard_normal((400, 7, 4))
+            states[::2, :, 3] = 0.0
+            states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
+            terms = events._state_terms(states, model)
+            assert np.abs(terms[0]).min() > 1e-3
+        phases = 0.3 + np.arange(6)
+        (erase1, _), (erase2, _) = model.arms
+        # each port's weight, the squared norm of its superposition of the bins, per (state, phase)
+        early = np.sqrt(erase1) * np.exp(1j * phases)[None, :, None, None] * states[:, None, None, :, _OCC_10]
+        late = np.sqrt(erase2) * np.exp(-1j * model.port_offsets)[None, None, :, None] * states[:, None, None, :, _OCC_01]
+        port_w = np.linalg.norm(early + late, axis=-1) ** 2
+        grid = np.meshgrid(np.arange(len(states)), np.arange(5), np.arange(4), np.arange(2), np.arange(6), indexing="ij")
+        rows, outcome, port, basis, k = (g.ravel() for g in grid)
+        w = port_w[rows, k]
+        erased = outcome == 2
+        keep = ~erased | (w[np.arange(rows.size), port] > 0)
+        rows, outcome, port, basis, k, w, erased = (a[keep] for a in (rows, outcome, port, basis, k, w, erased))
+        # the uniform that takes each port: the middle of its share of the port weights
+        cum, at = np.cumsum(w[erased], axis=1), (np.arange(erased.sum()), port[erased])
+        u = (port + 0.5) / 4
+        u[erased] = (cum[at] - w[erased][at] / 2) / cum[:, -1]
+
+        taken, p_bright = _measure(states, terms, rows, outcome, phases[k], u, model, basis)
+        assert np.array_equal(taken, port)
+        assert np.abs(p_bright - collapsed_bright(states[rows], outcome, phases[k], port, basis, model)).max() <= 1e-12
+        assert set(np.unique(port[erased])) == {0, 1, 2, 3} and set(np.unique(basis)) == {0, 1}
+        # a spin of norm zero reads 0, as its normalized spin stays zero
+        zero = ~erased & (np.abs(states[rows, :, _OUTCOME_OCC[outcome]]).max(axis=1) == 0)
+        assert zero.any() and not p_bright[zero].any()
 
     def test_chain_first_photon_is_the_single_photon_run(self):
         # photon 1 of a chain is drawn from the leaf table with the n = 1
