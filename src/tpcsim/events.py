@@ -6,10 +6,11 @@ precomputed trajectory table of the preparation and the first entangling
 block; each later photon's state comes from Kraus sampling of the rotation
 between blocks and the block, applied to the spin that the previous photon's
 measurement left. Every photon is measured by one rule: its two time bins give
-the outcome (none, early, erased, late or double), an erased photon collapses
-the spin onto its analyzer port's superposition of the bins, and clicks are
-thinned by the detection efficiency. Poisson background clicks are added, and
-the readout click is drawn from the last photon's per-state amplitudes.
+the outcome (none, early, erased, late or double), every click takes a uniform
+analyzer port, an erased photon collapses the spin onto its port's
+superposition of the bins, and clicks are thinned by the detection efficiency.
+Poisson background clicks are added, and the readout click is drawn from the
+last photon's per-state amplitudes.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
@@ -184,7 +185,7 @@ class _CycleModel:
     Every branch of the preparation and the first entangling block is
     enumerated once: per leaf, the normalized (spin, bin occupation) state,
     its weight (cumulative per prep), the cumulative photon-outcome weights
-    and the ``leaf_terms`` that its photon's port and readout read.
+    and the ``leaf_terms`` that its photon's readout reads.
     Each leaf is doubled with the late-bin amplitude's sign flipped, weighted
     by the erasure visibility. Drawing a leaf per cycle replaces sampling the
     first block's Kraus branches cycle by cycle (about 25x slower on the
@@ -246,7 +247,7 @@ class _CycleModel:
             self.prep_offset.append(self.prep_offset[-1] + int(keep.sum()))
         self.leaves = np.concatenate(leaves)
         self.leaf_terms = _state_terms(self.leaves, self)
-        self.outcome_cum = np.cumsum(_outcome_weights(self.leaf_terms[2], self.arms), axis=1)
+        self.outcome_cum = np.cumsum(_outcome_weights(self.leaf_terms[0], self.arms), axis=1)
 
     @staticmethod
     def _expand(init_pops, chains):
@@ -430,9 +431,9 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             # the late-bin amplitude's sign flips at rate (1 - visibility) / 2
             states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
             terms = _state_terms(states, model)
-            outcome = _pick(np.cumsum(_outcome_weights(terms[2], model.arms), axis=1), draws[0])
+            outcome = _pick(np.cumsum(_outcome_weights(terms[0], model.arms), axis=1), draws[0])
         # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon's clicks
-        u_thin1, u_port1 = draws[4], draws[6]
+        u_thin1, port = draws[4], _quarter(draws[6])
         t_erased = model.pulse_times[2 * k + 1]
         t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + delay])  # arrival time of EARLY, ERASED, LATE
         det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
@@ -456,14 +457,13 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
         else:
             measured = np.arange(m)
             spin = np.empty((m, em.SPIN_DIM), dtype=complex)
-        port = np.zeros(m, dtype=np.int64)
         for chunk in np.split(measured, range(_CHUNK, measured.size, _CHUNK)):
-            args = (states, terms, state_rows[chunk], outcome[chunk], phase_true[chunk], u_port1[chunk], model)
+            args = (states, terms, state_rows[chunk], outcome[chunk], phase_true[chunk], port[chunk], model)
             if last:
-                port[chunk], p_bright = _measure(*args, basis[chunk])
+                p_bright = _measure(*args, basis[chunk])
                 ro_click[chunk] = u_ro[chunk] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
             else:
-                port[chunk], spin[chunk] = _measure(*args)
+                spin[chunk] = _measure(*args)
         # (cycle index, class, time in cycle, port) in insertion order: first
         # and second photons of double cycles, then single detections
         sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]
@@ -500,46 +500,39 @@ def _outcome_weights(sq, arms):
 
 
 def _state_terms(states, model):
-    """Per (spin, occupation) state: zeta and the base weight of an erased
-    photon's port weights, each occupation's squared norm (which give the
-    outcome weights), and each occupation's readout amplitude <r|spin>, on
-    axis 1 for r the polar row (LVL_G0) and the equatorial row (bright_row)."""
-    (erase1, _), (erase2, _) = model.arms
-    sq = _sq_norms(np.swapaxes(states, 1, 2))
-    zeta = np.sqrt(erase1 * erase2) * np.einsum("ls,ls->l", states[:, :, _OCC_01].conj(), states[:, :, _OCC_10])
-    base = erase1 * sq[:, _OCC_10] + erase2 * sq[:, _OCC_01]
-    return zeta, base, sq, np.stack([states[:, em.LVL_G0], model.bright_row @ states], axis=1)
+    """Per (spin, occupation) state: each occupation's squared norm (which
+    give the outcome weights and an erased photon's norm) and each
+    occupation's readout amplitude <r|spin>, on axis 1 for r the polar row
+    (LVL_G0) and the equatorial row (bright_row)."""
+    return _sq_norms(np.swapaxes(states, 1, 2)), np.stack([states[:, em.LVL_G0], model.bright_row @ states], axis=1)
 
 
-def _measure(states, terms, rows, outcome, phase, u_port, model, basis=None):
-    """Analyzer port of the photon in each ``states[rows]``, given its outcome
-    and its state's ``terms`` (_state_terms), and the normalized spin that it
-    leaves; or, given the readout ``basis`` of each (0 polar, 1 equatorial),
-    the spin's probability of the bright level in that basis.
+def _measure(states, terms, rows, outcome, phase, port, model, basis=None):
+    """The normalized spin that the photon in each ``states[rows]`` leaves,
+    given its outcome and analyzer ``port``; or, given the readout ``basis`` of
+    each (0 polar, 1 equatorial), that spin's probability of the bright level
+    in that basis, read from the state's ``terms`` (_state_terms) alone (0 for
+    a zero spin), so only a photon that a later photon follows makes a spin.
 
-    A revealing or double photon takes a uniform port. An erased photon picks
-    a port with the weights base + 2|zeta| cos(phase + offset + arg zeta),
-    zeta = sqrt(e1 e2) <chi01|chi10>, and the spin collapses onto that port's
-    superposition of the two bins, whose squared norm is that port's weight.
-    The bright probability |<r|spin>|^2 / norm (0 at norm 0) reads the terms
-    alone, so only a photon that a later photon follows makes a spin vector.
+    An erased photon collapses the spin onto its port's superposition
+    sqrt(e1) e^{i phase} chi10 + sqrt(e2) e^{-i offset} chi01, of squared norm
+    e1 |chi10|^2 + e2 |chi01|^2 at every port, so its port is uniform: a
+    pulse's Kraus branches emit from |0> alone and the flip between the pulses
+    is a pi rotation, so in every branch the spin of chi10 lies in span{|-1>}
+    and that of chi01 in span{|0>}, or is zero, whatever spin enters the block.
     """
     (erase1, _), (erase2, _) = model.arms
-    port = _quarter(u_port)
     er = np.flatnonzero(outcome == 2)
-    zeta, base = terms[0][rows[er]], terms[1][rows[er]]
-    args = phase[er, None] + model.port_offsets
-    weights = base[:, None] + 2.0 * np.abs(zeta)[:, None] * np.cos(args + np.angle(zeta)[:, None])
-    port[er] = _pick(np.cumsum(np.maximum(weights, 0.0), axis=1), u_port[er])
     occ, early_phase, late_phase = _OUTCOME_OCC[outcome], np.exp(1j * phase[er]), np.exp(-1j * model.port_offsets[port[er]])
     if basis is None:
         spin, early, late = states[rows, :, occ], states[rows[er], :, _OCC_10], states[rows[er], :, _OCC_01]
         spin[er] = early * (np.sqrt(erase1) * early_phase)[:, None] + late * np.sqrt(erase2) * late_phase[:, None]
-        return port, _normalized(spin)
-    proj, norm, amps = terms[3][rows, basis, occ], terms[2][rows, occ], terms[3][rows[er], basis[er]]
-    proj[er] = amps[:, _OCC_10] * np.sqrt(erase1) * early_phase + amps[:, _OCC_01] * np.sqrt(erase2) * late_phase
-    norm[er] = weights[np.arange(er.size), port[er]]
-    return port, np.divide(np.abs(proj) ** 2, norm, out=np.zeros(rows.size), where=norm > 0)
+        return _normalized(spin)
+    sq, amps = terms
+    proj, norm, er_amps = amps[rows, basis, occ], sq[rows, occ], amps[rows[er], basis[er]]
+    proj[er] = er_amps[:, _OCC_10] * np.sqrt(erase1) * early_phase + er_amps[:, _OCC_01] * np.sqrt(erase2) * late_phase
+    norm[er] = erase1 * sq[rows[er], _OCC_10] + erase2 * sq[rows[er], _OCC_01]
+    return np.divide(np.abs(proj) ** 2, norm, out=np.zeros(rows.size), where=norm > 0)
 
 
 def _pair_clicks(rows, draws, arms, eta, t_class):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from tpcsim.analysis import (
+    CELL_SHAPE,
     AnalysisError,
     AnalysisParams,
+    Tally,
+    _bound_with_error,
     analyze_records,
     diagonal_tomography,
     estimate_background_fraction,
@@ -317,6 +320,19 @@ class TestBackground:
         b_hat, sigma = np.array(estimates).T
         assert 0.8 <= np.std(b_hat, ddof=1) / sigma.mean() <= 1.25
 
+    @pytest.mark.parametrize(
+        "n_inv,expected", [(11_000, 11_000 * 40.0 / 444.0 / 1000), (11_090, 0.999), (12_000, 0.999)], ids=["below", "above", "far-above"]
+    )
+    def test_estimate_is_capped_at_0_999(self, n_inv, expected):
+        # 1000 erased clicks; the inter-window clicks predict n_inv * 40 / 444
+        # under the erased window (w = 20 ns, d = 262 ns): 0.991 is kept,
+        # 0.99919 and 1.081 read 0.999
+        ifm = InterferometerConfig()
+        cells = np.zeros(CELL_SHAPE, dtype=np.int64)
+        cells[0, ERASED, 0, 0], cells[1, INVALID, 2, 1] = 1000, n_inv
+        b, _ = estimate_background_fraction(Tally(cells, np.zeros((2, 4, 2), dtype=np.int64), 1000 + n_inv, 0), ifm)
+        assert b == expected
+
     def test_invalid_fraction_rejected(self):
         recs, ifm = ideal_records(5_000)
         report = analyze_records(recs, AnalysisParams(p_readout_click=1.0), ifm)
@@ -378,6 +394,24 @@ class TestErrors:
     def test_published_significances(self):
         assert abs(significance(0.647, 0.013) - 11.3) < 0.01
         assert abs(significance(0.560, 0.009) - 6.67) < 0.01
+
+    @pytest.mark.parametrize("f_err", [0.0, -0.0, -0.01])
+    def test_significance_refuses_a_non_positive_error(self, f_err):
+        with pytest.raises(AnalysisError, match="non-positive error"):
+            significance(0.6, f_err)
+
+    def test_bound_error_keeps_the_sqrt_term_near_a_zero_diagonal(self):
+        # rho11 rho44 = 1e-9 is small but nonzero: the bound is differentiable
+        # there, and its error takes the sqrt term's slope, which a central
+        # difference of fidelity_bound gives
+        diagonals, c_xx, h = np.array([1e-4, 0.55, 0.44989, 1e-5]), 0.8, 1e-8
+        components = np.diag([0.002, 0.01, 0.01, 0.003, 0.02])
+        grad = [
+            (fidelity_bound(diagonals + h * e, c_xx) - fidelity_bound(diagonals - h * e, c_xx)) / (2 * h) for e in np.eye(4)
+        ] + [0.5]
+        bound, err = _bound_with_error(tuple(diagonals), c_xx, components)
+        assert bound == fidelity_bound(diagonals, c_xx)
+        assert abs(err / np.linalg.norm(np.array(grad) @ components) - 1) < 1e-6
 
     def test_binomial_error_example(self):
         from tpcsim.analysis import binomial_sigma

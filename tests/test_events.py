@@ -242,10 +242,12 @@ class TestRoutingStatistics:
 class TestBornConsistency:
     """The trajectory sampler must reproduce the exact density-matrix path."""
 
-    def test_port_and_readout_statistics_match_exact_state(self):
-        phi = 0.9
+    @pytest.mark.parametrize("phi,split", [(0.9, 0.5), (0.4, 0.3), (2.2, 0.3), (4.1, 0.3)])
+    def test_port_and_readout_statistics_match_exact_state(self, phi, split):
         params = noisy_emitter()
-        ifm = InterferometerConfig(phase=phi, phase_mode="static", phase_readout_sigma=0.0, erasure_visibility=0.8)
+        ifm = InterferometerConfig(
+            phase=phi, phase_mode="static", phase_readout_sigma=0.0, erasure_visibility=0.8, split_ratio=split
+        )
         pcfg = ProtocolConfig(prep_sign="minus")
         det = DetectionParams(zpl_efficiency=1.0, seed=12, alternate_preps=False)
         n = 210_000  # roughly 1e5 heralded events
@@ -275,6 +277,9 @@ class TestBornConsistency:
         for port in ("D", "A", "R", "L"):
             proj = projector_onto(states[port], ("photon1",))
             p_port = float(np.real(np.trace(embedded_matrix(proj, rho) @ rho.data)))
+            # the exact state puts half of each analyzer basis on each port at
+            # every phase and split: the fringe is in the spin alone
+            assert abs(p_port - 0.5) < 1e-12
             sel = erased[erased["port"] == CODES["port"][port]]
             f = len(sel) / n_erased
             s3 = 3 * np.sqrt(p_port / 2 * (1 - p_port / 2) / n_erased)
@@ -312,12 +317,12 @@ class TestBornConsistency:
         "config,source", [("perfbench/configs/dense.ini", "leaves"), ("configs/example.ini", "leaves"), ("perfbench/configs/dense.ini", "random")]
     )
     def test_last_photon_readout_equals_the_collapsed_spin(self, config, source):
-        # every state and outcome, both bases and six phases, an erased photon
-        # at each port that it can take: the bright probability read from the
-        # state's terms equals that of the collapsed, normalized spin. A leaf's
-        # early and late spins are orthogonal (zeta = 0, every port weighs the
-        # base weight), so random states, with no occupation 11 in half of
-        # them, check the port weights' interference term as well
+        # every state and outcome, both bases, six phases and the four ports:
+        # the bright probability read from the state's terms equals that of
+        # the collapsed, normalized spin. Random states, with no occupation 11
+        # in half of them, reach beyond the leaves; each has its late-bin spin
+        # made orthogonal to its early-bin spin, as every state that the
+        # sampler reaches has (test_early_and_late_spins_are_orthogonal)
         cfg = load_config(Path(__file__).resolve().parents[1] / config)
         model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
         states, terms = model.leaves, model.leaf_terms
@@ -325,33 +330,54 @@ class TestBornConsistency:
             rng = np.random.default_rng(31)
             states = rng.standard_normal((400, 7, 4)) + 1j * rng.standard_normal((400, 7, 4))
             states[::2, :, 3] = 0.0
+            early, late = states[:, :, _OCC_10], states[:, :, _OCC_01]
+            late -= early * (np.einsum("ls,ls->l", early.conj(), late) / np.einsum("ls,ls->l", early.conj(), early))[:, None]
             states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
             terms = events._state_terms(states, model)
-            assert np.abs(terms[0]).min() > 1e-3
         phases = 0.3 + np.arange(6)
-        (erase1, _), (erase2, _) = model.arms
-        # each port's weight, the squared norm of its superposition of the bins, per (state, phase)
-        early = np.sqrt(erase1) * np.exp(1j * phases)[None, :, None, None] * states[:, None, None, :, _OCC_10]
-        late = np.sqrt(erase2) * np.exp(-1j * model.port_offsets)[None, None, :, None] * states[:, None, None, :, _OCC_01]
-        port_w = np.linalg.norm(early + late, axis=-1) ** 2
         grid = np.meshgrid(np.arange(len(states)), np.arange(5), np.arange(4), np.arange(2), np.arange(6), indexing="ij")
         rows, outcome, port, basis, k = (g.ravel() for g in grid)
-        w = port_w[rows, k]
         erased = outcome == 2
-        keep = ~erased | (w[np.arange(rows.size), port] > 0)
-        rows, outcome, port, basis, k, w, erased = (a[keep] for a in (rows, outcome, port, basis, k, w, erased))
-        # the uniform that takes each port: the middle of its share of the port weights
-        cum, at = np.cumsum(w[erased], axis=1), (np.arange(erased.sum()), port[erased])
-        u = (port + 0.5) / 4
-        u[erased] = (cum[at] - w[erased][at] / 2) / cum[:, -1]
 
-        taken, p_bright = _measure(states, terms, rows, outcome, phases[k], u, model, basis)
-        assert np.array_equal(taken, port)
+        p_bright = _measure(states, terms, rows, outcome, phases[k], port, model, basis)
         assert np.abs(p_bright - collapsed_bright(states[rows], outcome, phases[k], port, basis, model)).max() <= 1e-12
         assert set(np.unique(port[erased])) == {0, 1, 2, 3} and set(np.unique(basis)) == {0, 1}
         # a spin of norm zero reads 0, as its normalized spin stays zero
         zero = ~erased & (np.abs(states[rows, :, _OUTCOME_OCC[outcome]]).max(axis=1) == 0)
         assert zero.any() and not p_bright[zero].any()
+
+    def test_early_and_late_spins_are_orthogonal(self):
+        # A pulse's Kraus branches emit from |0> alone, and only its coherent
+        # main branch holds both an emitting and a non-emitting part; the flip
+        # between the pulses is a pi rotation. So in every branch product
+        # (pulse, flip, pulse) of the block, from any spin with both bins
+        # empty, the spin of occupation 10 lies in span{|-1>} and that of
+        # occupation 01 in span{|0>}, or is zero: K01^dag K10 = 0, and every
+        # analyzer port weighs e1 |chi10|^2 + e2 |chi01|^2, which is why the
+        # sampler takes a uniform port. The floor is rounding: cos(pi/2), about
+        # 6e-17, in qubit_rotation. A flip angle of 0.9 pi fails this test.
+        rng = np.random.default_rng(32)
+        names = ("p_cross", "p_shelve", "p_spin_flip", "nuclear_pol", "pi_pulse_error")
+        emitters = [noisy_emitter()] + [
+            EmitterParams(**dict(zip(names, rng.random(5))), zpl_fraction=1.0 - rng.random()) for _ in range(50)
+        ]
+        empty = np.arange(0, 28, 4)
+        worst, live = 0.0, 0.0
+        for params in emitters:
+            for split in (0.3, 0.5):
+                for mode in ("cluster", "ghz"):
+                    steps = build_sequence(ProtocolConfig(n_photons=2, chain_mode=mode), InterferometerConfig(split_ratio=split))
+                    first, flip, second = (np.stack(ops) for ops in _block_operators(steps, params)[1])
+                    tail = (flip[:, None] @ first[None, :, :, empty])[None]
+                    k01, k10 = second[:, None, None, _OCC_01::4] @ tail, second[:, None, None, _OCC_10::4] @ tail
+                    worst = max(worst, np.linalg.norm(np.einsum("...ri,...rj->...ij", k01.conj(), k10), axis=(-2, -1)).max())
+                    live = max(live, np.minimum(np.linalg.norm(k01, axis=(-2, -1)), np.linalg.norm(k10, axis=(-2, -1))).max())
+        assert worst <= 1e-15 and live > 0.1
+        # and so on every leaf of the cycle model
+        for config in ("perfbench/configs/dense.ini", "configs/example.ini"):
+            cfg = load_config(Path(__file__).resolve().parents[1] / config)
+            leaves = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection).leaves
+            assert np.abs(np.einsum("ls,ls->l", leaves[:, :, _OCC_01].conj(), leaves[:, :, _OCC_10])).max() <= 1e-15
 
     def test_chain_first_photon_is_the_single_photon_run(self):
         # photon 1 of a chain is drawn from the leaf table with the n = 1
