@@ -67,12 +67,14 @@ def _parse_value(section: str, key: str, raw: str, default):
 
 
 def _where(text: str, section: str, key: str) -> str:
-    """The suffix ' (line N)' naming the line that sets ``key`` in ``section``; empty if none does."""
+    """The suffix ' (line N)' naming the line that sets ``key`` in ``section``; empty if none does.
+    Lines are read as configparser reads them: comments stripped first, then its SECTCRE names a header."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
+        stripped = re.split(r"(?:^|\s)[#;]", line, maxsplit=1)[0].strip()
+        header = configparser.ConfigParser.SECTCRE.match(stripped)
+        if header:
+            current = header.group("header")
         elif current == section and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
             return f" (line {lineno})"
     return ""

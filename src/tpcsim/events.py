@@ -87,7 +87,7 @@ _OCC_00, _OCC_01, _OCC_10, _OCC_11 = range(4)
 # 4 double) leaves the spin in; an erased photon's spin comes from the collapse
 _OUTCOME_OCC = np.array([_OCC_00, _OCC_10, _OCC_00, _OCC_01, _OCC_11])
 _LEAF_PRUNE = 1e-12
-_CHUNK = 8192  # rows per CSV write, parse or photon measurement step; bounds the objects alive at once
+_CHUNK = 8192  # rows per CSV write or parse step; bounds the text alive at once
 _BLOCK_SIZE = 65536  # cycles per keyed RNG block; the record bytes depend on it
 # A block with fewer active cycles than 1/_COUNTER_SHARE of it reads photon 1's
 # seven other uniforms by counter, at about 0.2 us a value; drawing its whole
@@ -416,7 +416,6 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     sources = []
     basis = np.zeros(m, dtype=np.intp)  # of the readout: 0 polar, 1 equatorial
     undecided = np.ones(m, dtype=bool)  # no surviving photon click yet
-    ro_click = np.zeros(m, dtype=bool)
     for k in range(pcfg.n_photons):
         if k:
             states = terms = None  # free the measured photon's state before the next one's
@@ -447,23 +446,16 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             first = undecided[rows]
             basis[rows[first]] = cls[first] == ERASED
             undecided[rows] = False
-        last = k == pcfg.n_photons - 1
-        if last:
+        if k == pcfg.n_photons - 1:
             # no surviving photon click: polar for a revealing last photon,
             # equatorial for none, erased or double (outcomes 0, 2, 4)
             basis[undecided] = outcome[undecided] % 2 == 0
-            # only the cycles that own a record have a port or a readout to write
-            measured = np.flatnonzero(~undecided | (n_bg > 0))
+            # the spin readout; no name holds the bright probabilities while the records are built
+            ro_click = u_ro < em.readout_click_probability(
+                _measure(states, terms, state_rows, outcome, phase_true, port, model, basis), model.params, detection.readout_dark_click
+            )
         else:
-            measured = np.arange(m)
-            spin = np.empty((m, em.SPIN_DIM), dtype=complex)
-        for chunk in np.split(measured, range(_CHUNK, measured.size, _CHUNK)):
-            args = (states, terms, state_rows[chunk], outcome[chunk], phase_true[chunk], port[chunk], model)
-            if last:
-                p_bright = _measure(*args, basis[chunk])
-                ro_click[chunk] = u_ro[chunk] < em.readout_click_probability(p_bright, model.params, detection.readout_dark_click)
-            else:
-                spin[chunk] = _measure(*args)
+            spin = _measure(states, terms, state_rows, outcome, phase_true, port, model)
         # (cycle index, class, time in cycle, port) in insertion order: first
         # and second photons of double cycles, then single detections
         sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]

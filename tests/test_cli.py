@@ -11,7 +11,9 @@ import pytest
 from tpcsim.analysis import AnalysisParams
 from tpcsim.cli import build_parser, main
 from tpcsim.config import ConfigError, RunConfig, dump_config, load_config, parse_config_text, validate_config
+from tpcsim.events import DetectionParams
 from tpcsim.optics import InterferometerConfig
+from tpcsim.rates import RatesConfig
 
 from conftest import write_fixture_ini
 
@@ -139,6 +141,20 @@ class TestConfig:
         path.write_text(f"[{section}]\n{first}\n{key} = 1024\n")
         assert main(["validate", "--config", str(path)]) == 2
         assert f"unknown key '{key}' in section [{section}] (line 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("comment", ["# detector settings", "; detector settings"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [("bogus = 3", "unknown key 'bogus' in section [detection]"), ("zpl_efficiency = lots", "[detection] zpl_efficiency: ")],
+        ids=["unknown-key", "unparsable-value"],
+    )
+    def test_line_found_under_a_commented_header(self, tmp_path, capsys, comment, line, message):
+        # the parser strips an inline comment before it reads a section header
+        path = tmp_path / "run.ini"
+        path.write_text(f"[detection]  {comment}\nseed = 5\n{line}\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.rstrip().endswith("(line 3)"), err
 
     @pytest.mark.parametrize("key", ["long_arm_pol", "short_arm_pol"])
     def test_arm_polarization_is_unknown(self, tmp_path, capsys, key):
@@ -415,13 +431,35 @@ class TestCliRatesValidate:
             ("interferometer", {"delay_ns": 262.0}, "window_ns", float(np.nextafter(131.0, 0)), 131.0,
              "window_ns must lie in (0, delay_ns / 2)"),
             ("interferometer", {}, "erasure_visibility", 0.0, -float(np.nextafter(0, 1)), "erasure_visibility must lie in [0, 1]"),
+            ("interferometer", {}, "erasure_visibility", 1.0, float(np.nextafter(1, 2)), "erasure_visibility must lie in [0, 1]"),
+            ("interferometer", {}, "split_ratio", float(np.nextafter(0, 1)), 0.0, "split_ratio must lie in (0, 1)"),
+            # delay_ns = 0 is refused by its own rule and, were that one
+            # loosened, by window_ns < delay_ns / 2, so its bound is not pinned here
+            ("interferometer", {}, "window_ns", float(np.nextafter(0, 1)), 0.0, "window_ns must lie in (0, delay_ns / 2)"),
+            ("interferometer", {}, "phase_readout_sigma", 0.0, -float(np.nextafter(0, 1)),
+             "phase noise parameters must be non-negative"),
+            ("detection", {}, "readout_dark_click", 1.0, float(np.nextafter(1, 2)), "readout_dark_click must lie in [0, 1]"),
+            ("analysis", {}, "p_readout_click", 1.0, float(np.nextafter(1, 2)), "p_readout_click must lie in (0, 1]"),
+            ("analysis", {}, "min_cell_count", 1, 0, "min_cell_count must be >= 1"),
+            ("rates", {}, "system_efficiency", 1.0, float(np.nextafter(1, 2)), "system_efficiency must lie in (0, 1]"),
+            ("rates", {}, "single_shot_readout_s", 0.0, -float(np.nextafter(0, 1)),
+             "single_shot_readout_s must be >= 0 (0 disables)"),
         ],
-        ids=["n_phase_bins", "readout_dark_click", "window_ns", "erasure_visibility"],
+        ids=[
+            "n_phase_bins", "readout_dark_click", "window_ns", "erasure_visibility",
+            "erasure_visibility_upper", "split_ratio", "window_ns_lower", "phase_readout_sigma",
+            "detection_readout_dark_click", "p_readout_click", "min_cell_count", "system_efficiency", "single_shot_readout_s",
+        ],
     )
     def test_boundary_is_pinned(self, tmp_path, capsys, section, others, key, accepted, refused, message):
         # the last value accepted and the first refused, by the section's
         # validate() and by `tpcsim validate` on a config file (exit 2)
-        section_type = {"analysis": AnalysisParams, "interferometer": InterferometerConfig}[section]
+        section_type = {
+            "analysis": AnalysisParams,
+            "detection": DetectionParams,
+            "interferometer": InterferometerConfig,
+            "rates": RatesConfig,
+        }[section]
         section_type(**others, **{key: accepted}).validate()
         with pytest.raises(ValueError, match=re.escape(message)):
             section_type(**others, **{key: refused}).validate()

@@ -966,11 +966,14 @@ class TestRecordIO:
         [
             ("chain_n2.ini", 1_500, "ef30fa03babfa6c13b58b45f2f23f2f0b46e953d2e675b010bba9616f6bc8d0b"),
             ("chain_n3.ini", 250, "6e63d9106b0873815298080a9dcbf537bff9660619a475bae91a1282935e1e07"),
+            ("chain_n2.ini", 140_000, "3af769f1c7e32ba5bd65523071f4c8064ffe511276028f974b746756a0df4180"),
+            ("chain_n3.ini", 70_000, "11c65881ff359fb1e7cdd73c440ad653d5dd8e79eb06b715cfcc27e0fe05aff9"),
         ],
     )
     def test_benchmark_chain_bytes_pinned(self, tmp_path, config, cycles, digest, workers):
         # the records of the benchmark's chain legs, as its command line makes
-        # them; each leg is one block, so two workers run it in one process
+        # them; a short leg is one block, so two workers run it in one process,
+        # and a long one holds full 65,536-cycle blocks, which two workers split
         ini = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
         out = tmp_path / "chain.csv"
         args = ["simulate", "--config", str(ini), "--cycles", str(cycles), "--seed", "800", "--workers", str(workers)]
