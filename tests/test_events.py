@@ -804,23 +804,35 @@ class TestRecordIO:
                 "b0026897820298ae0012c2c28704df3a4c4c819d0652c34f8ad322b4194f7f02"
             )
 
-    def test_thinned_double_clicks_bytes_pinned(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "split,n_photons,digest",
+        [
+            (0.5, 1, "34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"),
+            # an unbalanced splitter: a double's first photon takes the erasing
+            # arm with e1 = 0.3 and its second with e2 = 0.7
+            (0.3, 1, "f56743b6c9dd3cf40fd8b7ed29c3ad409f6cef0fd688cfb81d75b40f14c109d8"),
+            # a noisy chain: doubles of either photon, and photon 1's late click
+            # before photon 2's early click at the same time
+            (0.3, 2, "c23a586d14dc275d81f74df09b52cf9aacd3abb7185c14e83b545a88337960f9"),
+        ],
+        ids=["balanced", "split_0.3", "split_0.3_n2"],
+    )
+    def test_thinned_double_clicks_bytes_pinned(self, tmp_path, monkeypatch, split, n_photons, digest):
         # at thinning 0.3 a double-occupation cycle often keeps only its
         # second photon's click, and such a cycle must still be sampled
         monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
         args = (
             noisy_emitter(),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(),
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8, split_ratio=split),
+            ProtocolConfig(n_photons=n_photons),
             DetectionParams(zpl_efficiency=0.3, seed=97),
         )
-        recs = simulate_cycles(20_000, *args)
-        assert np.count_nonzero(np.unique(recs["cycle_id"], return_counts=True)[1] == 2) > 0
-        path = tmp_path / "doubles.csv"
-        write_records(path, recs)
-        assert sha256(path.read_bytes()).hexdigest() == (
-            "34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"
-        )
+        for workers in (1, 2):
+            recs = simulate_cycles(20_000, *args, workers=workers)
+            assert np.unique(recs["cycle_id"], return_counts=True)[1].max() > n_photons
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == digest
 
     def test_default_sparse_efficiency_bytes_pinned(self, tmp_path, monkeypatch):
         # the default config's efficiency: most of the 98 blocks have no
