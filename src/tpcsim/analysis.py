@@ -405,42 +405,48 @@ def analyze_records(
     background: float | None = None,
     auto_background: bool = False,
 ) -> CorrelationReport:
-    """Full reconstruction: diagonals, fringe fits, bounds, uncertainties."""
+    """Full reconstruction: diagonals, fringe fits, bounds, uncertainties. An
+    estimate that overflows a float raises AnalysisError, as numpy would only warn."""
     tally = tally_records(records, params, ifm)
     if tally.n_records == 0:
         raise AnalysisError("no usable records")
-    diag = diagonal_tomography(tally, params)
-    eq = fit_equatorial(tally, params)
-    components = np.zeros((5, 5))
-    components[:4, :3] = diag.components
-    components[4, 3] = eq.c_xx_err
-    f_raw, f_raw_err = _bound_with_error(diag.diagonals, eq.c_xx, components)
+    try:
+        with np.errstate(over="raise"):
+            diag = diagonal_tomography(tally, params)
+            eq = fit_equatorial(tally, params)
+            components = np.zeros((5, 5))
+            components[:4, :3] = diag.components
+            components[4, 3] = eq.c_xx_err
+            f_raw, f_raw_err = _bound_with_error(diag.diagonals, eq.c_xx, components)
 
-    report = CorrelationReport(
-        n_records=tally.n_records,
-        n_rejected_cycles=tally.n_rejected_cycles,
-        diagonals=diag.diagonals,
-        diagonal_errors=diag.errors,
-        c_zz=diag.c_zz,
-        c_zz_err=diag.c_zz_err,
-        c_xx=eq.c_xx,
-        c_xx_err=eq.c_xx_err,
-        fits=eq.fits,
-        f_bound_raw=f_raw,
-        f_bound_raw_err=f_raw_err,
-        significance_raw=significance(f_raw, f_raw_err),
-        insufficient_cells=diag.insufficient + eq.insufficient,
-        curves=eq.curves,
-        components=components,
-    )
-    b, b_err = 0.0, 0.0
-    if auto_background:
-        b, b_err = estimate_background_fraction(tally, ifm)
-    elif background is not None:
-        b, b_err = float(background), 0.0
-    # at b = 0 with no error on b the corrected half equals the raw half bit
-    # for bit; an explicit value outside [0, 1), NaN included, is refused there
-    return subtract_background(report, b, b_err)
+            report = CorrelationReport(
+                n_records=tally.n_records,
+                n_rejected_cycles=tally.n_rejected_cycles,
+                diagonals=diag.diagonals,
+                diagonal_errors=diag.errors,
+                c_zz=diag.c_zz,
+                c_zz_err=diag.c_zz_err,
+                c_xx=eq.c_xx,
+                c_xx_err=eq.c_xx_err,
+                fits=eq.fits,
+                f_bound_raw=f_raw,
+                f_bound_raw_err=f_raw_err,
+                significance_raw=significance(f_raw, f_raw_err),
+                insufficient_cells=diag.insufficient + eq.insufficient,
+                curves=eq.curves,
+                components=components,
+            )
+            b, b_err = 0.0, 0.0
+            if auto_background:
+                b, b_err = estimate_background_fraction(tally, ifm)
+            elif background is not None:
+                b, b_err = float(background), 0.0
+            # at b = 0 with no error on b the corrected half equals the raw half bit
+            # for bit; an explicit value outside [0, 1), NaN included, is refused there
+            return subtract_background(report, b, b_err)
+    except FloatingPointError as exc:
+        span = params.p_readout_click - params.readout_dark_click
+        raise AnalysisError(f"an estimate overflows ({exc}) at the click span p_readout_click - readout_dark_click = {span:.3g}") from exc
 
 
 def write_diagonals_csv(path, report: CorrelationReport) -> None:

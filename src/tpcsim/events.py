@@ -6,9 +6,10 @@ precomputed trajectory table of the preparation and the first entangling
 block; each later photon's state comes from Kraus sampling of the rotation
 between blocks and the block, applied to the spin that the previous photon's
 measurement left. Every photon is measured by one rule: its two time bins give
-the outcome (none, early, erased, late or double), every click takes a uniform
-analyzer port, an erased photon collapses the spin onto its port's
-superposition of the bins, and clicks are thinned by the detection efficiency.
+the outcome (none, early, erased, late or double), the photon of each occupied
+bin clicks by one rule (an arm, thinning by the detection efficiency and a
+uniform analyzer port), and an erased photon collapses the spin onto its port's
+superposition of the bins.
 Poisson background clicks are added, and the readout click is drawn from the
 last photon's per-state amplitudes.
 
@@ -369,6 +370,7 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     ifm = model.ifm
     pcfg = model.protocol_cfg
     eta = model.eta_det
+    (erase1, _), (erase2, _) = model.arms
     t_a1, t_a2 = model.pulse_times[:2]
     delay, w = ifm.delay_ns, ifm.window_ns
 
@@ -431,20 +433,24 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
             terms = _state_terms(states, model)
             outcome = _pick(np.cumsum(_outcome_weights(terms[0], model.arms), axis=1), draws[0])
-        # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon's clicks
-        u_thin1, port = draws[4], _quarter(draws[6])
+        # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon in
+        # the first occupied bin, then of a double's photon in the second bin
+        port = _quarter(draws[6])
         t_erased = model.pulse_times[2 * k + 1]
         t_class = np.array([model.pulse_times[2 * k], t_erased, t_erased + delay])  # arrival time of EARLY, ERASED, LATE
-        det = np.flatnonzero((outcome >= 1) & (outcome <= 3) & (u_thin1 < eta))
-        det_cls = outcome[det] - 1  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
-        pair_sources = _pair_clicks(np.flatnonzero(outcome == 4), draws[2:8], model.arms, eta, t_class)
-
+        first = np.flatnonzero((outcome >= 1) & (draws[4] < eta))
+        first_cls = outcome[first] - 1  # outcome 1, 2, 3 -> EARLY, ERASED, LATE
+        pair = first_cls == 3  # outcome 4: a double's first photon
+        first_cls[pair] = np.where(draws[2, first[pair]] < erase1, ERASED, EARLY)
+        second = np.flatnonzero(outcome == 4)
+        second = second[draws[5, second] < eta]
+        second_cls = np.where(draws[3, second] < erase2, ERASED, LATE)
         # the readout basis is the class of the cycle's earliest surviving
-        # photon click; photons arrive in order, and a pair's first click
+        # photon click; photons arrive in order, and a double's first click
         # never arrives after its second
-        for rows, cls in ((det, det_cls), *(src[:2] for src in pair_sources)):
-            first = undecided[rows]
-            basis[rows[first]] = cls[first] == ERASED
+        for rows, cls in ((first, first_cls), (second, second_cls)):
+            new = undecided[rows]
+            basis[rows[new]] = cls[new] == ERASED
             undecided[rows] = False
         if k == pcfg.n_photons - 1:
             # no surviving photon click: polar for a revealing last photon,
@@ -456,9 +462,11 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             )
         else:
             spin = _measure(states, terms, state_rows, outcome, phase_true, port, model)
-        # (cycle index, class, time in cycle, port) in insertion order: first
-        # and second photons of double cycles, then single detections
-        sources += [*pair_sources, (det, det_cls, t_class[det_cls], port[det])]
+        # (cycle index, class, time in cycle, port): first clicks, then second clicks
+        sources += [
+            (first, first_cls, t_class[first_cls], port[first]),
+            (second, second_cls, t_class[second_cls], _quarter(draws[7, second])),
+        ]
 
     t_in = (t_a1 - w) + u_bg_time * model.bg_span_ns
     owners = np.repeat(np.arange(m), n_bg)
@@ -525,25 +533,6 @@ def _measure(states, terms, rows, outcome, phase, port, model, basis=None):
     proj[er] = er_amps[:, _OCC_10] * np.sqrt(erase1) * early_phase + er_amps[:, _OCC_01] * np.sqrt(erase2) * late_phase
     norm[er] = erase1 * sq[rows[er], _OCC_10] + erase2 * sq[rows[er], _OCC_01]
     return np.divide(np.abs(proj) ** 2, norm, out=np.zeros(rows.size), where=norm > 0)
-
-
-def _pair_clicks(rows, draws, arms, eta, t_class):
-    """Clicks of the cycles ``rows`` whose photon occupied both bins.
-
-    Each photon of the pair takes its own arm and survives detection on its
-    own; ``draws`` holds the per-cycle uniforms (arm, arm, thinning, thinning,
-    port, port). Returns the click sources of the first and the second photon;
-    the first never arrives after the second.
-    """
-    u_arm1, u_arm2, u_thin1, u_thin2, u_port1, u_port2 = (u[rows] for u in draws)
-    (erase1, _), (erase2, _) = arms
-    first_cls = np.where(u_arm1 < erase1, ERASED, EARLY)
-    second_cls = np.where(u_arm2 < erase2, ERASED, LATE)
-    seen1, seen2 = u_thin1 < eta, u_thin2 < eta
-    return [
-        (rows[seen1], first_cls[seen1], t_class[first_cls[seen1]], _quarter(u_port1[seen1])),
-        (rows[seen2], second_cls[seen2], t_class[second_cls[seen2]], _quarter(u_port2[seen2])),
-    ]
 
 
 def _quarter(u):

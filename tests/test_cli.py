@@ -1,24 +1,28 @@
 """Config parsing and CLI behavior: round trips, diagnostics, exit codes."""
 import os
-import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpcsim.analysis import AnalysisParams
 from tpcsim.cli import build_parser, main
 from tpcsim.config import ConfigError, RunConfig, dump_config, load_config, parse_config_text, validate_config
-from tpcsim.events import DetectionParams
 from tpcsim.optics import InterferometerConfig
-from tpcsim.rates import RatesConfig
+from tpcsim.protocol import ProtocolConfig, build_sequence
 
 from conftest import write_fixture_ini
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.ini")) + sorted((REPO / "perfbench" / "configs").glob("*.ini"))
+_TINY, _ABOVE_ONE = float(np.nextafter(0, 1)), float(np.nextafter(1, 2))
+_PROBABILITIES = ("p_shelve", "p_spin_flip", "init_fidelity", "nuclear_pol", "p_readout_click", "pi_pulse_error", "p_cross")
+_STEPS = build_sequence(ProtocolConfig(), InterferometerConfig())
+_SEQUENCE_NS = _STEPS[-1].time_ns + _STEPS[-1].duration_ns  # of the default sequence
+_BELOW_SEQUENCE = float(np.nextafter(_SEQUENCE_NS, 0))
 
 
 def _dying_shard(*args):
@@ -317,6 +321,22 @@ class TestCliSimulateAnalyze:
         assert main(["analyze", out, "--config", cfg, f"--background={value}"]) == 2
         assert f"got {float(value)}" in capsys.readouterr().err
 
+    def test_overflowing_estimate_is_one_data_error_line(self, tmp_path, capsys):
+        # a click span of 1e-300 makes the inverted errors overflow a float:
+        # one line names it, and numpy prints no warning
+        cfg = self.write_config(tmp_path)
+        out = str(tmp_path / "records.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--cycles", "5000"]) == 0
+        tiny = tmp_path / "tiny.ini"
+        tiny.write_text(IDEAL_CONFIG.replace("[analysis]\np_readout_click = 1.0", "[analysis]\np_readout_click = 1e-300"))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", out, "--config", str(tiny)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: an estimate overflows (overflow") and err.endswith("= 1e-300\n")
+        assert err.count("\n") == 1
+
     def test_missing_records_file_exits_one(self, tmp_path):
         code = main(["analyze", str(tmp_path / "missing.csv")])
         assert code == 1
@@ -444,28 +464,48 @@ class TestCliRatesValidate:
             ("rates", {}, "system_efficiency", 1.0, float(np.nextafter(1, 2)), "system_efficiency must lie in (0, 1]"),
             ("rates", {}, "single_shot_readout_s", 0.0, -float(np.nextafter(0, 1)),
              "single_shot_readout_s must be >= 0 (0 disables)"),
+            ("emitter", {}, "detuning_ghz", 0.0, -_TINY, "detuning_ghz must be >= 0"),
+            # with p_cross = auto, a line this narrow resolves it to 0
+            ("emitter", {}, "linewidth_mhz", _TINY, 0.0, "linewidth_mhz must be > 0"),
+            *(("emitter", {}, name, accepted, refused, f"{name} must lie in [0, 1]")
+              for name in _PROBABILITIES for accepted, refused in ((0.0, -_TINY), (1.0, _ABOVE_ONE))),
+            ("emitter", {}, "zpl_fraction", _TINY, 0.0, "zpl_fraction must lie in (0, 1]"),
+            ("emitter", {}, "zpl_fraction", 1.0, _ABOVE_ONE, "zpl_fraction must lie in (0, 1]"),
+            ("protocol", {}, "n_photons", 1, 0, "n_photons must be >= 1"),
+            # the period must hold the pulse sequence, which build_sequence checks
+            ("protocol", {}, "cycle_period_ns", _SEQUENCE_NS, _BELOW_SEQUENCE,
+             f"cycle_period_ns {_BELOW_SEQUENCE} shorter than sequence duration {_SEQUENCE_NS}"),
+            ("detection", {}, "zpl_efficiency", _TINY, 0.0, "zpl_efficiency must lie in (0, 1]"),
+            ("detection", {}, "zpl_efficiency", 1.0, _ABOVE_ONE, "zpl_efficiency must lie in (0, 1]"),
+            ("detection", {}, "background_rate_hz", 0.0, -_TINY, "background_rate_hz must be >= 0"),
+            ("detection", {}, "seed", 0, -1, "seed must lie in [0, 2**64)"),
+            ("detection", {}, "seed", 2**64 - 1, 2**64, "seed must lie in [0, 2**64)"),
+            ("interferometer", {}, "phase_drift_var_per_ns", 0.0, -_TINY, "phase noise parameters must be non-negative"),
+            ("rates", {}, "photon_numbers", (1,), (0,), "photon_numbers must be positive integers"),
+            ("rates", {}, "photon_numbers", (1,), (), "photon_numbers must be positive integers"),
         ],
         ids=[
             "n_phase_bins", "readout_dark_click", "window_ns", "erasure_visibility",
             "erasure_visibility_upper", "split_ratio", "window_ns_lower", "phase_readout_sigma",
             "detection_readout_dark_click", "p_readout_click", "min_cell_count", "system_efficiency", "single_shot_readout_s",
+            "detuning_ghz", "linewidth_mhz",
+            *(f"emitter_{name}_{end}" for name in _PROBABILITIES for end in ("lower", "upper")),
+            "zpl_fraction_lower", "zpl_fraction_upper", "n_photons", "cycle_period_ns", "zpl_efficiency_lower",
+            "zpl_efficiency_upper", "background_rate_hz", "seed_lower", "seed_upper", "phase_drift_var_per_ns",
+            "photon_numbers", "photon_numbers_empty",
         ],
     )
     def test_boundary_is_pinned(self, tmp_path, capsys, section, others, key, accepted, refused, message):
-        # the last value accepted and the first refused, by the section's
-        # validate() and by `tpcsim validate` on a config file (exit 2)
-        section_type = {
-            "analysis": AnalysisParams,
-            "detection": DetectionParams,
-            "interferometer": InterferometerConfig,
-            "rates": RatesConfig,
-        }[section]
-        section_type(**others, **{key: accepted}).validate()
-        with pytest.raises(ValueError, match=re.escape(message)):
-            section_type(**others, **{key: refused}).validate()
+        # the last value accepted and the first refused, by validate_config
+        # and by `tpcsim validate` on the dumped config file (exit 2)
         path = tmp_path / "run.ini"
         for value, code in ((accepted, 0), (refused, 2)):
-            path.write_text(f"[{section}]\n" + "".join(f"{k} = {v!r}\n" for k, v in {**others, key: value}.items()))
+            config = RunConfig()
+            setattr(config, section, replace(getattr(config, section), **others, **{key: value}))
+            failed = [(name, text) for name, ok, text in validate_config(config) if not ok]
+            assert [name for name, _ in failed] == ([section] if code else []), failed
+            assert all(text.startswith(message) for _, text in failed), failed
+            path.write_text(dump_config(config))
             assert main(["validate", "--config", str(path)]) == code
             out = capsys.readouterr().out
             assert (f"[{section}] FAIL: {message}" if code else f"[{section}] pass") in out
