@@ -1032,6 +1032,31 @@ class TestRecordIO:
                 "d659945dde06bf46885f0d7ad42e29e10c2a34caf1ba4de2bbd54ef3bd3a29cd"
             )
 
+    def test_ideal_ghz_chain_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
+        # an ideal emitter holds one operator in every later step, so a later
+        # photon goes through one product of them; a ghz chain (a pi rotation
+        # between blocks) with an unbalanced splitter, partial erasure
+        # visibility, both preparations, a walk phase with readout noise and
+        # thinning, over three blocks cut 1 + 2 at two workers
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
+        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "chain_n3.ini")
+        args = (
+            cfg.emitter,
+            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8, split_ratio=0.3),
+            ProtocolConfig(n_photons=3, chain_mode="ghz", cycle_period_ns=2e6),
+            DetectionParams(zpl_efficiency=0.3, seed=107),
+        )
+        for workers in (1, 2):
+            recs = simulate_cycles(6_000, *args, workers=workers)
+            assert len(recs) == 5_321
+            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE}
+            assert set(recs["prep_sign"].tolist()) == {MINUS, PLUS}
+            path = tmp_path / f"w{workers}.csv"
+            write_records(path, recs)
+            assert sha256(path.read_bytes()).hexdigest() == (
+                "7f3993ede759bc6cc3941839a4e7549b5eb9a73093258d89b321e39059bd7b0e"
+            )
+
 
 class TestValidation:
     @pytest.mark.parametrize("workers", [0, -1])
