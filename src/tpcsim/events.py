@@ -4,14 +4,15 @@ Each cycle runs one protocol trajectory, one photon at a time, in one sampler
 for every chain length. The first photon's state is a leaf of the
 precomputed trajectory table of the preparation and the first entangling
 block; each later photon's state comes from Kraus sampling of the rotation
-between blocks and the block, applied to the spin that the previous photon's
-measurement left. Every photon is measured by one rule: its two time bins give
-the outcome (none, early, erased, late or double), the photon of each occupied
-bin clicks by one rule (an arm, thinning by the detection efficiency and a
-uniform analyzer port), and an erased photon collapses the spin onto its port's
-superposition of the bins.
-Poisson background clicks are added, and the readout click is drawn from the
-last photon's per-state amplitudes.
+between blocks and the block (a run of one-operator steps as one product),
+applied to the spin that the previous photon's measurement left, on the levels
+it can reach. Every photon is measured by one rule, on the levels its state
+holds: its two time bins give the outcome (none, early, erased, late or
+double), the photon of each occupied bin clicks by one rule (an arm, thinning
+by the detection efficiency and a uniform analyzer port), and an erased photon
+collapses the spin onto its port's superposition of the bins. Poisson
+background clicks are added, and the readout click is drawn from the last
+photon's per-state amplitudes.
 
 Cycles consume dedicated counter-based RNG streams keyed by (seed, block), so
 the record stream is bit-for-bit reproducible and independent of how blocks
@@ -177,6 +178,25 @@ def _block_operators(steps: list[SequenceStep], params: em.EmitterParams):
     return ops[:2], ops[2:5], ops[5] if len(ops) > 5 else []
 
 
+class _Support:
+    """Maps of the levels 4 * spin + occupation that a state array's columns
+    hold: each column's occupation (one-hot) and entries of the polar and
+    equatorial readout rows per occupation, the occupation-01 columns
+    (``late``), and the column of each (occupation, spin) level ``held``."""
+
+    def __init__(self, levels: np.ndarray, bright_row: np.ndarray):
+        spin, occ = np.divmod(levels, 4)
+        self.occ, self.late = (occ[:, None] == np.arange(4)) * 1.0, np.flatnonzero(occ == _OCC_01)
+        self.readout = np.hstack([self.occ * (spin == em.LVL_G0)[:, None], self.occ * bright_row[spin, None]])
+        self.column, self.held = np.zeros((4, em.SPIN_DIM), np.intp), np.zeros((4, em.SPIN_DIM), bool)
+        self.column[occ, spin], self.held[occ, spin] = np.arange(len(levels)), True
+
+    def spins(self, states, rows, occ):
+        """The spin of occupation ``occ`` of each state ``states[rows]``, zero off the support."""
+        columns = np.take(self.column, occ, axis=0) + (rows * states.shape[1])[:, None]  # np.take: faster than fancy indexing
+        return np.where(np.take(self.held, occ, axis=0), np.take(states, columns), 0)
+
+
 class _CycleModel:
     """What every cycle shares: the validated configuration, the block size,
     pulse times, detector thinning, arm weights, port offsets, the bright
@@ -184,21 +204,21 @@ class _CycleModel:
     and the Kraus operators of every later photon.
 
     Every branch of the preparation and the first entangling block is
-    enumerated once: per leaf, the normalized (spin, bin occupation) state,
-    its weight (cumulative per prep), the cumulative photon-outcome weights
-    and the ``leaf_terms`` that its photon's readout reads.
-    Each leaf is doubled with the late-bin amplitude's sign flipped, weighted
-    by the erasure visibility. Drawing a leaf per cycle replaces sampling the
-    first block's Kraus branches cycle by cycle (about 25x slower on the
-    default config). A chain repeats the block once per photon, with a
-    rotation between blocks; the sampler applies ``later_ops`` (that rotation,
-    then the block) branch by branch to the spin that the previous photon's
-    measurement left, so a cycle's live state never grows beyond (spin, bin1,
-    bin2). Compiled once per model, each later step keeps only the levels it
-    can reach, the rows nonzero (!= 0) on the support that the step before
-    left, from both bins empty (7, 7, 9 and 9 of 28 on an ideal chain, one
-    operator each, as a pulse writes a fresh bin): the dropped entries are
-    exact zeros.
+    enumerated once: per leaf, the normalized state on all 28 (spin,
+    occupation) levels (``leaf_support``), its weight (cumulative per prep),
+    the cumulative photon-outcome weights and the ``leaf_terms`` that its
+    photon's readout reads. Each leaf is doubled with the late-bin amplitude's
+    sign flipped, weighted by the erasure visibility. Drawing a leaf per cycle
+    replaces sampling the first block's Kraus branches cycle by cycle (about
+    25x slower on the default config). A chain repeats the block once per
+    photon, with a rotation between blocks, sampled branch by branch from the
+    spin that the previous photon's measurement left. Each such later step
+    (``later_ops``) keeps the levels it can reach, the rows nonzero (!= 0) on
+    the support that the step before left, from both bins empty: 7, 7, 9 and
+    9 of 28 on an ideal chain, one operator each, as a pulse writes a fresh
+    bin. A run of one-operator steps is one product (``later_steps``: one 9 x
+    7 matrix on an ideal chain), and a later photon's terms and collapse are
+    read on the levels reached (``later_support``).
     """
 
     def __init__(
@@ -226,12 +246,17 @@ class _CycleModel:
         self.bg_per_cycle = detection.background_rate_hz * 4.0 * self.bg_span_ns * 1e-9
 
         prep_ops, block_ops, interblock_ops = _block_operators(steps, params)
-        self.later_ops, self.later_supports = [], [np.arange(0, em.SPIN_DIM * 4, 4)]
-        for ops in [interblock_ops, *block_ops] if interblock_ops else []:
+        self.later_ops, self.later_supports, self.later_steps = [], [np.arange(0, em.SPIN_DIM * 4, 4)], []
+        for j, ops in enumerate([interblock_ops, *block_ops] if interblock_ops else []):
             cols = self.later_supports[-1]
             rows = np.flatnonzero(np.any(np.stack(ops)[:, :, cols] != 0, axis=(0, 2)))
             self.later_ops.append([op[np.ix_(rows, cols)] for op in ops])
             self.later_supports.append(rows)
+            # (uniform row, Kraus set) of each step that the sampler takes: a run of one-operator steps is one product
+            fuse = len(ops) == 1 and self.later_steps and len(self.later_steps[-1][1]) == 1
+            self.later_steps.append((j, [self.later_ops[-1][0] @ self.later_steps.pop()[1][0]] if fuse else self.later_ops[-1]))
+        self.leaf_support = _Support(np.arange(em.SPIN_DIM * 4), self.bright_row)
+        self.later_support = _Support(self.later_supports[-1], self.bright_row)
         init_pops = np.real(np.diag(em.initialize_spin(params)))
         shares = np.array([1.0 + ifm.erasure_visibility, 1.0 - ifm.erasure_visibility])
         leaves, self.leaf_cum, self.prep_offset = [], [], [0]
@@ -240,14 +265,14 @@ class _CycleModel:
             # visibility dephasing: each leaf and a copy with the late-bin
             # amplitude's sign flipped; at visibility 1 the copy weighs 0
             copies = np.stack([states, states], axis=1)
-            copies[:, 1, :, _OCC_01] *= -1.0
+            copies[:, 1, self.leaf_support.late] *= -1.0
             cw = w[:, None] * shares / 2
             keep = cw >= _LEAF_PRUNE
             leaves.append(copies[keep])
             self.leaf_cum.append(np.cumsum(cw[keep] / cw[keep].sum()))
             self.prep_offset.append(self.prep_offset[-1] + int(keep.sum()))
         self.leaves = np.concatenate(leaves)
-        self.leaf_terms = _state_terms(self.leaves, self)
+        self.leaf_terms = _state_terms(self.leaves, self.leaf_support)
         self.outcome_cum = np.cumsum(_outcome_weights(self.leaf_terms[0], self.arms), axis=1)
 
     @staticmethod
@@ -265,7 +290,7 @@ class _CycleModel:
             keep = p * w[:, None] > _LEAF_PRUNE
             vecs = children[keep] / np.sqrt(p[keep])[:, None]
             w = (w[:, None] * p)[keep]
-        return _normalized(vecs).reshape(-1, em.SPIN_DIM, 4), w
+        return _normalized(vecs), w
 
 
 # -- phase trajectory ------------------------------------------------------------
@@ -369,7 +394,7 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     into ``scratch``, 4 * (hi - lo) floats that the block owns until it returns."""
     ifm = model.ifm
     pcfg = model.protocol_cfg
-    eta = model.eta_det
+    eta, dark = model.eta_det, detection.readout_dark_click
     (erase1, _), (erase2, _) = model.arms
     t_a1, t_a2 = model.pulse_times[:2]
     delay, w = ifm.delay_ns, ifm.window_ns
@@ -412,7 +437,7 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
         seg = np.minimum(seg, len(model.leaf_cum[p]) - 1)
         li[msk] = model.prep_offset[p] + seg
     # photon 1's state is its cycle's leaf
-    states, state_rows, terms = model.leaves, li, model.leaf_terms
+    states, support, state_rows, terms = model.leaves, model.leaf_support, li, model.leaf_terms
     outcome = _pick(model.outcome_cum[li], draws[1])
 
     sources = []
@@ -420,18 +445,16 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     undecided = np.ones(m, dtype=bool)  # no surviving photon click yet
     for k in range(pcfg.n_photons):
         if k:
-            states = terms = None  # free the measured photon's state before the next one's
-            # the rotation between blocks and the entangling block, one Born-weighted Kraus
-            # branch each on the levels it can reach, from the spin that the last measurement left
-            state = spin
-            for ops, u in zip(model.later_ops, later[k - 1, :n_ops]):
-                state = _sample_kraus(state, ops, u)
-            states, state_rows = np.zeros((m, em.SPIN_DIM, 4), dtype=complex), np.arange(m)
-            states.reshape(m, em.SPIN_DIM * 4)[:, model.later_supports[-1]] = state
+            # the rotation between blocks and the entangling block, one Born-weighted Kraus branch each
+            # (one product for a run of one-operator steps) on the levels it can reach, from the spin
+            # that the last measurement left; the measured photon's state and terms are freed first
+            states, support, state_rows, terms = spin, model.later_support, np.arange(m), None
+            for j, ops in model.later_steps:
+                states = _sample_kraus(states, ops, later[k - 1, j])
             draws = later[k - 1, n_ops:]
             # the late-bin amplitude's sign flips at rate (1 - visibility) / 2
-            states[:, :, _OCC_01] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
-            terms = _state_terms(states, model)
+            states[:, support.late] *= np.where(draws[1] < (1 + ifm.erasure_visibility) / 2, 1.0, -1.0)[:, None]
+            terms = _state_terms(states, support)
             outcome = _pick(np.cumsum(_outcome_weights(terms[0], model.arms), axis=1), draws[0])
         # draws[2:8]: arm, arm, thinning, thinning, port, port of the photon in
         # the first occupied bin, then of a double's photon in the second bin
@@ -458,10 +481,10 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             basis[undecided] = outcome[undecided] % 2 == 0
             # the spin readout; no name holds the bright probabilities while the records are built
             ro_click = u_ro < em.readout_click_probability(
-                _measure(states, terms, state_rows, outcome, phase_true, port, model, basis), model.params, detection.readout_dark_click
+                _measure(states, support, terms, state_rows, outcome, phase_true, port, model, basis), model.params, dark
             )
         else:
-            spin = _measure(states, terms, state_rows, outcome, phase_true, port, model)
+            spin = _measure(states, support, terms, state_rows, outcome, phase_true, port, model)
         # (cycle index, class, time in cycle, port): first clicks, then second clicks
         sources += [
             (first, first_cls, t_class[first_cls], port[first]),
@@ -499,20 +522,21 @@ def _outcome_weights(sq, arms):
     return np.stack([p00, reveal1 * p10, erase1 * p10 + erase2 * p01, reveal2 * p01, p11], axis=-1)
 
 
-def _state_terms(states, model):
-    """Per (spin, occupation) state: each occupation's squared norm (which
-    give the outcome weights and an erased photon's norm) and each
-    occupation's readout amplitude <r|spin>, on axis 1 for r the polar row
-    (LVL_G0) and the equatorial row (bright_row)."""
-    return _sq_norms(np.swapaxes(states, 1, 2)), np.stack([states[:, em.LVL_G0], model.bright_row @ states], axis=1)
+def _state_terms(states, support):
+    """Per state on ``support``: each occupation's squared norm (which give
+    the outcome weights and an erased photon's norm) and each occupation's
+    readout amplitude <r|spin>, on axis 1 for r the polar row (LVL_G0) and
+    the equatorial row (bright_row)."""
+    return states.real**2 @ support.occ + states.imag**2 @ support.occ, (states @ support.readout).reshape(-1, 2, 4)
 
 
-def _measure(states, terms, rows, outcome, phase, port, model, basis=None):
-    """The normalized spin that the photon in each ``states[rows]`` leaves,
-    given its outcome and analyzer ``port``; or, given the readout ``basis`` of
-    each (0 polar, 1 equatorial), that spin's probability of the bright level
-    in that basis, read from the state's ``terms`` (_state_terms) alone (0 for
-    a zero spin), so only a photon that a later photon follows makes a spin.
+def _measure(states, support, terms, rows, outcome, phase, port, model, basis=None):
+    """The normalized spin that the photon in each ``states[rows]`` (on
+    ``support``) leaves, given its outcome and analyzer ``port``; or, given
+    the readout ``basis`` of each (0 polar, 1 equatorial), that spin's
+    probability of the bright level in that basis, read from the state's
+    ``terms`` (_state_terms) alone (0 for a zero spin), so only a photon that
+    a later photon follows makes a spin.
 
     An erased photon collapses the spin onto its port's superposition
     sqrt(e1) e^{i phase} chi10 + sqrt(e2) e^{-i offset} chi01, of squared norm
@@ -525,7 +549,7 @@ def _measure(states, terms, rows, outcome, phase, port, model, basis=None):
     er = np.flatnonzero(outcome == 2)
     occ, early_phase, late_phase = _OUTCOME_OCC[outcome], np.exp(1j * phase[er]), np.exp(-1j * model.port_offsets[port[er]])
     if basis is None:
-        spin, early, late = states[rows, :, occ], states[rows[er], :, _OCC_10], states[rows[er], :, _OCC_01]
+        spin, early, late = (support.spins(states, r, o) for r, o in ((rows, occ), (rows[er], _OCC_10), (rows[er], _OCC_01)))
         spin[er] = early * (np.sqrt(erase1) * early_phase)[:, None] + late * np.sqrt(erase2) * late_phase[:, None]
         return _normalized(spin)
     sq, amps = terms

@@ -380,17 +380,23 @@ def first_bin(rho) -> np.ndarray:
     return rho.reshape(d, 2, 2, d, 2, 2)[:, :, 0, :, :, 0].reshape(2 * d, 2 * d)
 
 
-def collapsed_bright(states, outcome, phase, port, basis, model) -> np.ndarray:
-    """Bright probability of the spin that the photon in each (spin, occupation)
-    state of ``states`` leaves, by collapsing it: the spin of its outcome's
-    occupation, or for an erased photon (outcome 2) its ``port``'s
-    superposition of the two bins, normalized (a zero spin stays zero) and read
-    in its readout ``basis``: 0 polar, 1 equatorial."""
+def collapsed_spin(states, outcome, phase, port, model) -> np.ndarray:
+    """The spin that the photon in each (spin, occupation) state of ``states``
+    (shape (n, 7, 4)) leaves: the spin of its outcome's occupation, or for an
+    erased photon (outcome 2) its ``port``'s superposition of the two bins,
+    normalized (a zero spin stays zero)."""
     (erase1, _), (erase2, _) = model.arms
     spin = states[np.arange(len(states)), :, _OUTCOME_OCC[outcome]]
     early = states[:, :, _OCC_10] * (np.sqrt(erase1) * np.exp(1j * phase))[:, None]
     late = states[:, :, _OCC_01] * (np.sqrt(erase2) * np.exp(-1j * model.port_offsets[port]))[:, None]
     spin = np.where((outcome == 2)[:, None], early + late, spin)
     norm = np.linalg.norm(spin, axis=1)
-    spin /= np.where(norm > 0, norm, 1.0)[:, None]
+    return spin / np.where(norm > 0, norm, 1.0)[:, None]
+
+
+def collapsed_bright(states, outcome, phase, port, basis, model) -> np.ndarray:
+    """Bright probability of the spin that the photon in each (spin, occupation)
+    state of ``states`` leaves (collapsed_spin), read in its readout
+    ``basis``: 0 polar, 1 equatorial."""
+    spin = collapsed_spin(states, outcome, phase, port, model)
     return np.abs(np.where(basis == 1, spin @ model.bright_row, spin[:, em.LVL_G0])) ** 2

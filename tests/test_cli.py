@@ -453,6 +453,7 @@ class TestCliRatesValidate:
             ("interferometer", {}, "erasure_visibility", 0.0, -float(np.nextafter(0, 1)), "erasure_visibility must lie in [0, 1]"),
             ("interferometer", {}, "erasure_visibility", 1.0, float(np.nextafter(1, 2)), "erasure_visibility must lie in [0, 1]"),
             ("interferometer", {}, "split_ratio", float(np.nextafter(0, 1)), 0.0, "split_ratio must lie in (0, 1)"),
+            ("interferometer", {}, "split_ratio", float(np.nextafter(1, 0)), 1.0, "split_ratio must lie in (0, 1)"),
             # delay_ns = 0 is refused by its own rule and, were that one
             # loosened, by window_ns < delay_ns / 2, so its bound is not pinned here
             ("interferometer", {}, "window_ns", float(np.nextafter(0, 1)), 0.0, "window_ns must lie in (0, delay_ns / 2)"),
@@ -460,6 +461,11 @@ class TestCliRatesValidate:
              "phase noise parameters must be non-negative"),
             ("detection", {}, "readout_dark_click", 1.0, float(np.nextafter(1, 2)), "readout_dark_click must lie in [0, 1]"),
             ("analysis", {}, "p_readout_click", 1.0, float(np.nextafter(1, 2)), "p_readout_click must lie in (0, 1]"),
+            # at 0 the click span is refused by this rule first, not by readout_dark_click < p_readout_click
+            ("analysis", {"readout_dark_click": 0.0}, "p_readout_click", _TINY, 0.0, "p_readout_click must lie in (0, 1]"),
+            ("analysis", {}, "readout_dark_click", 0.0, -_TINY, "readout_dark_click must lie in [0, p_readout_click)"),
+            ("detection", {}, "readout_dark_click", 0.0, -_TINY, "readout_dark_click must lie in [0, 1]"),
+            ("rates", {}, "sequence_duration_s", _TINY, 0.0, "sequence_duration_s must be > 0"),
             ("analysis", {}, "min_cell_count", 1, 0, "min_cell_count must be >= 1"),
             ("rates", {}, "system_efficiency", 1.0, float(np.nextafter(1, 2)), "system_efficiency must lie in (0, 1]"),
             ("rates", {}, "single_shot_readout_s", 0.0, -float(np.nextafter(0, 1)),
@@ -486,8 +492,10 @@ class TestCliRatesValidate:
         ],
         ids=[
             "n_phase_bins", "readout_dark_click", "window_ns", "erasure_visibility",
-            "erasure_visibility_upper", "split_ratio", "window_ns_lower", "phase_readout_sigma",
-            "detection_readout_dark_click", "p_readout_click", "min_cell_count", "system_efficiency", "single_shot_readout_s",
+            "erasure_visibility_upper", "split_ratio", "split_ratio_upper", "window_ns_lower", "phase_readout_sigma",
+            "detection_readout_dark_click", "p_readout_click", "p_readout_click_lower", "readout_dark_click_lower",
+            "detection_readout_dark_click_lower", "sequence_duration_s", "min_cell_count", "system_efficiency",
+            "single_shot_readout_s",
             "detuning_ghz", "linewidth_mhz",
             *(f"emitter_{name}_{end}" for name in _PROBABILITIES for end in ("lower", "upper")),
             "zpl_fraction_lower", "zpl_fraction_upper", "n_photons", "cycle_period_ns", "zpl_efficiency_lower",
@@ -510,13 +518,6 @@ class TestCliRatesValidate:
             out = capsys.readouterr().out
             assert (f"[{section}] FAIL: {message}" if code else f"[{section}] pass") in out
             assert ("FAIL" in out) == (code == 2), out
-
-    def test_zero_linewidth_is_named(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text("[emitter]\nlinewidth_mhz = 0\n")
-        assert main(["validate", "--config", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert "[emitter] FAIL: linewidth_mhz must be > 0" in out
 
     def test_module_entry_point_runs_without_warnings(self):
         # python -m tpcsim must not re-import tpcsim.cli as __main__

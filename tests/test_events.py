@@ -2,6 +2,7 @@
 background uniformity, record I/O, and coincidence pairing."""
 import warnings
 from dataclasses import replace
+from functools import reduce
 from hashlib import sha256
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from tpcsim.events import (
 from tpcsim.optics import InterferometerConfig
 from tpcsim.protocol import ProtocolConfig, _evolve, build_sequence, pulse_times, run_noisy, step_kraus
 
-from conftest import FIXTURE, SerialPool, apply, collapsed_bright, embedded_matrix, hardware_port_states, ideal_emitter, make_records
+from conftest import FIXTURE, SerialPool, apply, collapsed_bright, collapsed_spin, embedded_matrix, hardware_port_states, ideal_emitter, make_records
 from conftest import partial_trace, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
@@ -66,6 +67,17 @@ def noisy_emitter():
         pi_pulse_error=0.02,
         p_readout_click=1.0,
     )
+
+
+def _chain_args(config):
+    """Emitter, protocol, interferometer and detection of a benchmark chain
+    config, or of a noisy two-photon chain with every optical-pulse branch
+    live in either chain mode ("noisy cluster", "noisy ghz")."""
+    if config.endswith(".ini"):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+        return cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection
+    pcfg = ProtocolConfig(n_photons=2, chain_mode=config.split()[1])
+    return replace(noisy_emitter(), zpl_fraction=0.3), pcfg, InterferometerConfig(phase_mode="walk", erasure_visibility=0.8), DetectionParams()
 
 
 def _walk_block_offsets(ifm, n_blocks, block_size, n_cycles, seed, period_ns):
@@ -325,7 +337,7 @@ class TestBornConsistency:
         # sampler reaches has (test_early_and_late_spins_are_orthogonal)
         cfg = load_config(Path(__file__).resolve().parents[1] / config)
         model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
-        states, terms = model.leaves, model.leaf_terms
+        states, terms = model.leaves.reshape(-1, 7, 4), model.leaf_terms
         if source == "random":
             rng = np.random.default_rng(31)
             states = rng.standard_normal((400, 7, 4)) + 1j * rng.standard_normal((400, 7, 4))
@@ -333,13 +345,13 @@ class TestBornConsistency:
             early, late = states[:, :, _OCC_10], states[:, :, _OCC_01]
             late -= early * (np.einsum("ls,ls->l", early.conj(), late) / np.einsum("ls,ls->l", early.conj(), early))[:, None]
             states /= np.linalg.norm(states, axis=(1, 2))[:, None, None]
-            terms = events._state_terms(states, model)
+            terms = events._state_terms(states.reshape(-1, 28), model.leaf_support)
         phases = 0.3 + np.arange(6)
         grid = np.meshgrid(np.arange(len(states)), np.arange(5), np.arange(4), np.arange(2), np.arange(6), indexing="ij")
         rows, outcome, port, basis, k = (g.ravel() for g in grid)
         erased = outcome == 2
 
-        p_bright = _measure(states, terms, rows, outcome, phases[k], port, model, basis)
+        p_bright = _measure(states.reshape(-1, 28), model.leaf_support, terms, rows, outcome, phases[k], port, model, basis)
         assert np.abs(p_bright - collapsed_bright(states[rows], outcome, phases[k], port, basis, model)).max() <= 1e-12
         assert set(np.unique(port[erased])) == {0, 1, 2, 3} and set(np.unique(basis)) == {0, 1}
         # a spin of norm zero reads 0, as its normalized spin stays zero
@@ -376,7 +388,7 @@ class TestBornConsistency:
         # and so on every leaf of the cycle model
         for config in ("perfbench/configs/dense.ini", "configs/example.ini"):
             cfg = load_config(Path(__file__).resolve().parents[1] / config)
-            leaves = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection).leaves
+            leaves = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection).leaves.reshape(-1, 7, 4)
             assert np.abs(np.einsum("ls,ls->l", leaves[:, :, _OCC_01].conj(), leaves[:, :, _OCC_10])).max() <= 1e-15
 
     def test_chain_first_photon_is_the_single_photon_run(self):
@@ -432,6 +444,48 @@ class TestBornConsistency:
         cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
         model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
         assert [len(ops) for ops in model.later_ops] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("config", ["chain_n2.ini", "chain_n3.ini", "noisy cluster", "noisy ghz"])
+    def test_later_photons_on_their_support_equal_the_full_levels(self, config):
+        # the sampler takes each run of one-operator later steps as their
+        # product on the supports, and reads a later photon's terms and
+        # collapse on the levels it reaches; both equal the same on all 28 levels
+        args = _chain_args(config)
+        model = _CycleModel(*args)
+        _, block_ops, interblock_ops = _block_operators(build_sequence(*args[1:3]), args[0])
+        full, supports = [interblock_ops, *block_ops], model.later_supports
+        first = 0
+        for j, ops in model.later_steps:
+            run = full[first : j + 1]  # one step of any number of operators, or a run of one-operator steps
+            assert len(ops) == len(run[0]) and (len(run) == 1 or len(ops) == 1)
+            for op, head in zip(ops, run[0]):
+                product = reduce(lambda acc, step: step[0] @ acc, run[1:], head)
+                assert np.abs(op - product[np.ix_(supports[j + 1], supports[first])]).max() <= 1e-15
+            first = j + 1
+        assert first == len(full)
+        if config.endswith(".ini"):
+            assert [ops[0].shape for _, ops in model.later_steps] == [(9, 7)]
+
+        rng = np.random.default_rng(35)
+        levels = supports[-1]
+        states = rng.standard_normal((300, levels.size)) + 1j * rng.standard_normal((300, levels.size))
+        states[::2, levels % 4 == 3] = 0.0  # no occupation 11 in half of them
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        scattered = np.zeros((300, 28), dtype=complex)
+        scattered[:, levels] = states
+        terms, full_terms = events._state_terms(states, model.later_support), events._state_terms(scattered, model.leaf_support)
+        for part, full_part in zip(terms, full_terms):
+            assert np.abs(part - full_part).max() <= 1e-12
+        # every state and outcome, both bases, three phases and the four ports
+        grid = np.meshgrid(np.arange(300), np.arange(5), np.arange(4), np.arange(2), np.arange(3), indexing="ij")
+        rows, outcome, port, basis, k = (g.ravel() for g in grid)
+        phase = (0.3 + np.arange(3))[k]
+        spin = _measure(states, model.later_support, terms, rows, outcome, phase, port, model)
+        assert np.abs(spin - _measure(scattered, model.leaf_support, full_terms, rows, outcome, phase, port, model)).max() <= 1e-12
+        assert np.abs(spin - collapsed_spin(scattered.reshape(-1, 7, 4)[rows], outcome, phase, port, model)).max() <= 1e-12
+        p_bright = _measure(states, model.later_support, terms, rows, outcome, phase, port, model, basis)
+        full_bright = _measure(scattered, model.leaf_support, full_terms, rows, outcome, phase, port, model, basis)
+        assert np.abs(p_bright - full_bright).max() <= 1e-12
 
     @pytest.mark.parametrize("emitter_kind", ["ideal", "noisy"])
     @pytest.mark.parametrize("chain_mode", ["cluster", "ghz"])
