@@ -20,11 +20,12 @@ are sharded across workers: each worker runs one contiguous run of blocks in
 order, carrying the walk phase from block to block, and first carries it
 through the phase steps of the blocks before its run. A block draws the
 thinning uniforms, readout normals and background clicks of every cycle, and
-every uniform of its later photons, then samples only the cycles with a
-surviving thinning draw of some photon or a background click. The first
-photon's non-thinning uniforms are read at those cycles alone, by Philox
-counter when they are few, so the other cycles' draws are never made; the
-records are those of drawing every number. The per-cycle
+every uniform of its later photons, then keeps only the cycles with a
+surviving thinning draw of some photon or a background click; the kept cycles
+of consecutive blocks are sampled together. The first photon's non-thinning
+uniforms are read at those cycles alone, when they are few by one Philox
+counter read a batch, so the other cycles' draws are never made; the records
+are those of drawing every number and sampling block by block. The per-cycle
 tomography basis follows the arrival class of the cycle's earliest surviving
 photon click (path-erased -> equatorial readout, path-revealed -> polar
 readout); a cycle without one reads out in the polar basis when its last
@@ -92,9 +93,10 @@ _LEAF_PRUNE = 1e-12
 _CHUNK = 8192  # rows per CSV write or parse step; bounds the text alive at once
 _BLOCK_SIZE = 65536  # cycles per keyed RNG block; the record bytes depend on it
 # A block with fewer active cycles than 1/_COUNTER_SHARE of it reads photon 1's
-# seven other uniforms by counter, at about 0.2 us a value; drawing its whole
-# table takes about 3 ms a 65,536-cycle block (x86-64, 2 vCPUs), so the counter
-# wins below about 1 active cycle in 30, and the cutoff keeps a margin of 2.
+# seven other uniforms by counter, at about 0.15 us a value and 0.3 ms a call
+# that the blocks of a batch share; drawing its whole table takes about 3.1 ms a
+# 65,536-cycle block (x86-64, 2 vCPUs). The counter wins below about 1 active
+# cycle in 24 (1 in 22 with the call shared), and the cutoff keeps a margin of 2.
 _COUNTER_SHARE = 64
 _COUNTER_ROWS = np.array([0, 1, 2, 3, 6, 7, 8])  # photon 1's rows other than thinning
 
@@ -233,6 +235,9 @@ class _CycleModel:
         protocol_cfg.validate()
         ifm.validate()
         self.block_size = _BLOCK_SIZE  # taken here, so that every worker cuts the same blocks
+        # active cycles that _simulate_shard samples together: half the most a counter-read block holds, which keeps
+        # the Philox read's temporaries (about 15 arrays of 7 values per cycle) near 0.4 MiB
+        self.batch_cap = self.block_size // _COUNTER_SHARE // 2
         self.ifm = ifm
         self.protocol_cfg = protocol_cfg
         self.params = params
@@ -338,9 +343,10 @@ def _mulhilo(a, b):
     return a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), a * b
 
 
-def _philox_uniforms(seed: int, stream: int, block: int, positions: np.ndarray) -> np.ndarray:
+def _philox_uniforms(seed: int, stream: int, block, positions: np.ndarray) -> np.ndarray:
     """The uniform that ``Generator.random`` makes from each raw output
-    ``positions`` of a keyed stream, without the outputs before it.
+    ``positions`` of a keyed stream, without the outputs before it; ``block``
+    is one block or an array of them that broadcasts against ``positions``.
 
     numpy's Philox steps its counter before each call of the rounds and hands
     out the four words in order, so output p is word p % 4 of counter p // 4 + 1.
@@ -348,10 +354,10 @@ def _philox_uniforms(seed: int, stream: int, block: int, positions: np.ndarray) 
     positions = positions.astype(np.uint64)
     zero = np.zeros_like(positions)
     x0, x1, x2, x3 = (positions >> np.uint64(2)) + np.uint64(1), zero, zero, zero
-    key = _stream_key(seed, stream, block)
+    key = [np.asarray(word, dtype=np.uint64) for word in _stream_key(seed, stream, block)]
     with np.errstate(over="ignore"):
         for r in range(_PHILOX_ROUNDS):
-            k0, k1 = (np.uint64((k + r * bump) % 2**64) for k, bump in zip(key, _PHILOX_BUMP))
+            k0, k1 = (k + np.uint64(r * bump % 2**64) for k, bump in zip(key, _PHILOX_BUMP))
             hi0, lo0 = _mulhilo(_PHILOX_MUL[0], x0)
             hi1, lo1 = _mulhilo(_PHILOX_MUL[1], x2)
             x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
@@ -372,11 +378,11 @@ def _walk_steps(ifm: InterferometerConfig, seed: int, block: int, m: int, offset
     return steps, next_offset
 
 
-def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, block: int, offset: float, period_ns: float, out):
-    """True phase of each cycle of a block, written to ``out``, and the walk's offset for the next block."""
+def _block_true_phase(ifm: InterferometerConfig, lo: int, hi: int, seed: int, block: int, offset: float, period_ns: float, out):
+    """True phase of each cycle lo..hi-1 of a block, written to ``out``, and the walk's offset for the next block."""
     if ifm.phase_mode == "scan":
-        return np.mod(ifm.phase + GOLDEN_STEP * ids, 2.0 * np.pi, out=out), offset
-    steps, next_offset = _walk_steps(ifm, seed, block, ids.shape[0], offset, period_ns, out)
+        return np.mod(ifm.phase + GOLDEN_STEP * np.arange(lo, hi, dtype=np.int64), 2.0 * np.pi, out=out), offset
+    steps, next_offset = _walk_steps(ifm, seed, block, hi - lo, offset, period_ns, out)
     if steps is None:  # a phase that does not walk keeps its starting offset, ifm.phase
         out.fill(offset)
         return out, offset
@@ -388,22 +394,20 @@ def _block_true_phase(ifm: InterferometerConfig, ids: np.ndarray, seed: int, blo
 # -- block simulation --------------------------------------------------------------
 
 
-def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float, scratch: np.ndarray):
-    """Records of the cycles lo..hi-1, and the walk offset of the next block;
-    the block's true phases, readout normals and thinning uniforms are drawn
-    into ``scratch``, 4 * (hi - lo) floats that the block owns until it returns."""
-    ifm = model.ifm
-    pcfg = model.protocol_cfg
-    eta, dark = model.eta_det, detection.readout_dark_click
-    (erase1, _), (erase2, _) = model.arms
-    t_a1, t_a2 = model.pulse_times[:2]
-    delay, w = ifm.delay_ns, ifm.window_ns
+def _draw_block(model: _CycleModel, detection: DetectionParams, lo: int, hi: int, walk_offset: float, scratch: np.ndarray):
+    """The draws of the cycles lo..hi-1 that can leave a record, for _sample_batch, and the walk
+    offset of the next block. The block's true phases, readout normals and thinning uniforms are
+    drawn into ``scratch``, 4 * (hi - lo) floats; with every cycle active, the draws are views into it.
 
+    Photon 1's other seven uniforms are left to the batch's counter read, at the positions given,
+    below one active cycle in _COUNTER_SHARE. Otherwise the whole (9, m) table is drawn, thinning
+    rows again (with every cycle active that takes no gathered copy), and no position is given.
+    """
+    pcfg = model.protocol_cfg
     m = hi - lo
-    ids = np.arange(lo, hi, dtype=np.int64)
     block, seed = lo // model.block_size, detection.seed
     per_cycle = scratch[: 4 * m].reshape(4, m)
-    phase_true, next_offset = _block_true_phase(ifm, ids, seed, block, walk_offset, pcfg.cycle_period_ns, per_cycle[0])
+    phase_true, next_offset = _block_true_phase(model.ifm, lo, hi, seed, block, walk_offset, pcfg.cycle_period_ns, per_cycle[0])
     # the cycle stream opens with photon 1's (9, m) uniforms, row by row: its
     # thinning rows 4 and 5 are drawn for every cycle, and the draws after the
     # table, from the readout normals on, by a generator placed at its end
@@ -412,23 +416,48 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
     normals = rng.standard_normal(out=per_cycle[1])
     # without background, a read-only zero count: the active rows take a copy
     n_bg = rng.poisson(model.bg_per_cycle, m) if model.bg_per_cycle > 0 else np.broadcast_to(np.int64(0), m)
-    u_bg_time, u_bg_port = rng.random((2, int(n_bg.sum())))
-    n_ops = len(model.later_ops)
-    later = rng.random((pcfg.n_photons - 1, n_ops + 8, m))  # per later photon: a Kraus uniform per op, then 8 photon uniforms
+    u_bg = rng.random((2, int(n_bg.sum())))  # time, port
+    later = rng.random((pcfg.n_photons - 1, len(model.later_ops) + 8, m))  # per later photon: a Kraus uniform per op, then 8 photon uniforms
     # only a cycle with a surviving thinning draw of some photon or a
     # background click can leave a record, so only those are sampled on
     active = n_bg > 0
-    for u in (*u_thin, *later[:, n_ops + 4], *later[:, n_ops + 5]):
-        active |= u < eta
+    for u in (*u_thin, *later[:, -4], *later[:, -3]):
+        active |= u < model.eta_det
     rows = slice(None)
-    if not active.all():
+    if active.all():
+        ids = np.arange(lo, hi, dtype=np.int64)
+    else:
         rows = np.flatnonzero(active)
-        ids, phase_true, normals, n_bg, u_thin, later = (a[..., rows] for a in (ids, phase_true, normals, n_bg, u_thin, later))
-    draws = _first_photon_draws(seed, block, m, rows, u_thin)
+        ids, phase_true, normals, n_bg, u_thin, later = (lo + rows, *(a[..., rows] for a in (phase_true, normals, n_bg, u_thin, later)))
+    drawn = (ids, phase_true, normals, n_bg, later, u_bg)
+    if ids.size >= m // _COUNTER_SHARE:
+        table = _keyed_rng(seed, _CYCLE_STREAM, block).random((9, m))[:, rows]
+        return (*drawn, table, np.zeros(0, np.int64), np.zeros((7, 0), np.int64)), next_offset
+    draws = np.empty((9, ids.size))
+    draws[4:6] = u_thin
+    return (*drawn, draws, np.full(ids.size, block), _COUNTER_ROWS[:, None] * m + rows), next_offset
+
+
+def _sample_batch(model: _CycleModel, detection: DetectionParams, batch: list) -> np.ndarray:
+    """Records of the active cycles of consecutive blocks, each block's draws from _draw_block; only
+    the last block may have drawn its whole table, so the columns read by counter open the batch,
+    and one Philox call reads them all. The records are those of sampling block by block."""
+    ifm = model.ifm
+    pcfg = model.protocol_cfg
+    eta, dark = model.eta_det, detection.readout_dark_click
+    (erase1, _), (erase2, _) = model.arms
+    t_a1, t_a2 = model.pulse_times[:2]
+    delay, w = ifm.delay_ns, ifm.window_ns
+
+    joined = (parts[0] if len(batch) == 1 else np.concatenate(parts, axis=-1) for parts in zip(*batch))
+    ids, phase_true, normals, n_bg, later, u_bg, draws, blocks, positions = joined
+    if blocks.size:
+        draws[_COUNTER_ROWS, : blocks.size] = _philox_uniforms(detection.seed, _CYCLE_STREAM, blocks, positions)
     m = ids.size
     phase_read = phase_true + normals * ifm.phase_readout_sigma
     u_leaf, u_ro = draws[0], draws[8]
     prep_idx = _prep_codes(ids, pcfg, detection)
+    n_ops = len(model.later_ops)
 
     li = np.empty(m, dtype=np.int64)
     for p in (0, 1):
@@ -491,26 +520,10 @@ def _simulate_block(model: _CycleModel, detection: DetectionParams, lo: int, hi:
             (second, second_cls, t_class[second_cls], _quarter(draws[7, second])),
         ]
 
-    t_in = (t_a1 - w) + u_bg_time * model.bg_span_ns
+    t_in = (t_a1 - w) + u_bg[0] * model.bg_span_ns
     owners = np.repeat(np.arange(m), n_bg)
-    sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg_port)))
-    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click), next_offset
-
-
-def _first_photon_draws(seed: int, block: int, m: int, rows, u_thin: np.ndarray) -> np.ndarray:
-    """Photon 1's nine uniforms at the columns ``rows`` of the (9, m) table
-    that opens a block's cycle stream, given its thinning rows 4 and 5 there.
-
-    Below one column in _COUNTER_SHARE the other seven rows are read by
-    Philox counter at those columns alone. Otherwise the whole table is drawn,
-    thinning rows again: with every cycle active that takes no gathered copy.
-    """
-    if u_thin.shape[1] >= m // _COUNTER_SHARE:
-        return _keyed_rng(seed, _CYCLE_STREAM, block).random((9, m))[:, rows]
-    draws = np.empty((9, u_thin.shape[1]))
-    draws[4:6] = u_thin
-    draws[_COUNTER_ROWS] = _philox_uniforms(seed, _CYCLE_STREAM, block, _COUNTER_ROWS[:, None] * m + rows)
-    return draws
+    sources.append((owners, classify_arrival(t_in, t_a2, ifm), t_in, _quarter(u_bg[1])))
+    return _rows(sources, ids, pcfg.cycle_period_ns, phase_read, prep_idx, ro_click)
 
 
 def _outcome_weights(sq, arms):
@@ -637,10 +650,15 @@ def _simulate_shard(model: _CycleModel, detection: DetectionParams, n_cycles: in
     offset = model.ifm.phase
     for block in range(first):
         _, offset = _walk_steps(model.ifm, detection.seed, block, size, offset, period, scratch[:size])
-    parts = []
-    for lo in range(first * size, min(n_cycles, stop * size), size):
-        part, offset = _simulate_block(model, detection, lo, min(n_cycles, lo + size), offset, scratch)
-        parts.append(part)
+    parts, batch, end = [], [], min(n_cycles, stop * size)
+    for lo in range(first * size, end, size):
+        drawn, offset = _draw_block(model, detection, lo, min(end, lo + size), offset, scratch)
+        batch.append(drawn)
+        # sampled at model.batch_cap active cycles, at the shard's end, and after a block that drew its whole
+        # table (no counter position for its active cycles): its draws may be views into scratch, which the next block reuses
+        if drawn[-2].size < drawn[0].size or sum(d[0].size for d in batch) >= model.batch_cap or lo + size >= end:
+            parts.append(_sample_batch(model, detection, batch))
+            batch, drawn = [], None  # a dense block's draws, held until the records are joined, cost ~900 page faults
     return np.concatenate(parts)
 
 

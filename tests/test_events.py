@@ -40,7 +40,7 @@ from tpcsim.events import (
     _measure,
     _parse_table,
     _philox_uniforms,
-    _simulate_block,
+    _draw_block,
     pair_coincidences,
     read_records,
     simulate_cycles,
@@ -93,6 +93,11 @@ def _walk_block_offsets(ifm, n_blocks, block_size, n_cycles, seed, period_ns):
         if sigma > 0:
             acc += sigma * _keyed_rng(seed, _PHASE_STREAM, b).standard_normal(m).sum()
     return offsets
+
+
+def _counter_blocks(reads):
+    """The blocks whose uniforms the recorded _philox_uniforms calls read."""
+    return sorted({int(block) for _, _, blocks, _ in reads for block in np.ravel(blocks)})
 
 
 class TestDeterminism:
@@ -165,6 +170,18 @@ class TestKeyedStreams:
         assert np.array_equal(_philox_uniforms(seed, stream, block, positions[::-1]), drawn[::-1])
         table = positions[: 9 * m].reshape(9, m)
         assert np.array_equal(_philox_uniforms(seed, stream, block, table), drawn[: 9 * m].reshape(9, m))
+
+    @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
+    def test_counter_reader_takes_a_block_per_position(self, seed):
+        # one read for the active cycles of a batch of blocks: the block goes
+        # into key word 1 alone, for every block of the 48 bits a key holds
+        blocks = np.array([0, 2**48 - 1, 5, 0, 2**48 - 1, 1])
+        positions = np.array([[0, 1, 2, 3, 9_011, 6], [4, 9_012, 7, 9_013, 5, 0], [8, 3, 9_010, 4, 0, 2]])
+        read = _philox_uniforms(seed, _CYCLE_STREAM, blocks, positions)
+        assert read.shape == positions.shape
+        for j, block in enumerate(blocks):
+            drawn = _keyed_rng(seed, _CYCLE_STREAM, int(block)).random(9_014)
+            assert np.array_equal(read[:, j], drawn[positions[:, j]]), block
 
     @pytest.mark.parametrize("position", [0, 1, 2, 3, 4, 5, 4 * 1_001 + 1, 9 * 1_001, 9 * 1_001 + 3])
     def test_placed_generator_continues_the_fresh_stream(self, position):
@@ -923,7 +940,9 @@ class TestRecordIO:
             assert sha256(path.read_bytes()).hexdigest() == (
                 "8bf54b3acb647f3e0b23b9cf7390bf24653ba1513f79c2854e96e06aa85d969a"
             )
-        assert [block for _, _, block, _ in reads] == list(range(15))  # the pool's workers read in their own processes
+        # the pool's workers read in their own processes; one read serves a batch of blocks
+        assert _counter_blocks(reads) == list(range(15))
+        assert len(reads) < 15
 
     def test_counter_and_bulk_reads_give_the_same_records(self, monkeypatch):
         # about 1 cycle in 5 is active: the counter reads every block at
@@ -942,9 +961,60 @@ class TestRecordIO:
             monkeypatch.setattr("tpcsim.events._COUNTER_SHARE", share)
             reads.clear()
             runs[share] = simulate_cycles(20_001, *args)
-            assert len(reads) == (5 if share == 1 else 0)
+            assert len(_counter_blocks(reads)) == (5 if share == 1 else 0)
         assert len(runs[1]) > 1_000
         assert np.array_equal(runs[1], runs[2**62])
+
+    @pytest.mark.parametrize("config", ["background", "chain", "straddling"])
+    def test_batch_cap_never_changes_the_records(self, monkeypatch, config):
+        # 15 blocks, the last of 2,657 cycles, sampled one block a batch (cap
+        # 0), in batches of the model's cap and in batches as long as a shard
+        # allows. With background, or the thinned noisy chain, about 1 cycle in
+        # 120 is active and every block reads by counter, so one batch takes
+        # the shard; a batch across blocks changes the row count of every
+        # sampled array, and for the chain of its Kraus and readout matmuls.
+        # Straddling the counter cutoff, about 1 cycle in 70, blocks that read
+        # by counter open batches that a block drawing its whole table closes
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
+        ifm = InterferometerConfig(phase_mode="walk", erasure_visibility=0.8)
+        if config == "chain":
+            emitter_params, pcfg, ifm, det = _chain_args("noisy cluster")
+            args = (emitter_params, ifm, pcfg, replace(det, zpl_efficiency=6e-4, seed=83))
+        else:
+            det = DetectionParams(zpl_efficiency=7e-3, seed=83)
+            if config == "background":
+                det = replace(det, zpl_efficiency=2e-3, background_rate_hz=2_000.0)
+            args = (noisy_emitter(), ifm, ProtocolConfig(), det)
+        init, sample, batches = _CycleModel.__init__, events._sample_batch, []
+
+        def recording_batch(model, detection, batch):
+            # per block, C if it reads by counter (a position per active cycle), else B
+            batches.append("".join("C" if drawn[-2].size == drawn[0].size else "B" for drawn in batch))
+            return sample(model, detection, batch)
+
+        monkeypatch.setattr(events, "_sample_batch", recording_batch)
+        runs = {}
+        for cap in (0, None, 2**62):
+
+            def capped(self, *model_args, cap=cap):
+                init(self, *model_args)
+                self.batch_cap = self.batch_cap if cap is None else cap
+
+            monkeypatch.setattr(_CycleModel, "__init__", capped)
+            for workers in (1, 2):
+                batches.clear()
+                runs[cap, workers] = simulate_cycles(60_001, *args, workers=workers)
+                if workers == 1:  # the pool's workers sample in their own processes
+                    assert len("".join(batches)) == 15
+                    if cap == 0:
+                        assert all(len(kinds) == 1 for kinds in batches)
+                    elif config == "straddling":
+                        assert ("CCB" in batches) == (cap == 2**62)
+                    else:
+                        assert max(map(len, batches)) == (15 if cap else 2)
+        assert len(runs[None, 1]) > 50
+        for key, recs in runs.items():
+            assert np.array_equal(recs, runs[None, 1]), key
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("drift", [2.4e-9, 0.0])
@@ -961,13 +1031,13 @@ class TestRecordIO:
 
         def recording_block(model, detection, lo, hi, offset, scratch):
             starts[lo // model.block_size] = offset
-            return _simulate_block(model, detection, lo, hi, offset, scratch)
+            return _draw_block(model, detection, lo, hi, offset, scratch)
 
         def recording_rng(seed, stream, block, position=0):
             streams.append(stream)
             return _keyed_rng(seed, stream, block, position)
 
-        monkeypatch.setattr("tpcsim.events._simulate_block", recording_block)
+        monkeypatch.setattr("tpcsim.events._draw_block", recording_block)
         monkeypatch.setattr("tpcsim.events._keyed_rng", recording_rng)
         monkeypatch.setattr(SerialPool, "sizes", [])
         monkeypatch.setattr("tpcsim.events.ProcessPoolExecutor", SerialPool)
