@@ -1,7 +1,7 @@
 """Event generator tests: determinism, routing statistics, Born consistency,
 background uniformity, record I/O, and coincidence pairing."""
 import warnings
-from dataclasses import replace
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import reduce
 from hashlib import sha256
 from pathlib import Path
@@ -54,6 +54,7 @@ from conftest import FIXTURE, SerialPool, apply, collapsed_bright, collapsed_spi
 from conftest import partial_trace, projector_onto, ry, write_fixture_ini
 
 MINUS, PLUS = CODES["prep_sign"]["minus"], CODES["prep_sign"]["plus"]
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def noisy_emitter():
@@ -74,7 +75,7 @@ def _chain_args(config):
     config, or of a noisy two-photon chain with every optical-pulse branch
     live in either chain mode ("noisy cluster", "noisy ghz")."""
     if config.endswith(".ini"):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+        cfg = load_config(BENCH_CONFIGS / config)
         return cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection
     pcfg = ProtocolConfig(n_photons=2, chain_mode=config.split()[1])
     return replace(noisy_emitter(), zpl_fraction=0.3), pcfg, InterferometerConfig(phase_mode="walk", erasure_visibility=0.8), DetectionParams()
@@ -435,7 +436,7 @@ class TestBornConsistency:
         # the support that the step before left, starting with both bins empty;
         # every dropped row is exactly zero there, so no product loses a term
         if config == "chain_n2.ini":
-            cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+            cfg = load_config(BENCH_CONFIGS / config)
             args = (cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
         else:
             params = replace(noisy_emitter(), zpl_fraction=0.3)
@@ -458,7 +459,7 @@ class TestBornConsistency:
     def test_ideal_chain_later_steps_hold_one_operator(self, config):
         # an ideal rotation and an ideal pulse on a fresh bin are one Kraus
         # matrix each, so the sampler takes no branch draw on any later step
-        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config)
+        cfg = load_config(BENCH_CONFIGS / config)
         model = _CycleModel(cfg.emitter, cfg.protocol, cfg.interferometer, cfg.detection)
         assert [len(ops) for ops in model.later_ops] == [1, 1, 1, 1]
 
@@ -698,6 +699,126 @@ class TestCoincidencePairing:
         assert summarize(recs) == {"records": 3, "heralded": 2, "coincidences": 1, "rejected_cycles": 1}
 
 
+@dataclass
+class Pin:
+    """A pinned record file: the run that writes it, the facts that show which
+    path it covers, and the sha256 of its bytes. A fact left at None is not stated."""
+
+    id: str
+    config: tuple | str  # (emitter, interferometer, protocol, detection), or a config file run by `tpcsim simulate`
+    cycles: int
+    block_size: int  # events._BLOCK_SIZE
+    workers: tuple  # each worker count writes the same bytes
+    seed: int | None = None  # the --seed of a config file
+    # the facts, which only a row of config objects states
+    records: int | None = None
+    classes: set | None = None  # the arrival classes of the records
+    preps: set | None = None  # the preparations of the records
+    doubles: bool | None = None  # some cycle has more clicks than photons
+    record_blocks: int | None = None  # the blocks that hold a record
+    counter_blocks: range | None = None  # the blocks read by counter at one worker, in fewer reads than blocks
+    pulse_branches: int | None = None  # the Kraus branches of the optical pulse
+    _: KW_ONLY
+    digest: str
+
+
+# how test_record_pins reads each stated fact from a row's records
+RECORD_FACTS = {
+    "records": lambda pin, recs: len(recs),
+    "classes": lambda pin, recs: set(recs["arrival_class"].tolist()),
+    "preps": lambda pin, recs: set(recs["prep_sign"].tolist()),
+    "doubles": lambda pin, recs: bool(np.unique(recs["cycle_id"], return_counts=True)[1].max() > pin.config[2].n_photons),
+    "record_blocks": lambda pin, recs: np.unique(recs["cycle_id"] // pin.block_size).size,
+}
+ALL_CLASSES, PHOTON_CLASSES, BOTH_PREPS = {EARLY, ERASED, LATE, INVALID}, {EARLY, ERASED, LATE}, {MINUS, PLUS}
+WALK = InterferometerConfig(phase_mode="walk")  # a walk phase with readout noise
+WALK_08 = replace(WALK, erasure_visibility=0.8)
+# The pinned record files, one row per path. A change that moves record bytes on
+# purpose replaces the digest column, and a record or block count that moves with
+# the draws; any other fact that fails means the row no longer covers its path.
+PINS = [
+    # the criterion-4 fixture through the command line: dense n = 1 records in a scanned phase, the hardware ingestion contract
+    Pin("criterion_4_fixture", "fixture.ini", 5_000, 65_536, (1,),
+        digest="951619daf302abf5ec02cf0d844bf08bc480781c98d4b5cd616d4d6d114af683"),
+    # background of every class, Invalid included, with the doubles and singles of a walk phase in short blocks
+    Pin("walk_background", (noisy_emitter(), WALK, ProtocolConfig(), DetectionParams(zpl_efficiency=1.0, background_rate_hz=200_000.0, seed=61)),
+        4_000, 1_024, (1, 2), classes=ALL_CLASSES,
+        digest="3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"),
+    # thinning to 1 in 15 drops most cycles before they are sampled; 12 full blocks and a short one, background of every class
+    Pin("thinned_walk_background",
+        (replace(noisy_emitter(), zpl_fraction=0.03), WALK, ProtocolConfig(), DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83)),
+        50_000, 4_096, (1, 2), classes=ALL_CLASSES,
+        digest="b0026897820298ae0012c2c28704df3a4c4c819d0652c34f8ad322b4194f7f02"),
+    # doubles at thinning 0.3, where a double often keeps only its second photon's click and must still be sampled
+    Pin("balanced", (noisy_emitter(), replace(WALK_08, split_ratio=0.5), ProtocolConfig(), DetectionParams(zpl_efficiency=0.3, seed=97)),
+        20_000, 2_048, (1, 2), doubles=True,
+        digest="34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"),
+    # doubles at an unbalanced splitter: a double's first photon takes the erasing arm with e1 = 0.3, its second with e2 = 0.7
+    Pin("split_0.3", (noisy_emitter(), replace(WALK_08, split_ratio=0.3), ProtocolConfig(), DetectionParams(zpl_efficiency=0.3, seed=97)),
+        20_000, 2_048, (1, 2), doubles=True,
+        digest="f56743b6c9dd3cf40fd8b7ed29c3ad409f6cef0fd688cfb81d75b40f14c109d8"),
+    # doubles of either photon of a noisy chain, and photon 1's late click at the time of photon 2's early click
+    Pin("split_0.3_n2",
+        (noisy_emitter(), replace(WALK_08, split_ratio=0.3), ProtocolConfig(n_photons=2), DetectionParams(zpl_efficiency=0.3, seed=97)),
+        20_000, 2_048, (1, 2), doubles=True,
+        digest="c23a586d14dc275d81f74df09b52cf9aacd3abb7185c14e83b545a88337960f9"),
+    # the default config's efficiency: the walk, and at two workers a shard cut, run through 98 blocks that are nearly all empty
+    Pin("default_sparse", (EmitterParams(), InterferometerConfig(), ProtocolConfig(), DetectionParams()),
+        100_000, 1_024, (1, 2), record_blocks=2,
+        digest="bbf0dfb787eda2ca63b8b6512e8ccad107c806836df00664272ae380aa62ce27"),
+    # counter reads: about 1 cycle in 120 is active, so every block, the short last one too, reads photon 1's other uniforms by counter
+    Pin("counter_path", (noisy_emitter(), WALK_08, ProtocolConfig(), DetectionParams(zpl_efficiency=2e-3, background_rate_hz=2_000.0, seed=83)),
+        60_001, 4_096, (1, 2), records=387, classes=ALL_CLASSES, counter_blocks=range(15),
+        digest="8bf54b3acb647f3e0b23b9cf7390bf24653ba1513f79c2854e96e06aa85d969a"),
+    # a short noisy n = 2 chain: a walk with readout noise, both preparations, partial erasure and detection
+    Pin("chain_n2", (noisy_emitter(), WALK_08, ProtocolConfig(n_photons=2), DetectionParams(zpl_efficiency=0.8, seed=73)),
+        40, 65_536, (1,), classes=PHOTON_CLASSES, preps=BOTH_PREPS,
+        digest="00be89147456b6f704902b92c232fdfaff59ca1d596cc4fbcef9edbf044c1e18"),
+    # the same for a short noisy n = 3 chain
+    Pin("chain_n3", (noisy_emitter(), WALK_08, ProtocolConfig(n_photons=3), DetectionParams(zpl_efficiency=0.8, seed=73)),
+        24, 65_536, (1,), classes=PHOTON_CLASSES, preps=BOTH_PREPS,
+        digest="facf7ba3ff5e5ffcab92b606ae048baa4e08e9972ac71c903acbeb15268cba7c"),
+    # a thinned n = 2 chain: a cycle whose only surviving click is a later photon's must be kept
+    Pin("thinned_chain_n2", (noisy_emitter(), WALK_08, ProtocolConfig(n_photons=2), DetectionParams(zpl_efficiency=0.05, seed=89)),
+        20_000, 2_048, (1, 2), records=1_865,
+        digest="b45b98af68f89a714f5311b1d908305b7470fc69d30ed7d8f15a6db736a13071"),
+    # the same for a thinned n = 3 chain
+    Pin("thinned_chain_n3", (noisy_emitter(), WALK_08, ProtocolConfig(n_photons=3), DetectionParams(zpl_efficiency=0.05, seed=89)),
+        12_000, 2_048, (1, 2), records=1_642,
+        digest="e43e8dbe53bc55a666ddbc4f8672282e02d4b1d7560a1b5bf1c1bde074247f53"),
+    # the benchmark's n = 2 leg as its command line makes it: one block, so two workers run it in one process
+    Pin("bench_chain_n2", "chain_n2.ini", 1_500, 65_536, (1, 2), seed=800,
+        digest="ef30fa03babfa6c13b58b45f2f23f2f0b46e953d2e675b010bba9616f6bc8d0b"),
+    # the benchmark's n = 3 leg, one block
+    Pin("bench_chain_n3", "chain_n3.ini", 250, 65_536, (1, 2), seed=800,
+        digest="6e63d9106b0873815298080a9dcbf537bff9660619a475bae91a1282935e1e07"),
+    # the n = 2 leg over two full blocks and a short one, which two workers split
+    Pin("bench_chain_n2_long", "chain_n2.ini", 140_000, 65_536, (1, 2), seed=800,
+        digest="3af769f1c7e32ba5bd65523071f4c8064ffe511276028f974b746756a0df4180"),
+    # the n = 3 leg over a full block and a short one, which two workers split
+    Pin("bench_chain_n3_long", "chain_n3.ini", 70_000, 65_536, (1, 2), seed=800,
+        digest="11c65881ff359fb1e7cdd73c440ad653d5dd8e79eb06b715cfcc27e0fe05aff9"),
+    # every pulse branch: at zpl_fraction 0.3 the later photon's Kraus sampling picks among all 12 incoherent branches in order
+    Pin("every_branch_n2",
+        (replace(noisy_emitter(), zpl_fraction=0.3), WALK_08, ProtocolConfig(n_photons=2), DetectionParams(zpl_efficiency=0.3, seed=101)),
+        6_000, 2_048, (1, 2), records=3_472, pulse_branches=13,
+        digest="c9f681fdda8618137d6eff58db244b898f83b0e4f61e92528faaad48b3056136"),
+    # every pulse branch for two later photons, over three blocks cut 1 + 2 at two workers
+    Pin("every_branch_n3",
+        (replace(noisy_emitter(), zpl_fraction=0.3), WALK_08, ProtocolConfig(n_photons=3), DetectionParams(zpl_efficiency=0.3, seed=101)),
+        6_000, 2_048, (1, 2), records=4_995,
+        digest="d659945dde06bf46885f0d7ad42e29e10c2a34caf1ba4de2bbd54ef3bd3a29cd"),
+    # the ideal ghz chain: each later photon goes through one product of one-operator steps, a pi rotation between blocks, split 0.3
+    Pin("ideal_ghz_n3", (load_config(BENCH_CONFIGS / "chain_n3.ini").emitter, replace(WALK_08, split_ratio=0.3),
+                         ProtocolConfig(n_photons=3, chain_mode="ghz", cycle_period_ns=2e6), DetectionParams(zpl_efficiency=0.3, seed=107)),
+        6_000, 2_048, (1, 2), records=5_321, classes=PHOTON_CLASSES, preps=BOTH_PREPS,
+        digest="7f3993ede759bc6cc3941839a4e7549b5eb9a73093258d89b321e39059bd7b0e"),
+]
+# a row that pins the same bytes as another covers no path of its own
+assert len({pin.id for pin in PINS}) == len(PINS), "row ids repeat"
+assert len({pin.digest for pin in PINS}) == len(PINS), "digests repeat"
+
+
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
         recs = simulate_cycles(
@@ -714,17 +835,6 @@ class TestRecordIO:
         assert np.array_equal(back["cycle_id"], recs["cycle_id"])
         assert np.array_equal(back["readout_click"], recs["readout_click"])
         assert np.allclose(back["phase_rad"], recs["phase_rad"], atol=1e-9)
-
-    def test_byte_identical_files_for_same_seed(self, tmp_path):
-        args = (
-            ideal_emitter(),
-            InterferometerConfig(),
-            ProtocolConfig(),
-        )
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records(p1, simulate_cycles(4_000, *args, DetectionParams(zpl_efficiency=1.0, seed=17)))
-        write_records(p2, simulate_cycles(4_000, *args, DetectionParams(zpl_efficiency=1.0, seed=17)))
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -828,121 +938,35 @@ class TestRecordIO:
             write_records(path, recs)
         assert not path.exists()
 
-    def test_criterion_4_fixture_bytes_pinned(self, tmp_path):
-        # the n = 1 record bytes are the hardware ingestion contract
-        ini = tmp_path / "fixture.ini"
-        write_fixture_ini(ini)
-        out = tmp_path / "fixture.csv"
-        assert main(["simulate", "--config", str(ini), "--out", str(out), "--cycles", "5000"]) == 0
-        assert sha256(out.read_bytes()).hexdigest() == (
-            "951619daf302abf5ec02cf0d844bf08bc480781c98d4b5cd616d4d6d114af683"
-        )
-
-    def test_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # doubles, singles and background clicks of every class, Invalid included
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 1024)
-        args = (
-            noisy_emitter(),
-            InterferometerConfig(phase_mode="walk"),
-            ProtocolConfig(),
-            DetectionParams(zpl_efficiency=1.0, background_rate_hz=200_000.0, seed=61),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(4_000, *args, workers=workers)
-            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "3eb19d7e5f26bb85d9de28421e40c6c3745335b2e30d2fa77b64b77ea63e969e"
-            )
-
-    def test_thinned_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # detection thinning 1/15 drops most cycles before they are sampled;
-        # 12 full blocks and a partial one, background clicks of every class
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
-        args = (
-            replace(noisy_emitter(), zpl_fraction=0.03),
-            InterferometerConfig(phase_mode="walk"),
-            ProtocolConfig(),
-            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=3e4, seed=83),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(50_000, *args, workers=workers)
-            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "b0026897820298ae0012c2c28704df3a4c4c819d0652c34f8ad322b4194f7f02"
-            )
-
-    @pytest.mark.parametrize(
-        "split,n_photons,digest",
-        [
-            (0.5, 1, "34c1af4872f7244a5a695aa2dbb74879e99b9012ecf4f4b9e3837eaacc293dc6"),
-            # an unbalanced splitter: a double's first photon takes the erasing
-            # arm with e1 = 0.3 and its second with e2 = 0.7
-            (0.3, 1, "f56743b6c9dd3cf40fd8b7ed29c3ad409f6cef0fd688cfb81d75b40f14c109d8"),
-            # a noisy chain: doubles of either photon, and photon 1's late click
-            # before photon 2's early click at the same time
-            (0.3, 2, "c23a586d14dc275d81f74df09b52cf9aacd3abb7185c14e83b545a88337960f9"),
-        ],
-        ids=["balanced", "split_0.3", "split_0.3_n2"],
-    )
-    def test_thinned_double_clicks_bytes_pinned(self, tmp_path, monkeypatch, split, n_photons, digest):
-        # at thinning 0.3 a double-occupation cycle often keeps only its
-        # second photon's click, and such a cycle must still be sampled
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
-        args = (
-            noisy_emitter(),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8, split_ratio=split),
-            ProtocolConfig(n_photons=n_photons),
-            DetectionParams(zpl_efficiency=0.3, seed=97),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(20_000, *args, workers=workers)
-            assert np.unique(recs["cycle_id"], return_counts=True)[1].max() > n_photons
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == digest
-
-    def test_default_sparse_efficiency_bytes_pinned(self, tmp_path, monkeypatch):
-        # the default config's efficiency: most of the 98 blocks have no
-        # cycle that can leave a record, and the walk phase runs through them
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 1024)
-        recs = simulate_cycles(100_000, EmitterParams(), InterferometerConfig(), ProtocolConfig(), DetectionParams())
-        assert 0 < np.unique(recs["cycle_id"] // 1024).size < 10
-        path = tmp_path / "sparse.csv"
-        write_records(path, recs)
-        assert sha256(path.read_bytes()).hexdigest() == (
-            "bbf0dfb787eda2ca63b8b6512e8ccad107c806836df00664272ae380aa62ce27"
-        )
-
-    def test_counter_path_walk_background_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # thinning 2e-3 and background clicks leave about 1 cycle in 120
-        # active, so every block, the last of 2,657 cycles too, reads photon
-        # 1's other uniforms by counter; the Poisson counts follow the readout
-        # normals in the stream, and double-occupation cycles read the arm rows
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 4096)
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.id)
+    def test_record_pins(self, tmp_path, monkeypatch, pin):
+        # a row's facts come before its digest, so a moved digest also tells
+        # whether the row still covers its path
+        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", pin.block_size)
         reads = []
-        monkeypatch.setattr("tpcsim.events._philox_uniforms", lambda *args: reads.append(args) or _philox_uniforms(*args))
-        args = (
-            noisy_emitter(),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(),
-            DetectionParams(zpl_efficiency=2e-3, background_rate_hz=2_000.0, seed=83),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(60_001, *args, workers=workers)
-            assert len(recs) == 387
-            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE, INVALID}
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "8bf54b3acb647f3e0b23b9cf7390bf24653ba1513f79c2854e96e06aa85d969a"
-            )
-        # the pool's workers read in their own processes; one read serves a batch of blocks
-        assert _counter_blocks(reads) == list(range(15))
-        assert len(reads) < 15
+        if pin.counter_blocks is not None:
+            monkeypatch.setattr("tpcsim.events._philox_uniforms", lambda *args: reads.append(args) or _philox_uniforms(*args))
+        if pin.pulse_branches is not None:
+            assert len(optical_pulse_kraus(pin.config[0])) == pin.pulse_branches
+        for workers in pin.workers:
+            out = tmp_path / f"w{workers}.csv"
+            if isinstance(pin.config, str):  # states no fact, so the file is not read back
+                ini = BENCH_CONFIGS / pin.config
+                if pin.config == "fixture.ini":
+                    write_fixture_ini(ini := tmp_path / pin.config)
+                seed = [] if pin.seed is None else ["--seed", str(pin.seed)]
+                args = ["simulate", "--config", str(ini), "--cycles", str(pin.cycles), *seed, "--workers", str(workers)]
+                assert main([*args, "--out", str(out)]) == 0
+            else:
+                recs = simulate_cycles(pin.cycles, *pin.config, workers=workers)
+                for name, fact in RECORD_FACTS.items():
+                    if getattr(pin, name) is not None:
+                        assert fact(pin, recs) == getattr(pin, name), f"{name}, workers={workers}"
+                if pin.counter_blocks is not None and workers == 1:  # the pool's workers read in their own processes
+                    assert _counter_blocks(reads) == list(pin.counter_blocks)
+                    assert len(reads) < len(pin.counter_blocks)  # one read serves a batch of blocks
+                write_records(out, recs)
+            assert sha256(out.read_bytes()).hexdigest() == pin.digest, f"digest, workers={workers}"
 
     def test_counter_and_bulk_reads_give_the_same_records(self, monkeypatch):
         # about 1 cycle in 5 is active: the counter reads every block at
@@ -1048,138 +1072,6 @@ class TestRecordIO:
         assert (len(set(drawn)) == 5) == (drift > 0)
         # a phase that does not walk draws no phase step, not even to skip ahead
         assert (_PHASE_STREAM in streams) == (drift > 0)
-
-    @pytest.mark.parametrize(
-        "n_photons,cycles,digest",
-        [
-            (2, 40, "00be89147456b6f704902b92c232fdfaff59ca1d596cc4fbcef9edbf044c1e18"),
-            (3, 24, "facf7ba3ff5e5ffcab92b606ae048baa4e08e9972ac71c903acbeb15268cba7c"),
-        ],
-    )
-    def test_chain_bytes_pinned(self, tmp_path, n_photons, cycles, digest):
-        # walk phase with readout noise, alternating preps, partial erasure
-        # visibility and detection; the runs include double-occupation cycles
-        recs = simulate_cycles(
-            cycles,
-            noisy_emitter(),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(n_photons=n_photons),
-            DetectionParams(zpl_efficiency=0.8, seed=73),
-        )
-        assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE}
-        assert set(recs["prep_sign"].tolist()) == {MINUS, PLUS}
-        path = tmp_path / "chain.csv"
-        write_records(path, recs)
-        assert sha256(path.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "n_photons,cycles,n_records,digest",
-        [
-            (2, 20_000, 1_865, "b45b98af68f89a714f5311b1d908305b7470fc69d30ed7d8f15a6db736a13071"),
-            (3, 12_000, 1_642, "e43e8dbe53bc55a666ddbc4f8672282e02d4b1d7560a1b5bf1c1bde074247f53"),
-        ],
-    )
-    def test_thinned_chain_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch, n_photons, cycles, n_records, digest):
-        # at thinning 0.05 most cycles are dropped before they are sampled; a
-        # cycle whose only surviving click is a later photon's must be kept
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
-        args = (
-            noisy_emitter(),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(n_photons=n_photons),
-            DetectionParams(zpl_efficiency=0.05, seed=89),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(cycles, *args, workers=workers)
-            assert len(recs) == n_records
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "config,cycles,digest",
-        [
-            ("chain_n2.ini", 1_500, "ef30fa03babfa6c13b58b45f2f23f2f0b46e953d2e675b010bba9616f6bc8d0b"),
-            ("chain_n3.ini", 250, "6e63d9106b0873815298080a9dcbf537bff9660619a475bae91a1282935e1e07"),
-            ("chain_n2.ini", 140_000, "3af769f1c7e32ba5bd65523071f4c8064ffe511276028f974b746756a0df4180"),
-            ("chain_n3.ini", 70_000, "11c65881ff359fb1e7cdd73c440ad653d5dd8e79eb06b715cfcc27e0fe05aff9"),
-        ],
-    )
-    def test_benchmark_chain_bytes_pinned(self, tmp_path, config, cycles, digest, workers):
-        # the records of the benchmark's chain legs, as its command line makes
-        # them; a short leg is one block, so two workers run it in one process,
-        # and a long one holds full 65,536-cycle blocks, which two workers split
-        ini = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
-        out = tmp_path / "chain.csv"
-        args = ["simulate", "--config", str(ini), "--cycles", str(cycles), "--seed", "800", "--workers", str(workers)]
-        assert main([*args, "--out", str(out)]) == 0
-        assert sha256(out.read_bytes()).hexdigest() == digest
-
-    def test_chain_with_every_pulse_branch_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # at zpl_fraction < 1 every incoherent branch of the optical pulse
-        # weighs more than 0, and the later photon's Kraus sampling picks
-        # among them in their listed order
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
-        args = (
-            replace(noisy_emitter(), zpl_fraction=0.3),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(n_photons=2),
-            DetectionParams(zpl_efficiency=0.3, seed=101),
-        )
-        assert len(optical_pulse_kraus(args[0])) == 13  # main and 12 incoherent branches
-        for workers in (1, 2):
-            recs = simulate_cycles(6_000, *args, workers=workers)
-            assert len(recs) == 3_472
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "c9f681fdda8618137d6eff58db244b898f83b0e4f61e92528faaad48b3056136"
-            )
-
-    def test_three_photon_chain_with_every_pulse_branch_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # as above with a third photon: two later photons each pick among every
-        # incoherent branch, and 6,000 cycles are three blocks, cut 1 + 2 at two workers
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
-        args = (
-            replace(noisy_emitter(), zpl_fraction=0.3),
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8),
-            ProtocolConfig(n_photons=3),
-            DetectionParams(zpl_efficiency=0.3, seed=101),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(6_000, *args, workers=workers)
-            assert len(recs) == 4_995
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "d659945dde06bf46885f0d7ad42e29e10c2a34caf1ba4de2bbd54ef3bd3a29cd"
-            )
-
-    def test_ideal_ghz_chain_bytes_pinned_for_any_worker_count(self, tmp_path, monkeypatch):
-        # an ideal emitter holds one operator in every later step, so a later
-        # photon goes through one product of them; a ghz chain (a pi rotation
-        # between blocks) with an unbalanced splitter, partial erasure
-        # visibility, both preparations, a walk phase with readout noise and
-        # thinning, over three blocks cut 1 + 2 at two workers
-        monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", 2048)
-        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "chain_n3.ini")
-        args = (
-            cfg.emitter,
-            InterferometerConfig(phase_mode="walk", erasure_visibility=0.8, split_ratio=0.3),
-            ProtocolConfig(n_photons=3, chain_mode="ghz", cycle_period_ns=2e6),
-            DetectionParams(zpl_efficiency=0.3, seed=107),
-        )
-        for workers in (1, 2):
-            recs = simulate_cycles(6_000, *args, workers=workers)
-            assert len(recs) == 5_321
-            assert set(recs["arrival_class"].tolist()) == {EARLY, ERASED, LATE}
-            assert set(recs["prep_sign"].tolist()) == {MINUS, PLUS}
-            path = tmp_path / f"w{workers}.csv"
-            write_records(path, recs)
-            assert sha256(path.read_bytes()).hexdigest() == (
-                "7f3993ede759bc6cc3941839a4e7549b5eb9a73093258d89b321e39059bd7b0e"
-            )
 
 
 class TestValidation:
