@@ -938,35 +938,35 @@ class TestRecordIO:
             write_records(path, recs)
         assert not path.exists()
 
-    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.id)
-    def test_record_pins(self, tmp_path, monkeypatch, pin):
-        # a row's facts come before its digest, so a moved digest also tells
-        # whether the row still covers its path
+    @pytest.mark.parametrize("pin,workers", [(pin, w) for pin in PINS for w in pin.workers],
+                             ids=lambda case: case.id if isinstance(case, Pin) else f"w{case}")
+    def test_record_pins(self, tmp_path, monkeypatch, pin, workers):
+        # one item per row and worker count; a row's facts come before its
+        # digest, so a moved digest also tells whether the row still covers its path
         monkeypatch.setattr("tpcsim.events._BLOCK_SIZE", pin.block_size)
         reads = []
         if pin.counter_blocks is not None:
             monkeypatch.setattr("tpcsim.events._philox_uniforms", lambda *args: reads.append(args) or _philox_uniforms(*args))
         if pin.pulse_branches is not None:
             assert len(optical_pulse_kraus(pin.config[0])) == pin.pulse_branches
-        for workers in pin.workers:
-            out = tmp_path / f"w{workers}.csv"
-            if isinstance(pin.config, str):  # states no fact, so the file is not read back
-                ini = BENCH_CONFIGS / pin.config
-                if pin.config == "fixture.ini":
-                    write_fixture_ini(ini := tmp_path / pin.config)
-                seed = [] if pin.seed is None else ["--seed", str(pin.seed)]
-                args = ["simulate", "--config", str(ini), "--cycles", str(pin.cycles), *seed, "--workers", str(workers)]
-                assert main([*args, "--out", str(out)]) == 0
-            else:
-                recs = simulate_cycles(pin.cycles, *pin.config, workers=workers)
-                for name, fact in RECORD_FACTS.items():
-                    if getattr(pin, name) is not None:
-                        assert fact(pin, recs) == getattr(pin, name), f"{name}, workers={workers}"
-                if pin.counter_blocks is not None and workers == 1:  # the pool's workers read in their own processes
-                    assert _counter_blocks(reads) == list(pin.counter_blocks)
-                    assert len(reads) < len(pin.counter_blocks)  # one read serves a batch of blocks
-                write_records(out, recs)
-            assert sha256(out.read_bytes()).hexdigest() == pin.digest, f"digest, workers={workers}"
+        out = tmp_path / "records.csv"
+        if isinstance(pin.config, str):  # states no fact, so the file is not read back
+            ini = BENCH_CONFIGS / pin.config
+            if pin.config == "fixture.ini":
+                write_fixture_ini(ini := tmp_path / pin.config)
+            seed = [] if pin.seed is None else ["--seed", str(pin.seed)]
+            args = ["simulate", "--config", str(ini), "--cycles", str(pin.cycles), *seed, "--workers", str(workers)]
+            assert main([*args, "--out", str(out)]) == 0
+        else:
+            recs = simulate_cycles(pin.cycles, *pin.config, workers=workers)
+            for name, fact in RECORD_FACTS.items():
+                if getattr(pin, name) is not None:
+                    assert fact(pin, recs) == getattr(pin, name), name
+            if pin.counter_blocks is not None and workers == 1:  # the pool's workers read in their own processes
+                assert _counter_blocks(reads) == list(pin.counter_blocks)
+                assert len(reads) < len(pin.counter_blocks)  # one read serves a batch of blocks
+            write_records(out, recs)
+        assert sha256(out.read_bytes()).hexdigest() == pin.digest
 
     def test_counter_and_bulk_reads_give_the_same_records(self, monkeypatch):
         # about 1 cycle in 5 is active: the counter reads every block at
